@@ -92,7 +92,7 @@ class SpeechMask:
         self.decisions = np.asarray(self.decisions, dtype=np.uint8)
         if self.decisions.ndim != 1:
             raise ValueError("SpeechMask decisions must be 1-D")
-        if self.decisions.size and not np.isin(self.decisions, (0, 1)).all():
+        if self.decisions.size and self.decisions.max() > 1:
             raise ValueError("SpeechMask decisions must be 0 or 1")
 
     def __len__(self) -> int:

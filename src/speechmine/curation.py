@@ -28,7 +28,13 @@ import numpy as np
 from .audio_io import AudioBuffer, FrameGrid, frame_len_samples, frame_matrix, read_wav, write_wav
 from .dsp import StftConfig, bandwidth_profile, rms_db
 from .enhance import EnhancerSpec, enhance
-from .vad import VadSpec, detect
+from .vad import (
+    DEFAULT_ABSOLUTE_FLOOR_DB,
+    DEFAULT_RELATIVE_THRESHOLD_DB,
+    DEFAULT_WINDOW_SECONDS,
+    VadSpec,
+    detect,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -158,9 +164,9 @@ class CurationConfig:
                 vd = dict(data.pop("vad"))
                 kwargs["vad"] = VadSpec(
                     kind=vd.pop("kind", "energy"),
-                    window_seconds=vd.pop("window_seconds", 0.02),
-                    relative_threshold_db=vd.pop("relative_threshold_db", 15.0),
-                    absolute_floor_db=vd.pop("absolute_floor_db", -60.0),
+                    window_seconds=vd.pop("window_seconds", DEFAULT_WINDOW_SECONDS),
+                    relative_threshold_db=vd.pop("relative_threshold_db", DEFAULT_RELATIVE_THRESHOLD_DB),
+                    absolute_floor_db=vd.pop("absolute_floor_db", DEFAULT_ABSOLUTE_FLOOR_DB),
                     params=vd,
                 )
         except (TypeError, ValueError, KeyError) as exc:
@@ -553,7 +559,10 @@ def export_ab_pairs(
 
     The enhanced side re-runs the enhancer recorded in each segment (or an
     explicit override) over the whole source file, then slices the exact
-    segment. Segments whose source is unreadable are skipped and counted.
+    segment. Segments are grouped by source: each source is read once and
+    enhanced once per distinct enhancer, and only the current source's
+    buffers are held. Segments whose source is unreadable are skipped and
+    counted.
     """
     if isinstance(segments_or_manifest, (str, Path)):
         segments, _ = load_manifest(segments_or_manifest)
@@ -562,33 +571,39 @@ def export_ab_pairs(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    # source -> enhancer identifier -> segments, in order of first appearance
+    groups: dict[str, dict[str, list[CuratedSegment]]] = {}
+    for seg in segments:
+        enhancer_id = enhancer.identifier() if enhancer is not None else seg.enhancer_id
+        groups.setdefault(seg.source_uri, {}).setdefault(enhancer_id, []).append(seg)
+
     pairs = 0
     skipped = 0
-    enhanced_cache: dict[tuple[str, str], AudioBuffer] = {}
-    for seg in segments:
+    for source_uri, by_enhancer in groups.items():
         try:
-            buf = read_wav(seg.source_uri)
+            buf = read_wav(source_uri)
         except Exception as exc:
-            skipped += 1
-            logger.warning("skipping segment of %s: %s", seg.source_uri, exc)
+            count = sum(len(group) for group in by_enhancer.values())
+            skipped += count
+            logger.warning("skipping %d segment(s) of %s: %s", count, source_uri, exc)
             continue
-        spec = enhancer if enhancer is not None else EnhancerSpec.from_identifier(seg.enhancer_id)
-        cache_key = (seg.source_uri, spec.identifier())
-        try:
-            if cache_key not in enhanced_cache:
-                enhanced_cache[cache_key] = enhance(buf, spec, stft_cfg)
-            enhanced = enhanced_cache[cache_key]
-        except Exception as exc:
-            skipped += 1
-            logger.warning("skipping segment of %s: enhancement failed: %s", seg.source_uri, exc)
-            continue
-        stem = f"{Path(seg.source_uri).stem}_r{seg.round_id}_{seg.start_sample}"
-        sl = slice(seg.start_sample, seg.end_sample)
-        write_wav(out / f"{stem}_unprocessed.wav",
-                  AudioBuffer(buf.samples[sl], buf.sample_rate), "float32")
-        write_wav(out / f"{stem}_enhanced.wav",
-                  AudioBuffer(enhanced.samples[sl], buf.sample_rate), "float32")
-        pairs += 1
+        for enhancer_id, group in by_enhancer.items():
+            spec = enhancer if enhancer is not None else EnhancerSpec.from_identifier(enhancer_id)
+            try:
+                enhanced = enhance(buf, spec, stft_cfg)
+            except Exception as exc:
+                skipped += len(group)
+                logger.warning("skipping %d segment(s) of %s: enhancement failed: %s",
+                               len(group), source_uri, exc)
+                continue
+            for seg in group:
+                stem = f"{Path(source_uri).stem}_r{seg.round_id}_{seg.start_sample}"
+                sl = slice(seg.start_sample, seg.end_sample)
+                write_wav(out / f"{stem}_unprocessed.wav",
+                          AudioBuffer(buf.samples[sl], buf.sample_rate), "float32")
+                write_wav(out / f"{stem}_enhanced.wav",
+                          AudioBuffer(enhanced.samples[sl], buf.sample_rate), "float32")
+                pairs += 1
     if skipped:
         logger.warning("export skipped %d segment(s)", skipped)
     return pairs

@@ -15,6 +15,10 @@ FLOOR_DB = 20.0 * np.log10(RMS_FLOOR)
 
 DEFAULT_ROLLOFF_DB = 35.0
 
+# Frames tapered and transformed per FFT call in stft/istft: enough to
+# amortise the call, small enough that the block temporaries stay in cache.
+_BLOCK_FRAMES = 64
+
 
 def rms_db(samples: np.ndarray) -> float:
     """Root-mean-square level in dB (0 dB == RMS of 1.0), floored at -200 dB."""
@@ -81,20 +85,45 @@ class BandwidthProfile:
 
 
 def stft(buf: AudioBuffer, cfg: StftConfig) -> Spectrogram:
-    """Windowed short-time transform; frames = floor((n - w)/hop) + 1, no padding."""
+    """Windowed short-time transform; frames = floor((n - w)/hop) + 1, no padding.
+
+    Frames are a strided view of the samples (no gathered copy). They are
+    tapered and transformed _BLOCK_FRAMES at a time into one time-major
+    complex array, whose transpose is returned as ``values``.
+    """
     n = len(buf)
     w = cfg.window_len
     if n < w:
         raise ValueError(f"buffer of {n} samples is shorter than one window ({w})")
     steps = (n - w) // cfg.hop + 1
-    idx = np.arange(w)[None, :] + cfg.hop * np.arange(steps)[:, None]
-    frames = buf.samples[idx] * cfg.taper()[None, :]
+    frames = np.lib.stride_tricks.sliding_window_view(buf.samples, w)[:: cfg.hop]
+    taper = cfg.taper()
+    values = np.empty((steps, w // 2 + 1), dtype=np.complex128)
+    for b in range(0, steps, _BLOCK_FRAMES):
+        block = slice(b, b + _BLOCK_FRAMES)
+        np.fft.rfft(frames[block] * taper, axis=1, out=values[block])
     return Spectrogram(
-        values=np.fft.rfft(frames, axis=1).T,
+        values=values.T,
         sample_rate=buf.sample_rate,
         window_len=w,
         hop=cfg.hop,
     )
+
+
+def _overlap_add(out: np.ndarray, frames: np.ndarray, first: int) -> None:
+    """Add ``frames[t]`` at row ``first + t`` of ``out``, a (rows, hop) view
+    of the output signal.
+
+    Each frame is cut into ceil(w/hop) hop-long pieces (the last may be
+    shorter), and piece j of every frame goes in with one strided slice-add.
+    Pieces go in descending j, so every sample sums its frames in ascending
+    time order, the order of a frame-by-frame loop.
+    """
+    count, w = frames.shape
+    hop = out.shape[1]
+    for j in range(-(-w // hop) - 1, -1, -1):
+        piece = frames[:, j * hop : (j + 1) * hop]
+        out[first + j : first + j + count, : piece.shape[1]] += piece
 
 
 def istft(spec: Spectrogram, cfg: StftConfig) -> AudioBuffer:
@@ -103,6 +132,12 @@ def istft(spec: Spectrogram, cfg: StftConfig) -> AudioBuffer:
     Samples are normalized by the summed squared window, so an unmodified
     round trip reconstructs the signal exactly wherever the window
     coverage is non-degenerate (everywhere except a few edge samples).
+
+    Frames are inverted and tapered _BLOCK_FRAMES at a time and overlap-added
+    with ceil(w/hop) strided adds per block, for any hop in (0, window_len]
+    and any memory layout of ``spec.values``. Every sample sums its frames
+    in ascending time order, so the result equals a frame-by-frame loop
+    bit for bit.
     """
     if spec.window_len != cfg.window_len or spec.hop != cfg.hop:
         raise ValueError(
@@ -110,22 +145,39 @@ def istft(spec: Spectrogram, cfg: StftConfig) -> AudioBuffer:
             f"match config (window_len={cfg.window_len}, hop={cfg.hop})"
         )
     w = cfg.window_len
+    hop = cfg.hop
     if spec.values.shape[0] != w // 2 + 1:
         raise ValueError(f"expected {w // 2 + 1} bins, got {spec.values.shape[0]}")
     steps = spec.time_steps
     taper = cfg.taper()
-    frames = np.fft.irfft(spec.values.T, n=w, axis=1) * taper[None, :]
+    pieces = -(-w // hop)
+    rows = steps - 1 + pieces
 
-    out_len = (steps - 1) * cfg.hop + w
-    out = np.zeros(out_len)
-    norm = np.zeros(out_len)
-    sq = taper * taper
-    for t in range(steps):
-        start = t * cfg.hop
-        out[start : start + w] += frames[t]
-        norm[start : start + w] += sq
+    # Summed squared window. Rows pieces-1 .. steps-1 all sum the same
+    # pieces in the same order, so overlap-adding min(steps, pieces) frames
+    # gives every distinct row: the leading edge, one interior row and the
+    # trailing edge.
+    edge = min(steps, pieces)
+    distinct = np.zeros((edge + pieces - 1, hop))
+    _overlap_add(distinct, np.broadcast_to(taper * taper, (edge, w)), 0)
+    norm = np.empty((rows, hop))
+    norm[: pieces - 1] = distinct[: pieces - 1]
+    norm[pieces - 1 : steps] = distinct[pieces - 1]
+    norm[steps:] = distinct[edge:]
+
+    out = np.zeros((rows, hop))
+    frames = np.empty((min(steps, _BLOCK_FRAMES), w))
+    for b in range(0, steps, _BLOCK_FRAMES):
+        block = frames[: min(_BLOCK_FRAMES, steps - b)]
+        np.fft.irfft(spec.values[:, b : b + len(block)].T, n=w, axis=1, out=block)
+        block *= taper
+        _overlap_add(out, block, b)
+
+    out_len = (steps - 1) * hop + w
+    out = out.reshape(-1)[:out_len]
+    norm = norm.reshape(-1)[:out_len]
     covered = norm > 1e-12
-    out[covered] /= norm[covered]
+    np.divide(out, norm, out=out, where=covered)
     out[~covered] = 0.0
     return AudioBuffer(samples=out, sample_rate=spec.sample_rate)
 

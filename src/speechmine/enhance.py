@@ -91,9 +91,10 @@ def spectral_gate_enhance(
     """Attenuate time-frequency cells close to the per-bin noise floor.
 
     The floor per bin is the 10th percentile of magnitude over time; cells
-    below floor + gate_threshold_db are scaled down by attenuation_db. The
-    output is trimmed/zero-padded back to the input length (the overlap-add
-    never covers the final partial hop).
+    below floor + gate_threshold_db are scaled down by attenuation_db, in
+    place in the spectrogram (no gated copy), and the magnitudes are freed
+    before the inverse transform. The output is trimmed/zero-padded back to
+    the input length (the overlap-add never covers the final partial hop).
     """
     cfg = cfg or StftConfig()
     if len(buf) < cfg.window_len:
@@ -107,8 +108,9 @@ def spectral_gate_enhance(
     mag = np.abs(spec.values)
     floor = np.percentile(mag, 10, axis=1, keepdims=True)
     gate = mag < floor * 10.0 ** (gate_threshold_db / 20.0)
+    del mag
     gain = 10.0 ** (-attenuation_db / 20.0)
-    spec.values = np.where(gate, spec.values * gain, spec.values)
+    np.multiply(spec.values, gain, out=spec.values, where=gate)
 
     y = istft(spec, cfg).samples
     out = np.zeros(len(buf))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .audio_io import AudioBuffer, SpeechMask
 from .dsp import RMS_FLOOR
-from .enhance import run_exchange_command
+from .enhance import DEFAULT_TIMEOUT_S, run_exchange_command
 
 VAD_KINDS = ("energy", "always_on", "external")
 
@@ -88,7 +88,7 @@ def detect(buf: AudioBuffer, spec: VadSpec) -> SpeechMask:
             buf,
             spec.params["command"],
             exchange_dir=spec.params.get("exchange_dir"),
-            timeout_s=float(spec.params.get("timeout_s", 600.0)),
+            timeout_s=float(spec.params.get("timeout_s", DEFAULT_TIMEOUT_S)),
             what="VAD",
         )
         return SpeechMask((out.samples >= 0.5).astype(np.uint8))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from speechmine.audio_io import AudioBuffer
+from speechmine.dsp import Spectrogram, StftConfig
 from speechmine.evalgen import synth_clean
 
 SAMPLE_RATE = 48000
@@ -92,3 +93,60 @@ def make_segment(**overrides):
     )
     fields.update(overrides)
     return CuratedSegment(**fields)
+
+
+# Reference kernels: the gather-index STFT, the per-hop overlap-add ISTFT and
+# the np.where spectral gate, kept as they were before the strided, blocked
+# rewrite. The production kernels must match them bit for bit.
+
+
+def reference_stft(buf: AudioBuffer, cfg: StftConfig) -> Spectrogram:
+    n = len(buf)
+    w = cfg.window_len
+    if n < w:
+        raise ValueError(f"buffer of {n} samples is shorter than one window ({w})")
+    steps = (n - w) // cfg.hop + 1
+    idx = np.arange(w)[None, :] + cfg.hop * np.arange(steps)[:, None]
+    frames = buf.samples[idx] * cfg.taper()[None, :]
+    return Spectrogram(
+        values=np.fft.rfft(frames, axis=1).T,
+        sample_rate=buf.sample_rate,
+        window_len=w,
+        hop=cfg.hop,
+    )
+
+
+def reference_istft(spec: Spectrogram, cfg: StftConfig) -> AudioBuffer:
+    w = cfg.window_len
+    steps = spec.time_steps
+    taper = cfg.taper()
+    frames = np.fft.irfft(spec.values.T, n=w, axis=1) * taper[None, :]
+
+    out_len = (steps - 1) * cfg.hop + w
+    out = np.zeros(out_len)
+    norm = np.zeros(out_len)
+    sq = taper * taper
+    for t in range(steps):
+        start = t * cfg.hop
+        out[start : start + w] += frames[t]
+        norm[start : start + w] += sq
+    covered = norm > 1e-12
+    out[covered] /= norm[covered]
+    out[~covered] = 0.0
+    return AudioBuffer(samples=out, sample_rate=spec.sample_rate)
+
+
+def reference_spectral_gate_enhance(buf: AudioBuffer, gate_threshold_db: float,
+                                    attenuation_db: float, cfg: StftConfig) -> AudioBuffer:
+    spec = reference_stft(buf, cfg)
+    mag = np.abs(spec.values)
+    floor = np.percentile(mag, 10, axis=1, keepdims=True)
+    gate = mag < floor * 10.0 ** (gate_threshold_db / 20.0)
+    gain = 10.0 ** (-attenuation_db / 20.0)
+    spec.values = np.where(gate, spec.values * gain, spec.values)
+
+    y = reference_istft(spec, cfg).samples
+    out = np.zeros(len(buf))
+    n = min(len(buf), y.size)
+    out[:n] = y[:n]
+    return AudioBuffer(out, buf.sample_rate, source=buf.source)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import brickwall_lowpass, make_segment, white_noise
+from speechmine import curation
 from speechmine.audio_io import AudioBuffer, FrameGrid, read_wav, write_wav
 from speechmine.curation import (
     ConfigError,
@@ -283,6 +284,13 @@ class TestConfig:
         assert CurationConfig(snr_threshold_db=21.0).config_hash() != base
         assert CurationConfig(vad=VadSpec(relative_threshold_db=16.0)).config_hash() != base
 
+    def test_default_config_hash_is_golden(self):
+        # manifests stamped by earlier versions must still match the default
+        # config; a vad section without its thresholds takes the defaults
+        golden = "109f363a1e2abd73515818bfcaadb657a7daab9dc781dbd3215a9517719d890a"
+        assert CurationConfig().config_hash() == golden
+        assert CurationConfig.from_dict({"vad": {"kind": "energy"}}).config_hash() == golden
+
     def test_bad_json_reported(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text("{nope")
@@ -416,6 +424,26 @@ class TestExportAbPairs:
         b = read_wav(next(out.glob("*_enhanced.wav")))
         ref = read_wav(ref_dir / "mix.wav")
         assert np.array_equal(b.samples, ref.samples[: 12 * FS])
+
+    def test_each_source_read_once(self, tmp_path, monkeypatch):
+        src = tmp_path / "long.wav"
+        write_wav(src, synth_clean(37.0, FS, seed=60), "float32")
+        manifest = tmp_path / "m.jsonl"
+        append_manifest(manifest, [
+            make_segment(source_uri=str(src), start_sample=k * 12 * FS,
+                         end_sample=(k + 1) * 12 * FS)
+            for k in range(3)
+        ])
+        reads = []
+
+        def counting_read_wav(path):
+            reads.append(str(path))
+            return read_wav(path)
+
+        monkeypatch.setattr(curation, "read_wav", counting_read_wav)
+        assert export_ab_pairs(manifest, tmp_path / "ab") == 3
+        assert reads == [str(src)]
+        assert len(list((tmp_path / "ab").glob("*.wav"))) == 6
 
     def test_missing_source_skipped_with_count(self, tmp_path, caplog):
         manifest = tmp_path / "m.jsonl"

@@ -1,5 +1,7 @@
 """Enhancer backend tests: identity, spectral gate, oracle, external."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,25 @@ class TestSpectralGate:
         for p in range(cov // FS):
             off_core[p * FS + int(0.6 * FS) + margin : min((p + 1) * FS - margin, cov)] = True
         assert np.mean(resid[off_core] ** 2) / np.mean(hiss[:cov][off_core] ** 2) > 0.9
+
+    def test_peak_memory_bounded_by_spectrum_size(self):
+        # The gate works in place in the one complex spectrum and frees the
+        # magnitudes before the inverse transform, so the traced peak stays
+        # under 2.5x the spectrum's bytes (np.percentile's partition copy of
+        # the magnitudes is the largest temporary).
+        cfg = StftConfig()
+        n = 20 * FS
+        buf = AudioBuffer(np.random.default_rng(3).standard_normal(n) * 0.1, FS)
+        steps = (n - cfg.window_len) // cfg.hop + 1
+        spectrum_bytes = steps * (cfg.window_len // 2 + 1) * 16
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            spectral_gate_enhance(buf, cfg=cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * spectrum_bytes
 
 
 class TestOracle:
