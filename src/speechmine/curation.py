@@ -571,32 +571,33 @@ def export_ab_pairs(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    # source -> enhancer identifier -> segments, in order of first appearance
-    groups: dict[str, dict[str, list[CuratedSegment]]] = {}
+    by_source: dict[str, list[CuratedSegment]] = {}
     for seg in segments:
-        enhancer_id = enhancer.identifier() if enhancer is not None else seg.enhancer_id
-        groups.setdefault(seg.source_uri, {}).setdefault(enhancer_id, []).append(seg)
+        by_source.setdefault(seg.source_uri, []).append(seg)
 
     pairs = 0
     skipped = 0
-    for source_uri, by_enhancer in groups.items():
+    for source_uri, group in by_source.items():
         try:
             buf = read_wav(source_uri)
         except Exception as exc:
-            count = sum(len(group) for group in by_enhancer.values())
-            skipped += count
-            logger.warning("skipping %d segment(s) of %s: %s", count, source_uri, exc)
+            skipped += len(group)
+            logger.warning("skipping %d segment(s) of %s: %s", len(group), source_uri, exc)
             continue
-        for enhancer_id, group in by_enhancer.items():
-            spec = enhancer if enhancer is not None else EnhancerSpec.from_identifier(enhancer_id)
+        # canonical enhancer identifier -> (spec, segments), in order of first appearance
+        by_enhancer: dict[str, tuple[EnhancerSpec, list[CuratedSegment]]] = {}
+        for seg in group:
+            spec = enhancer if enhancer is not None else EnhancerSpec.from_identifier(seg.enhancer_id)
+            by_enhancer.setdefault(spec.identifier(), (spec, []))[1].append(seg)
+        for spec, same in by_enhancer.values():
             try:
                 enhanced = enhance(buf, spec, stft_cfg)
             except Exception as exc:
-                skipped += len(group)
+                skipped += len(same)
                 logger.warning("skipping %d segment(s) of %s: enhancement failed: %s",
-                               len(group), source_uri, exc)
+                               len(same), source_uri, exc)
                 continue
-            for seg in group:
+            for seg in same:
                 stem = f"{Path(source_uri).stem}_r{seg.round_id}_{seg.start_sample}"
                 sl = slice(seg.start_sample, seg.end_sample)
                 write_wav(out / f"{stem}_unprocessed.wav",

@@ -153,23 +153,12 @@ def istft(spec: Spectrogram, cfg: StftConfig) -> AudioBuffer:
     pieces = -(-w // hop)
     rows = steps - 1 + pieces
 
-    # Summed squared window. Rows pieces-1 .. steps-1 all sum the same
-    # pieces in the same order, so overlap-adding min(steps, pieces) frames
-    # gives every distinct row: the leading edge, one interior row and the
-    # trailing edge.
-    edge = min(steps, pieces)
-    distinct = np.zeros((edge + pieces - 1, hop))
-    _overlap_add(distinct, np.broadcast_to(taper * taper, (edge, w)), 0)
-    norm = np.empty((rows, hop))
-    norm[: pieces - 1] = distinct[: pieces - 1]
-    norm[pieces - 1 : steps] = distinct[pieces - 1]
-    norm[steps:] = distinct[edge:]
+    norm = np.zeros((rows, hop))
+    _overlap_add(norm, np.broadcast_to(taper * taper, (steps, w)), 0)
 
     out = np.zeros((rows, hop))
-    frames = np.empty((min(steps, _BLOCK_FRAMES), w))
     for b in range(0, steps, _BLOCK_FRAMES):
-        block = frames[: min(_BLOCK_FRAMES, steps - b)]
-        np.fft.irfft(spec.values[:, b : b + len(block)].T, n=w, axis=1, out=block)
+        block = np.fft.irfft(spec.values[:, b : b + _BLOCK_FRAMES].T, n=w, axis=1)
         block *= taper
         _overlap_add(out, block, b)
 

@@ -445,6 +445,28 @@ class TestExportAbPairs:
         assert reads == [str(src)]
         assert len(list((tmp_path / "ab").glob("*.wav"))) == 6
 
+    def test_same_enhancer_in_any_key_order_enhanced_once(self, tmp_path, monkeypatch):
+        src = tmp_path / "long.wav"
+        write_wav(src, synth_clean(25.0, FS, seed=61), "float32")
+        ids = ['{"kind":"spectral_gate","attenuation_db":12.0,"gate_threshold_db":6.0}',
+               '{"gate_threshold_db":6.0,"kind":"spectral_gate","attenuation_db":12.0}']
+        manifest = tmp_path / "m.jsonl"
+        append_manifest(manifest, [
+            make_segment(source_uri=str(src), start_sample=k * 12 * FS,
+                         end_sample=(k + 1) * 12 * FS, enhancer_id=ids[k])
+            for k in range(2)
+        ])
+        calls = []
+        real_enhance = curation.enhance
+
+        def counting_enhance(buf, spec, stft_cfg=None):
+            calls.append(spec.identifier())
+            return real_enhance(buf, spec, stft_cfg)
+
+        monkeypatch.setattr(curation, "enhance", counting_enhance)
+        assert export_ab_pairs(manifest, tmp_path / "ab") == 2
+        assert calls == [EnhancerSpec.from_identifier(ids[0]).identifier()]
+
     def test_missing_source_skipped_with_count(self, tmp_path, caplog):
         manifest = tmp_path / "m.jsonl"
         append_manifest(manifest, [make_segment(source_uri=str(tmp_path / "gone.wav"))])
