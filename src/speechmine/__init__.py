@@ -7,7 +7,7 @@ fixed-duration segments with per-frame metadata. A synthetic-corpus
 generator and an evaluation harness support round-over-round comparison.
 """
 
-from .audio_io import AudioBuffer, FrameGrid, SpeechMask, WavError, read_wav, reshape_frames, write_wav
+from .audio_io import AudioBuffer, SpeechMask, WavError, read_wav, write_wav
 from .curation import (
     ConfigError,
     CurationConfig,
@@ -23,7 +23,7 @@ from .curation import (
     rho_hat,
     run_round,
 )
-from .dsp import BandwidthProfile, Spectrogram, StftConfig, estimate_cutoff, istft, rms_db, stft
+from .dsp import Spectrogram, StftConfig, estimate_cutoff, istft, rms_db, stft
 from .enhance import EnhancerError, EnhancerSpec, enhance, spectral_gate_enhance
 from .evalgen import (
     EvalTriple,
@@ -32,6 +32,7 @@ from .evalgen import (
     accepted_hours,
     delta_quality,
     inject_noise,
+    load_manifests,
     register_metric,
     rho_histogram,
     segmental_snr,
@@ -43,14 +44,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AudioBuffer",
-    "BandwidthProfile",
     "ConfigError",
     "CurationConfig",
     "CuratedSegment",
     "EnhancerError",
     "EnhancerSpec",
     "EvalTriple",
-    "FrameGrid",
     "NEG_INF_DB",
     "NoiseSpec",
     "QualityDelta",
@@ -74,9 +73,9 @@ __all__ = [
     "istft",
     "load_config",
     "load_manifest",
+    "load_manifests",
     "read_wav",
     "register_metric",
-    "reshape_frames",
     "rho_hat",
     "rho_histogram",
     "rms_db",

@@ -10,6 +10,7 @@ resampling would alter.
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,28 +59,6 @@ class AudioBuffer:
     def duration(self) -> float:
         """Length in seconds."""
         return self.samples.size / self.sample_rate
-
-
-@dataclass
-class FrameGrid:
-    """Frame-major view of a sample sequence.
-
-    ``frames`` has shape (frame_len, frame_count); column ``l`` holds
-    samples [l*frame_len, (l+1)*frame_len) of the source. A trailing
-    partial frame is discarded, never zero-padded, so the last frame's
-    level statistics are not biased.
-    """
-
-    frames: np.ndarray
-    sample_rate: int
-
-    @property
-    def frame_len(self) -> int:
-        return int(self.frames.shape[0])
-
-    @property
-    def frame_count(self) -> int:
-        return int(self.frames.shape[1])
 
 
 @dataclass
@@ -225,7 +204,7 @@ def write_wav(path: str | Path, buf: AudioBuffer, fmt: str = "float32") -> None:
 def frame_len_samples(sample_rate: int, frame_seconds: float) -> int:
     """Samples per frame; the product sample_rate * frame_seconds must be integral."""
     flen = sample_rate * frame_seconds
-    if abs(flen - round(flen)) > 1e-9 or round(flen) < 1:
+    if not math.isfinite(flen) or abs(flen - round(flen)) > 1e-9 or round(flen) < 1:
         raise ValueError(
             f"frame length {frame_seconds} s at {sample_rate} Hz is not a whole "
             f"positive number of samples ({flen})"
@@ -236,15 +215,12 @@ def frame_len_samples(sample_rate: int, frame_seconds: float) -> int:
 def frame_matrix(samples: np.ndarray, frame_len: int) -> np.ndarray:
     """Reshape a 1-D sequence into a (frame_len, frame_count) matrix.
 
-    The trailing partial frame is discarded. Works for audio samples and
-    for sample-wise mask sequences alike.
+    Column ``l`` holds samples [l*frame_len, (l+1)*frame_len). The trailing
+    partial frame is discarded, never zero-padded, so the last frame's level
+    statistics are not biased. Works for audio samples and for sample-wise
+    mask sequences alike.
     """
     samples = np.asarray(samples)
     count = samples.size // frame_len
     return samples[: count * frame_len].reshape(count, frame_len).T
 
-
-def reshape_frames(buf: AudioBuffer, frame_seconds: float) -> FrameGrid:
-    """Cut a buffer into fixed-length frames (trailing remainder dropped)."""
-    flen = frame_len_samples(buf.sample_rate, frame_seconds)
-    return FrameGrid(frames=frame_matrix(buf.samples, flen), sample_rate=buf.sample_rate)

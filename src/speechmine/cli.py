@@ -23,6 +23,7 @@ from .audio_io import read_wav, write_wav
 from .curation import ConfigError, export_ab_pairs, filter_manifest, load_config, run_round
 from .enhance import EnhancerSpec, enhance
 from .evalgen import EvalTriple, NoiseSpec, delta_quality, inject_noise, synth_clean
+from .schema import decode
 
 logger = logging.getLogger(__name__)
 
@@ -39,13 +40,7 @@ def _enhancer_from_file(path: str) -> EnhancerSpec:
         raise ConfigError(f"{path}: {exc}") from exc
     if isinstance(data, dict) and "enhancer" in data:
         data = data["enhancer"]
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ConfigError(f"{path}: expected an enhancer object with a 'kind' field")
-    data = dict(data)
-    try:
-        return EnhancerSpec(kind=data.pop("kind"), params=data)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return decode(EnhancerSpec, data, f"{path}: enhancer")
 
 
 def cmd_curate(args: argparse.Namespace) -> int:
@@ -156,8 +151,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    hours = evalgen.accepted_hours(args.manifests)
-    hist = evalgen.rho_histogram(args.manifests, bin_width_db=args.bin_width)
+    segments = evalgen.load_manifests(args.manifests)
+    hours = evalgen.accepted_hours(segments)
+    hist = evalgen.rho_histogram(segments, bin_width_db=args.bin_width)
     report = {
         "accepted_hours": {str(r): h for r, h in hours.items()},
         "rho_histogram": {str(r): counts for r, counts in hist.items()},

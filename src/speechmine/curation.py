@@ -12,7 +12,6 @@ manifest, one round at a time.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import logging
@@ -25,16 +24,11 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .audio_io import AudioBuffer, FrameGrid, frame_len_samples, frame_matrix, read_wav, write_wav
+from .audio_io import AudioBuffer, frame_len_samples, frame_matrix, read_wav, write_wav
 from .dsp import StftConfig, bandwidth_profile, rms_db
 from .enhance import EnhancerSpec, enhance
-from .vad import (
-    DEFAULT_ABSOLUTE_FLOOR_DB,
-    DEFAULT_RELATIVE_THRESHOLD_DB,
-    DEFAULT_WINDOW_SECONDS,
-    VadSpec,
-    detect,
-)
+from .schema import ConfigError, decode, encode
+from .vad import VadSpec, detect
 
 logger = logging.getLogger(__name__)
 
@@ -43,22 +37,6 @@ logger = logging.getLogger(__name__)
 NEG_INF_DB = -1.0e9
 
 DEFAULT_RHO_BIN_WIDTH_DB = 5.0
-
-MANIFEST_FIELDS = (
-    "source_uri",
-    "round_id",
-    "start_sample",
-    "end_sample",
-    "sample_rate",
-    "frame_rho",
-    "frame_fc",
-    "config_hash",
-    "enhancer_id",
-)
-
-
-class ConfigError(Exception):
-    """Invalid pipeline configuration; the message names the offending field."""
 
 
 @dataclass
@@ -85,7 +63,7 @@ class CurationConfig:
         except ValueError as exc:
             raise ConfigError(f"frame_seconds: {exc}") from exc
         ratio = self.segment_seconds / self.frame_seconds
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ConfigError(
                 f"segment_seconds: {self.segment_seconds} is not a positive integer "
                 f"multiple of frame_seconds {self.frame_seconds}"
@@ -113,28 +91,7 @@ class CurationConfig:
         return int(round(self.segment_seconds / self.frame_seconds))
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "sample_rate": self.sample_rate,
-            "segment_seconds": self.segment_seconds,
-            "frame_seconds": self.frame_seconds,
-            "snr_threshold_db": self.snr_threshold_db,
-            "min_bandwidth_hz": self.min_bandwidth_hz,
-            "rho_max_db": self.rho_max_db,
-            "round_id": self.round_id,
-            "stft": {
-                "window_len": self.stft.window_len,
-                "hop": self.stft.hop,
-                "window": self.stft.window,
-            },
-            "enhancer": {"kind": self.enhancer.kind, **self.enhancer.params},
-            "vad": {
-                "kind": self.vad.kind,
-                "window_seconds": self.vad.window_seconds,
-                "relative_threshold_db": self.vad.relative_threshold_db,
-                "absolute_floor_db": self.vad.absolute_floor_db,
-                **self.vad.params,
-            },
-        }
+        return encode(self)
 
     def canonical_text(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -144,39 +101,7 @@ class CurationConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CurationConfig":
-        data = dict(data)
-        kwargs: dict[str, Any] = {}
-        for f in dataclasses.fields(cls):
-            if f.name in ("stft", "enhancer", "vad"):
-                continue
-            if f.name in data:
-                kwargs[f.name] = data.pop(f.name)
-            else:
-                default = f.default if f.default is not dataclasses.MISSING else None
-                logger.info("config field %s missing, defaulting to %r", f.name, default)
-        try:
-            if "stft" in data:
-                kwargs["stft"] = StftConfig(**data.pop("stft"))
-            if "enhancer" in data:
-                enh = dict(data.pop("enhancer"))
-                kwargs["enhancer"] = EnhancerSpec(kind=enh.pop("kind"), params=enh)
-            if "vad" in data:
-                vd = dict(data.pop("vad"))
-                kwargs["vad"] = VadSpec(
-                    kind=vd.pop("kind", "energy"),
-                    window_seconds=vd.pop("window_seconds", DEFAULT_WINDOW_SECONDS),
-                    relative_threshold_db=vd.pop("relative_threshold_db", DEFAULT_RELATIVE_THRESHOLD_DB),
-                    absolute_floor_db=vd.pop("absolute_floor_db", DEFAULT_ABSOLUTE_FLOOR_DB),
-                    params=vd,
-                )
-        except (TypeError, ValueError, KeyError) as exc:
-            raise ConfigError(str(exc)) from exc
-        if data:
-            raise ConfigError(f"unknown config field(s): {', '.join(sorted(data))}")
-        try:
-            cfg = cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        cfg = decode(cls, data, "config")
         cfg.validate()
         return cfg
 
@@ -190,8 +115,6 @@ def load_config(path: str | Path) -> CurationConfig:
         data = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{p}: top-level config must be a JSON object")
     return CurationConfig.from_dict(data)
 
 
@@ -237,9 +160,10 @@ class CuratedSegment:
             raise ValueError(
                 f"start_sample {self.start_sample} not aligned to frame length {self.frame_len}"
             )
-        if not all(math.isfinite(v) or v == NEG_INF_DB for v in self.frame_rho):
+        if not all(map(math.isfinite, self.frame_rho)):  # NEG_INF_DB is finite
             raise ValueError("frame_rho contains non-finite values")
-        if not all(math.isfinite(v) and 0 <= v <= self.sample_rate / 2 for v in self.frame_fc):
+        fc = self.frame_fc
+        if not (all(map(math.isfinite, fc)) and 0 <= min(fc) and max(fc) <= self.sample_rate / 2):
             raise ValueError("frame_fc values outside [0, Nyquist]")
 
     def validate_against(self, cfg: CurationConfig) -> None:
@@ -253,14 +177,11 @@ class CuratedSegment:
             raise ValueError("frame_fc below the bandwidth threshold")
 
     def to_json(self) -> str:
-        return json.dumps({name: getattr(self, name) for name in MANIFEST_FIELDS})
+        return json.dumps(encode(self))
 
     @classmethod
     def from_json(cls, line: str) -> "CuratedSegment":
-        obj = json.loads(line)
-        if not isinstance(obj, dict) or set(obj) != set(MANIFEST_FIELDS):
-            raise ValueError("manifest record does not carry exactly the expected fields")
-        seg = cls(**obj)
+        seg = decode(cls, json.loads(line), "record")
         seg.validate()
         return seg
 
@@ -297,16 +218,16 @@ def snr_gate(rho: np.ndarray, threshold_db: float) -> np.ndarray:
 
 
 def bandwidth_gate(
-    xhat_grid: FrameGrid,
+    xhat_frames: np.ndarray,
+    sample_rate: int,
     min_bandwidth_hz: float,
     cfg: StftConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Frame passes iff its estimated cutoff reaches min_bandwidth_hz
-    (inclusive). Returns (acceptance, cutoff_hz) so the cutoffs can be
-    stored as segment metadata."""
-    profile = bandwidth_profile(xhat_grid.frames, xhat_grid.sample_rate, cfg)
-    accept = (profile.cutoff_hz >= min_bandwidth_hz).astype(np.uint8)
-    return accept, profile.cutoff_hz
+    """Frame (column of the frame matrix) passes iff its estimated cutoff
+    reaches min_bandwidth_hz (inclusive). Returns (acceptance, cutoff_hz)
+    so the cutoffs can be stored as segment metadata."""
+    cutoff_hz = bandwidth_profile(xhat_frames, sample_rate, cfg)
+    return (cutoff_hz >= min_bandwidth_hz).astype(np.uint8), cutoff_hz
 
 
 def combine(s: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -370,7 +291,7 @@ class RoundReport:
     generated_at: str
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
+        return json.dumps(encode(self), indent=2, sort_keys=True)
 
 
 def rho_bin_counts(
@@ -414,9 +335,7 @@ def curate_file(
         [rho_hat(x[:, l], xhat[:, l], v[:, l], cfg.rho_max_db) for l in range(frame_count)]
     )
     s = snr_gate(rho, cfg.snr_threshold_db)
-    b, cutoffs = bandwidth_gate(
-        FrameGrid(frames=xhat, sample_rate=cfg.sample_rate), cfg.min_bandwidth_hz, cfg.stft
-    )
+    b, cutoffs = bandwidth_gate(xhat, cfg.sample_rate, cfg.min_bandwidth_hz, cfg.stft)
     a = combine(s, b)
     blocks = extract_segments(a, cfg.segment_seconds, cfg.frame_seconds)
 
@@ -454,11 +373,12 @@ def load_manifest(path: str | Path) -> tuple[list[CuratedSegment], int]:
     """Read a JSONL manifest; malformed records are skipped and counted."""
     segments: list[CuratedSegment] = []
     skipped = 0
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with Path(path).open("rb") as fh:  # decoded per line, so a bad byte costs one record
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 segments.append(CuratedSegment.from_json(line))
             except (ValueError, TypeError) as exc:
                 skipped += 1
@@ -587,7 +507,7 @@ def export_ab_pairs(
         # canonical enhancer identifier -> (spec, segments), in order of first appearance
         by_enhancer: dict[str, tuple[EnhancerSpec, list[CuratedSegment]]] = {}
         for seg in group:
-            spec = enhancer if enhancer is not None else EnhancerSpec.from_identifier(seg.enhancer_id)
+            spec = enhancer or decode(EnhancerSpec, json.loads(seg.enhancer_id), "enhancer_id")
             by_enhancer.setdefault(spec.identifier(), (spec, []))[1].append(seg)
         for spec, same in by_enhancer.values():
             try:

@@ -77,13 +77,6 @@ class Spectrogram:
         return int(self.values.shape[1])
 
 
-@dataclass
-class BandwidthProfile:
-    """Estimated spectral cutoff per analysis frame, in Hz."""
-
-    cutoff_hz: np.ndarray
-
-
 def stft(buf: AudioBuffer, cfg: StftConfig) -> Spectrogram:
     """Windowed short-time transform; frames = floor((n - w)/hop) + 1, no padding.
 
@@ -204,12 +197,11 @@ def bandwidth_profile(
     sample_rate: int,
     cfg: StftConfig,
     rolloff_db: float = DEFAULT_ROLLOFF_DB,
-) -> BandwidthProfile:
-    """estimate_cutoff applied to every column of a frame matrix."""
-    cutoffs = np.array(
+) -> np.ndarray:
+    """estimate_cutoff applied to every column of a frame matrix, in Hz."""
+    return np.array(
         [
             estimate_cutoff(grid_frames[:, l], sample_rate, cfg, rolloff_db)
             for l in range(grid_frames.shape[1])
         ]
     )
-    return BandwidthProfile(cutoff_hz=cutoffs)

@@ -13,7 +13,6 @@ Backends:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import shlex
@@ -28,10 +27,21 @@ import numpy as np
 
 from .audio_io import AudioBuffer, read_wav, write_wav
 from .dsp import StftConfig, istft, stft
+from .schema import check_params, encode
 
 logger = logging.getLogger(__name__)
 
-ENHANCER_KINDS = ("identity", "spectral_gate", "oracle", "external")
+# Parameters of an external enhancer or VAD: the keyword arguments of
+# run_exchange_command. The command needs {input} and {output} placeholders.
+EXTERNAL_PARAMS = {"command": str, "exchange_dir": str, "timeout_s": float}
+
+# Every enhancer kind with the name and type of each parameter it takes.
+ENHANCER_PARAMS: dict[str, dict[str, type]] = {
+    "identity": {},
+    "spectral_gate": {"gate_threshold_db": float, "attenuation_db": float},
+    "oracle": {"reference_dir": str},  # clean files looked up by basename
+    "external": EXTERNAL_PARAMS,
+}
 
 DEFAULT_GATE_THRESHOLD_DB = 20.0
 DEFAULT_ATTENUATION_DB = 40.0
@@ -44,21 +54,15 @@ class EnhancerError(Exception):
 
 @dataclass(frozen=True)
 class EnhancerSpec:
-    """Which backend to run and its parameters.
-
-    Parameters by kind:
-      spectral_gate: gate_threshold_db, attenuation_db
-      oracle:        reference_dir (clean files looked up by basename)
-      external:      command with {input}/{output} placeholders,
-                     optional exchange_dir and timeout_s
-    """
+    """Which backend to run and its parameters, typed by ENHANCER_PARAMS."""
 
     kind: str
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in ENHANCER_KINDS:
-            raise ValueError(f"unknown enhancer kind {self.kind!r}; expected one of {ENHANCER_KINDS}")
+        if self.kind not in ENHANCER_PARAMS:
+            raise ValueError(f"unknown enhancer kind {self.kind!r}; expected one of {tuple(ENHANCER_PARAMS)}")
+        check_params(self.params, ENHANCER_PARAMS[self.kind], f"{self.kind} enhancer")
         if self.kind == "spectral_gate":
             att = self.params.get("attenuation_db", DEFAULT_ATTENUATION_DB)
             if att < 0:
@@ -73,13 +77,7 @@ class EnhancerSpec:
 
     def identifier(self) -> str:
         """Canonical serialized form, stable enough to re-run from a manifest."""
-        return json.dumps({"kind": self.kind, **self.params}, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_identifier(cls, text: str) -> "EnhancerSpec":
-        obj = json.loads(text)
-        kind = obj.pop("kind")
-        return cls(kind=kind, params=obj)
+        return json.dumps(encode(self), sort_keys=True, separators=(",", ":"))
 
 
 def spectral_gate_enhance(
@@ -134,62 +132,58 @@ def _oracle_enhance(buf: AudioBuffer, reference_dir: str) -> AudioBuffer:
 
 
 def run_exchange_command(
-    buf: AudioBuffer,
     command: str,
+    inputs: dict[str, AudioBuffer],
     exchange_dir: str | None = None,
     timeout_s: float = DEFAULT_TIMEOUT_S,
     what: str = "enhancer",
-) -> AudioBuffer:
-    """Round-trip a buffer through an external command via float-32 WAVs.
+) -> tuple[str, AudioBuffer | None]:
+    """Run an external command on buffers exchanged as float-32 WAVs.
 
-    The command template's {input}/{output} placeholders are substituted
-    per token. Exchange filenames embed a content hash plus a unique
-    suffix so concurrent invocations never collide. Exit code 0 and an
-    output of identical length and rate are required.
+    Each input is written to a file substituted for its ``{name}``
+    placeholder, per token of the command template. Exchange filenames
+    carry a unique prefix so concurrent invocations never collide. Exit
+    code 0 is required. Returns the command's stdout and, when the
+    template has an ``{output}`` placeholder, the buffer it wrote there,
+    which must have the length and rate of every input; otherwise None.
     """
     exdir = Path(exchange_dir) if exchange_dir else Path(tempfile.gettempdir())
     exdir.mkdir(parents=True, exist_ok=True)
-    digest = hashlib.sha256(buf.samples.astype("<f8").tobytes()).hexdigest()[:12]
-    tag = f"{digest}_{uuid.uuid4().hex[:8]}"
-    in_path = exdir / f"{tag}_in.wav"
-    out_path = exdir / f"{tag}_out.wav"
-    write_wav(in_path, buf, "float32")
-    argv = [tok.format(input=str(in_path), output=str(out_path)) for tok in shlex.split(command)]
+    tag = uuid.uuid4().hex[:12]
+    paths = {name: exdir / f"{tag}_{name}.wav" for name in [*inputs, "output"]}
+    subs = {name: str(path) for name, path in paths.items()}
+    argv = [tok.format(**subs) for tok in shlex.split(command)]
     try:
+        for name, buf in inputs.items():
+            write_wav(paths[name], buf, "float32")
         proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout_s)
         if proc.returncode != 0:
             raise EnhancerError(
                 f"external {what} exited {proc.returncode}: {argv} "
                 f"stdout={proc.stdout.strip()!r} stderr={proc.stderr.strip()!r}"
             )
-        if not out_path.is_file():
-            raise EnhancerError(f"external {what} produced no output file {out_path}")
-        result = read_wav(out_path)
+        if "{output}" not in command:
+            return proc.stdout, None
+        if not paths["output"].is_file():
+            raise EnhancerError(f"external {what} produced no output file {paths['output']}")
+        result = read_wav(paths["output"])
     except subprocess.TimeoutExpired as exc:
         raise EnhancerError(f"external {what} timed out after {timeout_s} s: {argv}") from exc
     finally:
-        in_path.unlink(missing_ok=True)
-        out_path.unlink(missing_ok=True)
-    if len(result) != len(buf):
-        raise EnhancerError(
-            f"external {what} length contract violated: expected {len(buf)} samples, "
-            f"got {len(result)}"
-        )
-    if result.sample_rate != buf.sample_rate:
-        raise EnhancerError(
-            f"external {what} rate contract violated: expected {buf.sample_rate} Hz, "
-            f"got {result.sample_rate}"
-        )
-    return AudioBuffer(result.samples, buf.sample_rate, source=buf.source)
-
-
-def external_enhance(buf: AudioBuffer, spec: EnhancerSpec) -> AudioBuffer:
-    return run_exchange_command(
-        buf,
-        spec.params["command"],
-        exchange_dir=spec.params.get("exchange_dir"),
-        timeout_s=float(spec.params.get("timeout_s", DEFAULT_TIMEOUT_S)),
-    )
+        for path in paths.values():
+            path.unlink(missing_ok=True)
+    for buf in inputs.values():
+        if len(result) != len(buf):
+            raise EnhancerError(
+                f"external {what} length contract violated: expected {len(buf)} samples, "
+                f"got {len(result)}"
+            )
+        if result.sample_rate != buf.sample_rate:
+            raise EnhancerError(
+                f"external {what} rate contract violated: expected {buf.sample_rate} Hz, "
+                f"got {result.sample_rate}"
+            )
+    return proc.stdout, result
 
 
 def enhance(buf: AudioBuffer, spec: EnhancerSpec, stft_cfg: StftConfig | None = None) -> AudioBuffer:
@@ -199,14 +193,15 @@ def enhance(buf: AudioBuffer, spec: EnhancerSpec, stft_cfg: StftConfig | None = 
     elif spec.kind == "spectral_gate":
         out = spectral_gate_enhance(
             buf,
-            gate_threshold_db=float(spec.params.get("gate_threshold_db", DEFAULT_GATE_THRESHOLD_DB)),
-            attenuation_db=float(spec.params.get("attenuation_db", DEFAULT_ATTENUATION_DB)),
+            gate_threshold_db=spec.params.get("gate_threshold_db", DEFAULT_GATE_THRESHOLD_DB),
+            attenuation_db=spec.params.get("attenuation_db", DEFAULT_ATTENUATION_DB),
             cfg=stft_cfg,
         )
     elif spec.kind == "oracle":
         out = _oracle_enhance(buf, spec.params["reference_dir"])
     else:
-        out = external_enhance(buf, spec)
+        _, result = run_exchange_command(inputs={"input": buf}, **spec.params)
+        out = AudioBuffer(result.samples, buf.sample_rate, source=buf.source)
     if len(out) != len(buf):
         raise EnhancerError(
             f"enhancer {spec.kind!r} length contract violated: "

@@ -12,19 +12,16 @@ clean), with a built-in segmental SNR and room for external metrics.
 from __future__ import annotations
 
 import logging
-import shlex
-import subprocess
-import tempfile
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .audio_io import AudioBuffer, frame_len_samples, frame_matrix, write_wav
-from .curation import DEFAULT_RHO_BIN_WIDTH_DB, load_manifest, rho_bin_counts
+from .audio_io import AudioBuffer, frame_len_samples, frame_matrix
+from .curation import DEFAULT_RHO_BIN_WIDTH_DB, CuratedSegment, load_manifest, rho_bin_counts
 from .dsp import rms_db
+from .enhance import run_exchange_command
 
 logger = logging.getLogger(__name__)
 
@@ -223,26 +220,13 @@ def register_metric(metric_id: str, fn: MetricFn) -> None:
 
 def _external_metric(command: str) -> MetricFn:
     def run(reference: AudioBuffer, degraded: AudioBuffer) -> float:
-        exdir = Path(tempfile.gettempdir())
-        tag = uuid.uuid4().hex[:12]
-        ref_path = exdir / f"metric_{tag}_ref.wav"
-        deg_path = exdir / f"metric_{tag}_deg.wav"
-        write_wav(ref_path, reference, "float32")
-        write_wav(deg_path, degraded, "float32")
-        argv = [
-            tok.format(reference=str(ref_path), degraded=str(deg_path))
-            for tok in shlex.split(command)
-        ]
-        try:
-            proc = subprocess.run(argv, capture_output=True, text=True, timeout=600)
-            if proc.returncode != 0:
-                raise ValueError(
-                    f"external metric exited {proc.returncode}: stderr={proc.stderr.strip()!r}"
-                )
-            return float(proc.stdout.strip().splitlines()[-1])
-        finally:
-            ref_path.unlink(missing_ok=True)
-            deg_path.unlink(missing_ok=True)
+        stdout, _ = run_exchange_command(
+            command, {"reference": reference, "degraded": degraded}, what="metric"
+        )
+        lines = stdout.strip().splitlines()
+        if not lines:
+            raise ValueError(f"external metric printed no score on stdout: {command}")
+        return float(lines[-1])
 
     return run
 
@@ -266,28 +250,32 @@ def delta_quality(triple: EvalTriple, metric_id: str = "segmental_snr") -> Quali
     return QualityDelta(delta=float(q_enhanced - q_noisy), metric_id=metric_id)
 
 
+def load_manifests(manifests: Sequence[str | Path]) -> list[CuratedSegment]:
+    """Every record of the manifests, in order; malformed records are
+    skipped with a warning per manifest."""
+    segments: list[CuratedSegment] = []
+    for path in manifests:
+        loaded, skipped = load_manifest(path)
+        if skipped:
+            logger.warning("%s: skipped %d malformed record(s)", path, skipped)
+        segments.extend(loaded)
+    return segments
+
+
 def rho_histogram(
-    manifests: Sequence[str | Path],
+    segments: Sequence[CuratedSegment],
     bin_width_db: float = DEFAULT_RHO_BIN_WIDTH_DB,
 ) -> dict[int, dict[str, int]]:
     """Binned counts of per-frame SNR estimates, keyed by round."""
     per_round: dict[int, list[float]] = {}
-    for path in manifests:
-        segments, skipped = load_manifest(path)
-        if skipped:
-            logger.warning("%s: skipped %d malformed record(s)", path, skipped)
-        for seg in segments:
-            per_round.setdefault(seg.round_id, []).extend(seg.frame_rho)
+    for seg in segments:
+        per_round.setdefault(seg.round_id, []).extend(seg.frame_rho)
     return {rid: rho_bin_counts(vals, bin_width_db) for rid, vals in sorted(per_round.items())}
 
 
-def accepted_hours(manifests: Sequence[str | Path]) -> dict[int, float]:
+def accepted_hours(segments: Sequence[CuratedSegment]) -> dict[int, float]:
     """Total curated duration in hours, keyed by round."""
     seconds: dict[int, float] = {}
-    for path in manifests:
-        segments, skipped = load_manifest(path)
-        if skipped:
-            logger.warning("%s: skipped %d malformed record(s)", path, skipped)
-        for seg in segments:
-            seconds[seg.round_id] = seconds.get(seg.round_id, 0.0) + seg.duration_seconds
+    for seg in segments:
+        seconds[seg.round_id] = seconds.get(seg.round_id, 0.0) + seg.duration_seconds
     return {rid: s / 3600.0 for rid, s in sorted(seconds.items())}

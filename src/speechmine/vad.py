@@ -17,9 +17,16 @@ import numpy as np
 
 from .audio_io import AudioBuffer, SpeechMask
 from .dsp import RMS_FLOOR
-from .enhance import DEFAULT_TIMEOUT_S, run_exchange_command
+from .enhance import EXTERNAL_PARAMS, run_exchange_command
+from .schema import check_params
 
-VAD_KINDS = ("energy", "always_on", "external")
+# Every detector kind with the name and type of each parameter it takes
+# besides the windowing and threshold fields.
+VAD_PARAMS: dict[str, dict[str, type]] = {
+    "energy": {},
+    "always_on": {},
+    "external": EXTERNAL_PARAMS,
+}
 
 DEFAULT_WINDOW_SECONDS = 0.02
 DEFAULT_RELATIVE_THRESHOLD_DB = 15.0
@@ -28,7 +35,8 @@ DEFAULT_ABSOLUTE_FLOOR_DB = -60.0
 
 @dataclass(frozen=True)
 class VadSpec:
-    """Detector kind plus its windowing and threshold parameters."""
+    """Detector kind, its windowing and threshold fields, and per-kind
+    parameters typed by VAD_PARAMS."""
 
     kind: str = "energy"
     window_seconds: float = DEFAULT_WINDOW_SECONDS
@@ -37,8 +45,9 @@ class VadSpec:
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in VAD_KINDS:
-            raise ValueError(f"unknown VAD kind {self.kind!r}; expected one of {VAD_KINDS}")
+        if self.kind not in VAD_PARAMS:
+            raise ValueError(f"unknown VAD kind {self.kind!r}; expected one of {tuple(VAD_PARAMS)}")
+        check_params(self.params, VAD_PARAMS[self.kind], f"{self.kind} VAD")
         if self.window_seconds <= 0:
             raise ValueError(f"window_seconds must be positive, got {self.window_seconds}")
         if self.kind == "external":
@@ -84,13 +93,7 @@ def detect(buf: AudioBuffer, spec: VadSpec) -> SpeechMask:
     if spec.kind == "always_on":
         return SpeechMask(np.ones(n, dtype=np.uint8))
     if spec.kind == "external":
-        out = run_exchange_command(
-            buf,
-            spec.params["command"],
-            exchange_dir=spec.params.get("exchange_dir"),
-            timeout_s=float(spec.params.get("timeout_s", DEFAULT_TIMEOUT_S)),
-            what="VAD",
-        )
+        _, out = run_exchange_command(inputs={"input": buf}, what="VAD", **spec.params)
         return SpeechMask((out.samples >= 0.5).astype(np.uint8))
 
     if n == 0:

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
+import speechmine
 from speechmine.audio_io import AudioBuffer
 from speechmine.dsp import Spectrogram, StftConfig
 from speechmine.evalgen import synth_clean
 
 SAMPLE_RATE = 48000
+
+# First lines of a script that an external-command test runs in a child
+# process: the child imports speechmine from where the tests found it.
+SCRIPT_PREAMBLE = f"import sys\nsys.path.insert(0, {str(Path(speechmine.__file__).parents[1])!r})\n"
 
 
 def burst_env(n: int, sample_rate: int, period_s: float, on_s: float, ramp_s: float) -> np.ndarray:

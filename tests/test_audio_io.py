@@ -14,7 +14,6 @@ from speechmine.audio_io import (
     frame_len_samples,
     frame_matrix,
     read_wav,
-    reshape_frames,
     write_wav,
 )
 
@@ -140,18 +139,18 @@ class TestBufferTypes:
 
 class TestReshapeFrames:
     def test_ten_seconds_one_second_frames(self):
-        grid = reshape_frames(AudioBuffer(np.zeros(10 * 48000), 48000), 1.0)
-        assert grid.frames.shape == (48000, 10)
+        frames = frame_matrix(np.zeros(10 * 48000), frame_len_samples(48000, 1.0))
+        assert frames.shape == (48000, 10)
 
     def test_trailing_partial_discarded(self):
         x = np.arange(int(10.5 * 48000), dtype=np.float64) / 1e6
-        grid = reshape_frames(AudioBuffer(x, 48000), 1.0)
-        assert grid.frame_count == 10
-        np.testing.assert_array_equal(grid.frames[:, 9], x[9 * 48000 : 10 * 48000])
+        frames = frame_matrix(x, frame_len_samples(48000, 1.0))
+        assert frames.shape[1] == 10
+        np.testing.assert_array_equal(frames[:, 9], x[9 * 48000 : 10 * 48000])
 
     def test_shorter_than_frame_gives_empty_grid(self):
-        grid = reshape_frames(AudioBuffer(np.zeros(24000), 48000), 1.0)
-        assert grid.frame_count == 0
+        frames = frame_matrix(np.zeros(24000), frame_len_samples(48000, 1.0))
+        assert frames.shape == (48000, 0)
 
     def test_non_integral_frame_rejected(self):
         with pytest.raises(ValueError, match="whole"):

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import brickwall_lowpass, make_segment, white_noise
 from speechmine import curation
-from speechmine.audio_io import AudioBuffer, FrameGrid, read_wav, write_wav
+from speechmine.audio_io import AudioBuffer, read_wav, write_wav
 from speechmine.curation import (
     ConfigError,
     CurationConfig,
@@ -31,6 +31,7 @@ from speechmine.curation import (
 from speechmine.dsp import StftConfig
 from speechmine.enhance import EnhancerSpec
 from speechmine.evalgen import synth_clean
+from speechmine.schema import decode
 from speechmine.vad import VadSpec
 
 FS = 48000
@@ -80,7 +81,7 @@ class TestGates:
     def test_bandwidth_gate_full_band_accepts(self):
         rng = np.random.default_rng(1)
         frames = rng.standard_normal((FS, 3)) * 0.1
-        accept, cutoffs = bandwidth_gate(FrameGrid(frames, FS), 20000.0, StftConfig())
+        accept, cutoffs = bandwidth_gate(frames, FS, 20000.0, StftConfig())
         assert accept.all()
         assert (cutoffs >= 20000).all()
 
@@ -89,14 +90,14 @@ class TestGates:
         frames = np.stack(
             [brickwall_lowpass(rng.standard_normal(FS), 4000, FS) for _ in range(3)], axis=1
         )
-        accept, cutoffs = bandwidth_gate(FrameGrid(frames, FS), 20000.0, StftConfig())
+        accept, cutoffs = bandwidth_gate(frames, FS, 20000.0, StftConfig())
         assert not accept.any()
         assert (cutoffs < 5000).all()
 
     def test_bandwidth_gate_zero_threshold_accepts_nonsilent(self):
         rng = np.random.default_rng(3)
         frames = rng.standard_normal((FS, 2))
-        accept, _ = bandwidth_gate(FrameGrid(frames, FS), 0.0, StftConfig())
+        accept, _ = bandwidth_gate(frames, FS, 0.0, StftConfig())
         assert accept.all()
 
     def test_combine(self):
@@ -291,6 +292,18 @@ class TestConfig:
         assert CurationConfig().config_hash() == golden
         assert CurationConfig.from_dict({"vad": {"kind": "energy"}}).config_hash() == golden
 
+    def test_all_fields_config_hash_is_golden(self):
+        cfg = CurationConfig(
+            sample_rate=44100, segment_seconds=6.0, frame_seconds=0.5, snr_threshold_db=25.0,
+            min_bandwidth_hz=18000.0, rho_max_db=90.0, round_id=2,
+            stft=StftConfig(window_len=1024, hop=256, window="hann"),
+            enhancer=EnhancerSpec("spectral_gate", {"gate_threshold_db": 15.0, "attenuation_db": 30.0}),
+            vad=VadSpec("energy", window_seconds=0.03, relative_threshold_db=12.0, absolute_floor_db=-55.0),
+        )
+        golden = "095c55f1097e12f80db47012a0b7199e291a772dc3ed028d0e3c6312dce0facc"
+        assert cfg.config_hash() == golden
+        assert CurationConfig.from_dict(json.loads(cfg.canonical_text())).config_hash() == golden
+
     def test_bad_json_reported(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text("{nope")
@@ -465,7 +478,7 @@ class TestExportAbPairs:
 
         monkeypatch.setattr(curation, "enhance", counting_enhance)
         assert export_ab_pairs(manifest, tmp_path / "ab") == 2
-        assert calls == [EnhancerSpec.from_identifier(ids[0]).identifier()]
+        assert calls == [decode(EnhancerSpec, json.loads(ids[0]), "enhancer_id").identifier()]
 
     def test_missing_source_skipped_with_count(self, tmp_path, caplog):
         manifest = tmp_path / "m.jsonl"

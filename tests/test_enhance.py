@@ -1,11 +1,12 @@
 """Enhancer backend tests: identity, spectral gate, oracle, external."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import burst_env
+from helpers import SCRIPT_PREAMBLE, burst_env
 from speechmine.audio_io import AudioBuffer, read_wav, write_wav
 from speechmine.dsp import StftConfig, stft
 from speechmine.enhance import (
@@ -14,6 +15,7 @@ from speechmine.enhance import (
     enhance,
     spectral_gate_enhance,
 )
+from speechmine.schema import decode
 
 FS = 48000
 
@@ -41,7 +43,7 @@ class TestEnhancerSpec:
 
     def test_identifier_round_trip(self):
         spec = EnhancerSpec("spectral_gate", {"gate_threshold_db": 12.0, "attenuation_db": 30.0})
-        again = EnhancerSpec.from_identifier(spec.identifier())
+        again = decode(EnhancerSpec, json.loads(spec.identifier()), "enhancer")
         assert again == spec
 
 
@@ -217,7 +219,7 @@ class TestExternal:
     def test_wrong_length_output_names_both_lengths(self, tmp_path):
         script = tmp_path / "half.py"
         script.write_text(
-            "import sys\n"
+            SCRIPT_PREAMBLE +
             "from speechmine.audio_io import AudioBuffer, read_wav, write_wav\n"
             "buf = read_wav(sys.argv[1])\n"
             "write_wav(sys.argv[2], AudioBuffer(buf.samples[: len(buf) // 2], buf.sample_rate), 'float32')\n"

@@ -14,6 +14,7 @@ from speechmine.evalgen import (
     delta_quality,
     draw_target_snr,
     inject_noise,
+    load_manifests,
     register_metric,
     rho_histogram,
     segmental_snr,
@@ -173,6 +174,12 @@ class TestDeltaQuality:
         metric = 'external:python3 -c "print(4.5)" {reference} {degraded}'
         assert delta_quality(triple, metric).delta == 0.0
 
+    def test_external_metric_without_score_names_it(self):
+        clean, noisy = self._triple()
+        triple = EvalTriple.from_components(clean, noisy, clean)
+        with pytest.raises(ValueError, match="no score"):
+            delta_quality(triple, 'external:python3 -c "pass" {reference} {degraded}')
+
     def test_triple_length_mismatch_rejected(self):
         clean, noisy = self._triple()
         short = AudioBuffer(clean.samples[:-1], FS)
@@ -194,7 +201,7 @@ class TestManifestReports:
     def test_single_segment_histogram(self, tmp_path):
         path = tmp_path / "m.jsonl"
         append_manifest(path, [make_segment(frame_rho=[22.0] * 12)])
-        hist = rho_histogram([path])
+        hist = rho_histogram(load_manifests([path]))
         assert hist == {0: {"20": 12}}
 
     def test_two_rounds_labeled(self, tmp_path):
@@ -203,7 +210,7 @@ class TestManifestReports:
             make_segment(round_id=1, frame_rho=[31.0] * 12),
             make_segment(round_id=2, frame_rho=[52.0] * 12),
         ])
-        hist = rho_histogram([path])
+        hist = rho_histogram(load_manifests([path]))
         assert set(hist) == {1, 2}
         assert hist[1] == {"30": 12}
         assert hist[2] == {"50": 12}
@@ -221,7 +228,7 @@ class TestManifestReports:
         ]
         path = tmp_path / "m.jsonl"
         append_manifest(path, segments)
-        hist = rho_histogram([path])
+        hist = rho_histogram(load_manifests([path]))
         for rid in set(s.round_id for s in segments):
             values = [r for s in segments if s.round_id == rid for r in s.frame_rho]
             for key, count in hist[rid].items():
@@ -239,12 +246,12 @@ class TestManifestReports:
                 for i in range(300)
             ],
         )
-        assert accepted_hours([path]) == {0: 1.0}
+        assert accepted_hours(load_manifests([path])) == {0: 1.0}
 
     def test_accepted_hours_empty(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text("")
-        assert accepted_hours([path]) == {}
+        assert accepted_hours(load_manifests([path])) == {}
 
     def test_accepted_hours_mixed_rounds_matches_scan(self, tmp_path):
         rng = np.random.default_rng(19)
@@ -258,7 +265,7 @@ class TestManifestReports:
         ]
         path = tmp_path / "m.jsonl"
         append_manifest(path, segments)
-        got = accepted_hours([path])
+        got = accepted_hours(load_manifests([path]))
         for rid, hours in got.items():
             want = sum(12.0 for s in segments if s.round_id == rid) / 3600.0
             assert hours == pytest.approx(want, abs=1e-12)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import SCRIPT_PREAMBLE
 from speechmine.audio_io import AudioBuffer
 from speechmine.vad import VadSpec, detect, energy_vad_windows
 
@@ -71,7 +72,7 @@ class TestDetect:
     def test_external_kind(self, tmp_path):
         script = tmp_path / "allon.py"
         script.write_text(
-            "import sys\n"
+            SCRIPT_PREAMBLE +
             "import numpy as np\n"
             "from speechmine.audio_io import AudioBuffer, read_wav, write_wav\n"
             "buf = read_wav(sys.argv[1])\n"
