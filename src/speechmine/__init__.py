@@ -7,7 +7,7 @@ fixed-duration segments with per-frame metadata. A synthetic-corpus
 generator and an evaluation harness support round-over-round comparison.
 """
 
-from .audio_io import AudioBuffer, SpeechMask, WavError, read_wav, write_wav
+from .audio_io import AudioBuffer, WavError, read_wav, write_wav
 from .curation import (
     ConfigError,
     CurationConfig,
@@ -23,12 +23,11 @@ from .curation import (
     rho_hat,
     run_round,
 )
-from .dsp import Spectrogram, StftConfig, estimate_cutoff, istft, rms_db, stft
+from .dsp import StftConfig, estimate_cutoff, istft, rms_db, stft
 from .enhance import EnhancerError, EnhancerSpec, enhance, spectral_gate_enhance
 from .evalgen import (
     EvalTriple,
     NoiseSpec,
-    QualityDelta,
     accepted_hours,
     delta_quality,
     inject_noise,
@@ -52,10 +51,7 @@ __all__ = [
     "EvalTriple",
     "NEG_INF_DB",
     "NoiseSpec",
-    "QualityDelta",
     "RoundReport",
-    "SpeechMask",
-    "Spectrogram",
     "StftConfig",
     "VadSpec",
     "WavError",

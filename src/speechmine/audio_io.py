@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,23 +59,6 @@ class AudioBuffer:
     def duration(self) -> float:
         """Length in seconds."""
         return self.samples.size / self.sample_rate
-
-
-@dataclass
-class SpeechMask:
-    """Sample-wise binary speech decisions, one entry per audio sample."""
-
-    decisions: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        self.decisions = np.asarray(self.decisions, dtype=np.uint8)
-        if self.decisions.ndim != 1:
-            raise ValueError("SpeechMask decisions must be 1-D")
-        if self.decisions.size and self.decisions.max() > 1:
-            raise ValueError("SpeechMask decisions must be 0 or 1")
-
-    def __len__(self) -> int:
-        return int(self.decisions.size)
 
 
 def _read_chunks(raw: bytes, path: str) -> dict[bytes, bytes]:

@@ -23,7 +23,7 @@ from .audio_io import read_wav, write_wav
 from .curation import ConfigError, export_ab_pairs, filter_manifest, load_config, run_round
 from .enhance import EnhancerSpec, enhance
 from .evalgen import EvalTriple, NoiseSpec, delta_quality, inject_noise, synth_clean
-from .schema import decode
+from .schema import decode, load_json
 
 logger = logging.getLogger(__name__)
 
@@ -34,10 +34,7 @@ EXIT_EMPTY_CORPUS = 3
 
 
 def _enhancer_from_file(path: str) -> EnhancerSpec:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    data = load_json(path)
     if isinstance(data, dict) and "enhancer" in data:
         data = data["enhancer"]
     return decode(EnhancerSpec, data, f"{path}: enhancer")
@@ -105,30 +102,31 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     pairs = Path(args.pairs)
     meta_path = pairs / "metadata.json"
-    if not meta_path.is_file():
-        raise ConfigError(f"{meta_path}: pair metadata not found")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta = load_json(meta_path, "pair metadata")
+    files = meta.get("files") if isinstance(meta, dict) else None
+    if not isinstance(files, list):
+        raise ConfigError(f"{meta_path}: expected an object holding a files list")
     spec = _enhancer_from_file(args.enhancer_config)
 
     per_file = []
     skipped = 0
-    for entry in meta.get("files", []):
-        clean_path = pairs / entry["clean"]
-        noisy_path = pairs / entry["noisy"]
-        if not clean_path.is_file() or not noisy_path.is_file():
+    for entry in files:
+        names = [entry.get(k) for k in ("clean", "noisy")] if isinstance(entry, dict) else []
+        paths = [pairs / name for name in names if isinstance(name, str)]
+        if len(paths) != 2 or not all(p.is_file() for p in paths):
             skipped += 1
             logger.warning("skipping unpaired entry %s", entry)
             continue
+        clean_path, noisy_path = paths
         clean = read_wav(clean_path)
         noisy = read_wav(noisy_path)
         enhanced = enhance(noisy, spec)
         triple = EvalTriple.from_components(clean, noisy, enhanced)
-        delta = delta_quality(triple, args.metric)
         per_file.append(
             {
                 "noisy": entry["noisy"],
                 "target_snr_db": entry.get("target_snr_db"),
-                "delta": delta.delta,
+                "delta": delta_quality(triple, args.metric),
             }
         )
     report = {

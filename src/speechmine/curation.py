@@ -27,7 +27,7 @@ import numpy as np
 from .audio_io import AudioBuffer, frame_len_samples, frame_matrix, read_wav, write_wav
 from .dsp import StftConfig, bandwidth_profile, rms_db
 from .enhance import EnhancerSpec, enhance
-from .schema import ConfigError, decode, encode
+from .schema import ConfigError, decode, encode, load_json
 from .vad import VadSpec, detect
 
 logger = logging.getLogger(__name__)
@@ -108,14 +108,7 @@ class CurationConfig:
 
 def load_config(path: str | Path) -> CurationConfig:
     """Parse and validate a JSON config file."""
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
-    try:
-        data = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: not valid JSON: {exc}") from exc
-    return CurationConfig.from_dict(data)
+    return CurationConfig.from_dict(load_json(path))
 
 
 @dataclass
@@ -153,6 +146,8 @@ class CuratedSegment:
                 f"frame_rho ({len(self.frame_rho)}) and frame_fc ({len(self.frame_fc)}) "
                 "must be equal-length and non-empty"
             )
+        if self.start_sample < 0:
+            raise ValueError(f"start_sample {self.start_sample} is negative")
         span = self.end_sample - self.start_sample
         if span <= 0 or span % len(self.frame_rho):
             raise ValueError(f"segment span {span} not divisible into {len(self.frame_rho)} frames")
@@ -230,31 +225,11 @@ def bandwidth_gate(
     return (cutoff_hz >= min_bandwidth_hz).astype(np.uint8), cutoff_hz
 
 
-def combine(s: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entry-wise AND of the two gate vectors."""
-    s = np.asarray(s)
-    b = np.asarray(b)
-    if s.shape != b.shape:
-        raise ValueError(f"acceptance vector length mismatch: {s.shape} vs {b.shape}")
-    return (s.astype(bool) & b.astype(bool)).astype(np.uint8)
-
-
-def extract_segments(
-    accept: np.ndarray,
-    segment_seconds: float,
-    frame_seconds: float,
-) -> list[tuple[int, int]]:
+def extract_segments(accept: np.ndarray, k: int) -> list[tuple[int, int]]:
     """Tile every maximal run of accepted frames with non-overlapping
-    blocks of segment_seconds/frame_seconds frames, left-aligned to the
-    run's first frame. Leftover frames shorter than a block are unused.
+    blocks of k frames, left-aligned to the run's first frame. Leftover
+    frames shorter than a block are unused.
     """
-    ratio = segment_seconds / frame_seconds
-    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-        raise ValueError(
-            f"segment_seconds {segment_seconds} must be a positive integer multiple "
-            f"of frame_seconds {frame_seconds}"
-        )
-    k = int(round(ratio))
     accept = np.asarray(accept).astype(bool)
     blocks: list[tuple[int, int]] = []
     run_start: int | None = None
@@ -326,7 +301,7 @@ def curate_file(
     flen = cfg.frame_len
     x = frame_matrix(buf.samples, flen)
     xhat = frame_matrix(enhanced.samples, flen)
-    v = frame_matrix(mask.decisions, flen)
+    v = frame_matrix(mask, flen)
     frame_count = x.shape[1]
     if frame_count == 0:
         return [], enhanced
@@ -336,8 +311,8 @@ def curate_file(
     )
     s = snr_gate(rho, cfg.snr_threshold_db)
     b, cutoffs = bandwidth_gate(xhat, cfg.sample_rate, cfg.min_bandwidth_hz, cfg.stft)
-    a = combine(s, b)
-    blocks = extract_segments(a, cfg.segment_seconds, cfg.frame_seconds)
+    # both gates return equal-length 0/1 uint8 vectors
+    blocks = extract_segments(s & b, cfg.frames_per_segment)
 
     config_hash = cfg.config_hash()
     enhancer_id = cfg.enhancer.identifier()
@@ -470,7 +445,7 @@ def filter_manifest(
 
 
 def export_ab_pairs(
-    segments_or_manifest: Sequence[CuratedSegment] | str | Path,
+    segments: Sequence[CuratedSegment],
     out_dir: str | Path,
     enhancer: EnhancerSpec | None = None,
     stft_cfg: StftConfig | None = None,
@@ -481,13 +456,10 @@ def export_ab_pairs(
     explicit override) over the whole source file, then slices the exact
     segment. Segments are grouped by source: each source is read once and
     enhanced once per distinct enhancer, and only the current source's
-    buffers are held. Segments whose source is unreadable are skipped and
-    counted.
+    buffers are held. A segment whose source is unreadable, that ends past
+    its source, whose enhancer identifier does not decode or whose
+    enhancement fails is skipped and counted.
     """
-    if isinstance(segments_or_manifest, (str, Path)):
-        segments, _ = load_manifest(segments_or_manifest)
-    else:
-        segments = list(segments_or_manifest)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -507,7 +479,15 @@ def export_ab_pairs(
         # canonical enhancer identifier -> (spec, segments), in order of first appearance
         by_enhancer: dict[str, tuple[EnhancerSpec, list[CuratedSegment]]] = {}
         for seg in group:
-            spec = enhancer or decode(EnhancerSpec, json.loads(seg.enhancer_id), "enhancer_id")
+            try:
+                if seg.end_sample > len(buf):
+                    raise ValueError(f"ends at sample {seg.end_sample}, past the source's {len(buf)}")
+                spec = enhancer or decode(EnhancerSpec, json.loads(seg.enhancer_id), "enhancer_id")
+            except ValueError as exc:  # also ConfigError and JSONDecodeError
+                skipped += 1
+                logger.warning("skipping segment of %s at sample %d: %s",
+                               source_uri, seg.start_sample, exc)
+                continue
             by_enhancer.setdefault(spec.identifier(), (spec, []))[1].append(seg)
         for spec, same in by_enhancer.values():
             try:

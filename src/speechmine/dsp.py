@@ -1,12 +1,11 @@
-"""Numeric kernels: RMS level in dB, STFT/ISTFT, per-frame cutoff estimation."""
+"""Numeric kernels on plain arrays: RMS level in dB, STFT/ISTFT, per-frame
+cutoff estimation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .audio_io import AudioBuffer
 
 # Amplitude floor applied before any log: -200 dB, far below audibility but
 # finite, so digital silence never propagates -inf.
@@ -59,48 +58,27 @@ class StftConfig:
         return _hann_periodic(self.window_len)
 
 
-@dataclass
-class Spectrogram:
-    """Complex STFT coefficients, shape (window_len/2 + 1, time_steps)."""
-
-    values: np.ndarray = field(repr=False)
-    sample_rate: int
-    window_len: int
-    hop: int
-
-    @property
-    def bin_hz(self) -> float:
-        return self.sample_rate / self.window_len
-
-    @property
-    def time_steps(self) -> int:
-        return int(self.values.shape[1])
-
-
-def stft(buf: AudioBuffer, cfg: StftConfig) -> Spectrogram:
-    """Windowed short-time transform; frames = floor((n - w)/hop) + 1, no padding.
+def stft(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
+    """Windowed short-time transform of a 1-D signal: complex coefficients
+    of shape (window_len/2 + 1, steps), steps = floor((n - w)/hop) + 1, no
+    padding.
 
     Frames are a strided view of the samples (no gathered copy). They are
     tapered and transformed _BLOCK_FRAMES at a time into one time-major
-    complex array, whose transpose is returned as ``values``.
+    complex array, whose transpose is returned.
     """
-    n = len(buf)
+    n = len(samples)
     w = cfg.window_len
     if n < w:
-        raise ValueError(f"buffer of {n} samples is shorter than one window ({w})")
+        raise ValueError(f"signal of {n} samples is shorter than one window ({w})")
     steps = (n - w) // cfg.hop + 1
-    frames = np.lib.stride_tricks.sliding_window_view(buf.samples, w)[:: cfg.hop]
+    frames = np.lib.stride_tricks.sliding_window_view(samples, w)[:: cfg.hop]
     taper = cfg.taper()
     values = np.empty((steps, w // 2 + 1), dtype=np.complex128)
     for b in range(0, steps, _BLOCK_FRAMES):
         block = slice(b, b + _BLOCK_FRAMES)
         np.fft.rfft(frames[block] * taper, axis=1, out=values[block])
-    return Spectrogram(
-        values=values.T,
-        sample_rate=buf.sample_rate,
-        window_len=w,
-        hop=cfg.hop,
-    )
+    return values.T
 
 
 def _overlap_add(out: np.ndarray, frames: np.ndarray, first: int) -> None:
@@ -119,8 +97,9 @@ def _overlap_add(out: np.ndarray, frames: np.ndarray, first: int) -> None:
         out[first + j : first + j + count, : piece.shape[1]] += piece
 
 
-def istft(spec: Spectrogram, cfg: StftConfig) -> AudioBuffer:
-    """Weighted overlap-add inverse; output length = (steps - 1) * hop + window_len.
+def istft(values: np.ndarray, cfg: StftConfig) -> np.ndarray:
+    """Weighted overlap-add inverse of a (window_len/2 + 1, steps) complex
+    array; output length = (steps - 1) * hop + window_len samples.
 
     Samples are normalized by the summed squared window, so an unmodified
     round trip reconstructs the signal exactly wherever the window
@@ -128,20 +107,15 @@ def istft(spec: Spectrogram, cfg: StftConfig) -> AudioBuffer:
 
     Frames are inverted and tapered _BLOCK_FRAMES at a time and overlap-added
     with ceil(w/hop) strided adds per block, for any hop in (0, window_len]
-    and any memory layout of ``spec.values``. Every sample sums its frames
+    and any memory layout of ``values``. Every sample sums its frames
     in ascending time order, so the result equals a frame-by-frame loop
     bit for bit.
     """
-    if spec.window_len != cfg.window_len or spec.hop != cfg.hop:
-        raise ValueError(
-            f"spectrogram (window_len={spec.window_len}, hop={spec.hop}) does not "
-            f"match config (window_len={cfg.window_len}, hop={cfg.hop})"
-        )
     w = cfg.window_len
     hop = cfg.hop
-    if spec.values.shape[0] != w // 2 + 1:
-        raise ValueError(f"expected {w // 2 + 1} bins, got {spec.values.shape[0]}")
-    steps = spec.time_steps
+    if values.shape[0] != w // 2 + 1:
+        raise ValueError(f"expected {w // 2 + 1} bins, got {values.shape[0]}")
+    steps = values.shape[1]
     taper = cfg.taper()
     pieces = -(-w // hop)
     rows = steps - 1 + pieces
@@ -151,7 +125,7 @@ def istft(spec: Spectrogram, cfg: StftConfig) -> AudioBuffer:
 
     out = np.zeros((rows, hop))
     for b in range(0, steps, _BLOCK_FRAMES):
-        block = np.fft.irfft(spec.values[:, b : b + _BLOCK_FRAMES].T, n=w, axis=1)
+        block = np.fft.irfft(values[:, b : b + _BLOCK_FRAMES].T, n=w, axis=1)
         block *= taper
         _overlap_add(out, block, b)
 
@@ -161,12 +135,12 @@ def istft(spec: Spectrogram, cfg: StftConfig) -> AudioBuffer:
     covered = norm > 1e-12
     np.divide(out, norm, out=out, where=covered)
     out[~covered] = 0.0
-    return AudioBuffer(samples=out, sample_rate=spec.sample_rate)
+    return out
 
 
-def _mean_log_magnitude(spec_values: np.ndarray) -> np.ndarray:
+def _mean_log_magnitude(values: np.ndarray) -> np.ndarray:
     """Per-bin log magnitude in dB, averaged over time steps."""
-    mag = np.maximum(np.abs(spec_values), RMS_FLOOR)
+    mag = np.maximum(np.abs(values), RMS_FLOOR)
     return 20.0 * np.log10(mag).mean(axis=1)
 
 
@@ -182,14 +156,12 @@ def estimate_cutoff(
     Returns the bin's center frequency in Hz; a frame that is entirely at
     the silence floor yields 0.0.
     """
-    buf = AudioBuffer(samples=np.asarray(frame, dtype=np.float64), sample_rate=sample_rate)
-    spec = stft(buf, cfg)
-    avg_db = _mean_log_magnitude(spec.values)
+    avg_db = _mean_log_magnitude(stft(frame, cfg))
     peak = float(avg_db.max())
     if peak <= FLOOR_DB + 1e-9:
         return 0.0
     passing = np.flatnonzero(avg_db >= peak - rolloff_db)
-    return float(passing[-1] * spec.bin_hz)
+    return float(passing[-1] * (sample_rate / cfg.window_len))
 
 
 def bandwidth_profile(

@@ -35,6 +35,14 @@ logger = logging.getLogger(__name__)
 # run_exchange_command. The command needs {input} and {output} placeholders.
 EXTERNAL_PARAMS = {"command": str, "exchange_dir": str, "timeout_s": float}
 
+
+def check_external_command(params: dict[str, Any], what: str) -> None:
+    """Reject an external command without its {input} and {output} placeholders."""
+    cmd = params.get("command", "")
+    if "{input}" not in cmd or "{output}" not in cmd:
+        raise ValueError(f"external {what} command must contain {{input}} and {{output}}")
+
+
 # Every enhancer kind with the name and type of each parameter it takes.
 ENHANCER_PARAMS: dict[str, dict[str, type]] = {
     "identity": {},
@@ -71,9 +79,7 @@ class EnhancerSpec:
             if "reference_dir" not in self.params:
                 raise ValueError("oracle enhancer requires a reference_dir parameter")
         elif self.kind == "external":
-            cmd = self.params.get("command", "")
-            if "{input}" not in cmd or "{output}" not in cmd:
-                raise ValueError("external enhancer command must contain {input} and {output}")
+            check_external_command(self.params, "enhancer")
 
     def identifier(self) -> str:
         """Canonical serialized form, stable enough to re-run from a manifest."""
@@ -102,15 +108,15 @@ def spectral_gate_enhance(
         )
         return AudioBuffer(buf.samples.copy(), buf.sample_rate, source=buf.source)
 
-    spec = stft(buf, cfg)
-    mag = np.abs(spec.values)
+    values = stft(buf.samples, cfg)
+    mag = np.abs(values)
     floor = np.percentile(mag, 10, axis=1, keepdims=True)
     gate = mag < floor * 10.0 ** (gate_threshold_db / 20.0)
     del mag
     gain = 10.0 ** (-attenuation_db / 20.0)
-    np.multiply(spec.values, gain, out=spec.values, where=gate)
+    np.multiply(values, gain, out=values, where=gate)
 
-    y = istft(spec, cfg).samples
+    y = istft(values, cfg)
     out = np.zeros(len(buf))
     n = min(len(buf), y.size)
     out[:n] = y[:n]

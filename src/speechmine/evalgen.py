@@ -85,14 +85,6 @@ class EvalTriple:
         return cls(clean=clean, noisy=noisy, enhanced=enhanced, true_snr_db=snr)
 
 
-@dataclass(frozen=True)
-class QualityDelta:
-    """Metric difference between the enhanced and noisy renditions."""
-
-    delta: float
-    metric_id: str
-
-
 def synth_clean(duration_seconds: float, sample_rate: int = 48000, seed: int = 0) -> AudioBuffer:
     """Deterministic speech-like proxy: voiced stretches of a wandering-
     pitch pulse train (90-250 Hz) with aspiration noise, separated by
@@ -242,12 +234,12 @@ def resolve_metric(metric_id: str) -> MetricFn:
     raise ValueError(f"unknown metric {metric_id!r}")
 
 
-def delta_quality(triple: EvalTriple, metric_id: str = "segmental_snr") -> QualityDelta:
+def delta_quality(triple: EvalTriple, metric_id: str = "segmental_snr") -> float:
     """Q(enhanced, clean) - Q(noisy, clean) for the named metric."""
     metric = resolve_metric(metric_id)
     q_enhanced = metric(triple.clean, triple.enhanced)
     q_noisy = metric(triple.clean, triple.noisy)
-    return QualityDelta(delta=float(q_enhanced - q_noisy), metric_id=metric_id)
+    return float(q_enhanced - q_noisy)
 
 
 def load_manifests(manifests: Sequence[str | Path]) -> list[CuratedSegment]:

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import logging
 import math
 import reprlib
 import typing
+from pathlib import Path
 from typing import Any, Callable
 
 logger = logging.getLogger(__name__)
@@ -112,6 +114,20 @@ def decode(cls: type, data: Any, where: str) -> Any:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def load_json(path: str | Path, what: str = "config file") -> Any:
+    """Parse a JSON file; a missing, unreadable or unparsable file is a
+    ConfigError."""
+    p = Path(path)
+    if not p.is_file():
+        raise ConfigError(f"{what} not found: {p}")
+    try:
+        return json.loads(p.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{p}: not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{p}: {exc}") from exc
 
 
 def check_params(params: dict[str, Any], table: dict[str, type], what: str) -> None:

@@ -15,9 +15,9 @@ from typing import Any
 
 import numpy as np
 
-from .audio_io import AudioBuffer, SpeechMask
+from .audio_io import AudioBuffer
 from .dsp import RMS_FLOOR
-from .enhance import EXTERNAL_PARAMS, run_exchange_command
+from .enhance import EXTERNAL_PARAMS, check_external_command, run_exchange_command
 from .schema import check_params
 
 # Every detector kind with the name and type of each parameter it takes
@@ -51,9 +51,7 @@ class VadSpec:
         if self.window_seconds <= 0:
             raise ValueError(f"window_seconds must be positive, got {self.window_seconds}")
         if self.kind == "external":
-            cmd = self.params.get("command", "")
-            if "{input}" not in cmd or "{output}" not in cmd:
-                raise ValueError("external VAD command must contain {input} and {output}")
+            check_external_command(self.params, "VAD")
 
     def window_samples(self, sample_rate: int) -> int:
         return max(1, int(round(sample_rate * self.window_seconds)))
@@ -87,19 +85,20 @@ def energy_vad_windows(buf: AudioBuffer, spec: VadSpec) -> np.ndarray:
     return (levels >= threshold).astype(np.uint8)
 
 
-def detect(buf: AudioBuffer, spec: VadSpec) -> SpeechMask:
-    """Sample-wise speech mask, exactly as long as the input buffer."""
+def detect(buf: AudioBuffer, spec: VadSpec) -> np.ndarray:
+    """Sample-wise speech mask: a uint8 array of 0/1, exactly as long as
+    the input buffer."""
     n = len(buf)
     if spec.kind == "always_on":
-        return SpeechMask(np.ones(n, dtype=np.uint8))
+        return np.ones(n, dtype=np.uint8)
     if spec.kind == "external":
         _, out = run_exchange_command(inputs={"input": buf}, what="VAD", **spec.params)
-        return SpeechMask((out.samples >= 0.5).astype(np.uint8))
+        return (out.samples >= 0.5).astype(np.uint8)
 
     if n == 0:
-        return SpeechMask(np.zeros(0, dtype=np.uint8))
+        return np.zeros(0, dtype=np.uint8)
     win = spec.window_samples(buf.sample_rate)
     decisions = energy_vad_windows(buf, spec)
     # one decision per window covers ceil(n / win) windows, so the repeat
     # always reaches n; the slice trims the tail window's replication
-    return SpeechMask(np.repeat(decisions, win)[:n])
+    return np.repeat(decisions, win)[:n]

@@ -8,7 +8,7 @@ import numpy as np
 
 import speechmine
 from speechmine.audio_io import AudioBuffer
-from speechmine.dsp import Spectrogram, StftConfig
+from speechmine.dsp import StftConfig
 from speechmine.evalgen import synth_clean
 
 SAMPLE_RATE = 48000
@@ -107,27 +107,22 @@ def make_segment(**overrides):
 # rewrite. The production kernels must match them bit for bit.
 
 
-def reference_stft(buf: AudioBuffer, cfg: StftConfig) -> Spectrogram:
-    n = len(buf)
+def reference_stft(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
+    n = len(samples)
     w = cfg.window_len
     if n < w:
         raise ValueError(f"buffer of {n} samples is shorter than one window ({w})")
     steps = (n - w) // cfg.hop + 1
     idx = np.arange(w)[None, :] + cfg.hop * np.arange(steps)[:, None]
-    frames = buf.samples[idx] * cfg.taper()[None, :]
-    return Spectrogram(
-        values=np.fft.rfft(frames, axis=1).T,
-        sample_rate=buf.sample_rate,
-        window_len=w,
-        hop=cfg.hop,
-    )
+    frames = samples[idx] * cfg.taper()[None, :]
+    return np.fft.rfft(frames, axis=1).T
 
 
-def reference_istft(spec: Spectrogram, cfg: StftConfig) -> AudioBuffer:
+def reference_istft(values: np.ndarray, cfg: StftConfig) -> np.ndarray:
     w = cfg.window_len
-    steps = spec.time_steps
+    steps = values.shape[1]
     taper = cfg.taper()
-    frames = np.fft.irfft(spec.values.T, n=w, axis=1) * taper[None, :]
+    frames = np.fft.irfft(values.T, n=w, axis=1) * taper[None, :]
 
     out_len = (steps - 1) * cfg.hop + w
     out = np.zeros(out_len)
@@ -140,19 +135,19 @@ def reference_istft(spec: Spectrogram, cfg: StftConfig) -> AudioBuffer:
     covered = norm > 1e-12
     out[covered] /= norm[covered]
     out[~covered] = 0.0
-    return AudioBuffer(samples=out, sample_rate=spec.sample_rate)
+    return out
 
 
 def reference_spectral_gate_enhance(buf: AudioBuffer, gate_threshold_db: float,
                                     attenuation_db: float, cfg: StftConfig) -> AudioBuffer:
-    spec = reference_stft(buf, cfg)
-    mag = np.abs(spec.values)
+    values = reference_stft(buf.samples, cfg)
+    mag = np.abs(values)
     floor = np.percentile(mag, 10, axis=1, keepdims=True)
     gate = mag < floor * 10.0 ** (gate_threshold_db / 20.0)
     gain = 10.0 ** (-attenuation_db / 20.0)
-    spec.values = np.where(gate, spec.values * gain, spec.values)
+    values = np.where(gate, values * gain, values)
 
-    y = reference_istft(spec, cfg).samples
+    y = reference_istft(values, cfg)
     out = np.zeros(len(buf))
     n = min(len(buf), y.size)
     out[:n] = y[:n]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from speechmine.audio_io import (
     AudioBuffer,
-    SpeechMask,
     WavError,
     frame_len_samples,
     frame_matrix,
@@ -128,10 +127,6 @@ class TestBufferTypes:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
             AudioBuffer(np.array([0.0, np.nan]), 48000)
-
-    def test_mask_rejects_non_binary(self):
-        with pytest.raises(ValueError, match="0 or 1"):
-            SpeechMask(np.array([0, 1, 2], dtype=np.uint8))
 
     def test_duration(self):
         assert AudioBuffer(np.zeros(24000), 48000).duration == 0.5

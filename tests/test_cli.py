@@ -151,6 +151,21 @@ class TestEvalReportExport:
                      "--min-rho", "45"]) == 0
         assert len(list(out.glob("*.wav"))) == 4  # both identity segments score 100
 
+    def test_export_ab_skips_a_bad_enhancer_id(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        corpus = write_corpus(tmp_path, count=1)
+        manifest = tmp_path / "m.jsonl"
+        main(["curate", "--config", str(cfg), "--corpus", str(corpus / "*.wav"),
+              "--manifest", str(manifest)])
+        record = json.loads(manifest.read_text())
+        record["enhancer_id"] = '{"kind":"wiener"}'
+        with manifest.open("a") as fh:
+            fh.write(json.dumps(record) + "\n")
+        out = tmp_path / "ab"
+        assert main(["export-ab", "--manifest", str(manifest), "--out", str(out)]) == 0
+        assert "exported 1 A/B pair(s)" in capsys.readouterr().out
+        assert len(list(out.glob("*.wav"))) == 2
+
     def test_bad_enhancer_config_exits_2(self, tmp_path, capsys):
         enh = tmp_path / "enh.json"
         enh.write_text('{"no_kind": true}')
@@ -158,6 +173,33 @@ class TestEvalReportExport:
         main(["synth", "--out", str(pairs), "--count", "1", "--duration", "1"])
         assert main(["eval", "--pairs", str(pairs), "--enhancer-config", str(enh)]) == 2
         assert "kind" in capsys.readouterr().err
+
+
+# (metadata.json text, exit code, files_skipped when the run succeeds)
+METADATA_PROBES = [
+    pytest.param('{"files": [{"clean": 5, "noisy": "noisy_000.wav"}]}', 0, 1, id="clean-int"),
+    pytest.param('{"files": [{"noisy": "noisy_000.wav"}]}', 0, 1, id="clean-missing"),
+    pytest.param('{"files": 3}', 2, None, id="files-int"),
+    pytest.param("[1, 2]", 2, None, id="top-level-list"),
+    pytest.param("{nope", 2, None, id="not-json"),
+]
+
+
+@pytest.mark.parametrize("text, code, skipped", METADATA_PROBES)
+def test_eval_bad_metadata(tmp_path, capsys, text, code, skipped):
+    pairs = tmp_path / "pairs"
+    main(["synth", "--out", str(pairs), "--count", "1", "--duration", "1"])
+    (pairs / "metadata.json").write_text(text)
+    enh = tmp_path / "enh.json"
+    enh.write_text('{"kind": "identity"}')
+    capsys.readouterr()
+    assert main(["eval", "--pairs", str(pairs), "--enhancer-config", str(enh)]) == code
+    out = capsys.readouterr()
+    if code:
+        assert "metadata.json" in out.err
+    else:
+        report = json.loads(out.out)
+        assert (report["files_evaluated"], report["files_skipped"]) == (0, skipped)
 
 
 def test_unexpected_failure_exits_1(tmp_path, monkeypatch):

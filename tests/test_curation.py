@@ -16,7 +16,6 @@ from speechmine.curation import (
     NEG_INF_DB,
     append_manifest,
     bandwidth_gate,
-    combine,
     curate_file,
     export_ab_pairs,
     extract_segments,
@@ -100,16 +99,6 @@ class TestGates:
         accept, _ = bandwidth_gate(frames, FS, 0.0, StftConfig())
         assert accept.all()
 
-    def test_combine(self):
-        assert combine(np.array([1, 0, 1]), np.array([1, 1, 0])).tolist() == [1, 0, 0]
-        s = np.array([1, 0, 1], dtype=np.uint8)
-        assert combine(s, np.ones(3)).tolist() == s.tolist()
-        assert not combine(np.zeros(3), np.ones(3)).any()
-
-    def test_combine_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            combine(np.ones(3), np.ones(4))
-
 
 def brute_force_tiler(accept, k):
     """Slide a window one frame at a time; emit any all-ones window and jump
@@ -129,14 +118,10 @@ def brute_force_tiler(accept, k):
 
 class TestExtractSegments:
     def test_twelve_ones(self):
-        assert extract_segments(np.ones(12), 12.0, 1.0) == [(0, 12)]
+        assert extract_segments(np.ones(12), 12) == [(0, 12)]
 
     def test_greedy_blocks_with_tail_dropped(self):
-        assert extract_segments(np.array([1, 1, 1, 1, 1, 0]), 2.0, 1.0) == [(0, 2), (2, 4)]
-
-    def test_non_integral_ratio_rejected(self):
-        with pytest.raises(ValueError, match="multiple"):
-            extract_segments(np.ones(10), 2.5, 1.0)
+        assert extract_segments(np.array([1, 1, 1, 1, 1, 0]), 2) == [(0, 2), (2, 4)]
 
     def test_matches_brute_force_on_random_vectors(self):
         rng = np.random.default_rng(4)
@@ -144,7 +129,7 @@ class TestExtractSegments:
             n = int(rng.integers(1, 500))
             accept = rng.random(n) < rng.uniform(0.2, 0.95)
             k = int(rng.choice([2, 12]))
-            assert extract_segments(accept, float(k), 1.0) == brute_force_tiler(accept, k)
+            assert extract_segments(accept, k) == brute_force_tiler(accept, k)
 
 
 class TestCuratedSegment:
@@ -403,7 +388,7 @@ class TestExportAbPairs:
     def test_pair_lengths_and_count(self, tmp_path):
         manifest = self._curated_manifest(tmp_path, EnhancerSpec("identity"))
         out = tmp_path / "ab"
-        assert export_ab_pairs(manifest, out) == 3
+        assert export_ab_pairs(load_manifest(manifest)[0], out) == 3
         wavs = sorted(out.glob("*.wav"))
         assert len(wavs) == 6
         for w in wavs:
@@ -412,7 +397,7 @@ class TestExportAbPairs:
     def test_identity_pairs_bit_identical(self, tmp_path):
         manifest = self._curated_manifest(tmp_path, EnhancerSpec("identity"), count=1)
         out = tmp_path / "ab"
-        export_ab_pairs(manifest, out)
+        export_ab_pairs(load_manifest(manifest)[0], out)
         a = read_wav(next(out.glob("*_unprocessed.wav")))
         b = read_wav(next(out.glob("*_enhanced.wav")))
         assert np.array_equal(a.samples, b.samples)
@@ -433,7 +418,7 @@ class TestExportAbPairs:
         manifest = tmp_path / "m.jsonl"
         run_round([tmp_path / "mix.wav"], cfg, manifest)
         out = tmp_path / "ab"
-        assert export_ab_pairs(manifest, out) == 1
+        assert export_ab_pairs(load_manifest(manifest)[0], out) == 1
         b = read_wav(next(out.glob("*_enhanced.wav")))
         ref = read_wav(ref_dir / "mix.wav")
         assert np.array_equal(b.samples, ref.samples[: 12 * FS])
@@ -454,7 +439,7 @@ class TestExportAbPairs:
             return read_wav(path)
 
         monkeypatch.setattr(curation, "read_wav", counting_read_wav)
-        assert export_ab_pairs(manifest, tmp_path / "ab") == 3
+        assert export_ab_pairs(load_manifest(manifest)[0], tmp_path / "ab") == 3
         assert reads == [str(src)]
         assert len(list((tmp_path / "ab").glob("*.wav"))) == 6
 
@@ -477,15 +462,28 @@ class TestExportAbPairs:
             return real_enhance(buf, spec, stft_cfg)
 
         monkeypatch.setattr(curation, "enhance", counting_enhance)
-        assert export_ab_pairs(manifest, tmp_path / "ab") == 2
+        assert export_ab_pairs(load_manifest(manifest)[0], tmp_path / "ab") == 2
         assert calls == [decode(EnhancerSpec, json.loads(ids[0]), "enhancer_id").identifier()]
 
     def test_missing_source_skipped_with_count(self, tmp_path, caplog):
-        manifest = tmp_path / "m.jsonl"
-        append_manifest(manifest, [make_segment(source_uri=str(tmp_path / "gone.wav"))])
+        segments = [make_segment(source_uri=str(tmp_path / "gone.wav"))]
         with caplog.at_level("WARNING"):
-            assert export_ab_pairs(manifest, tmp_path / "ab") == 0
+            assert export_ab_pairs(segments, tmp_path / "ab") == 0
         assert "skipped 1" in caplog.text
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param({"enhancer_id": '{"kind":"wiener"}'}, id="unknown-kind"),
+        pytest.param({"enhancer_id": "{nope"}, id="not-json"),
+        pytest.param({"start_sample": 12 * FS, "end_sample": 24 * FS}, id="past-source-end"),
+    ])
+    def test_bad_segment_skipped_others_exported(self, tmp_path, caplog, bad):
+        src = tmp_path / "short.wav"
+        write_wav(src, synth_clean(13.0, FS, seed=62), "float32")
+        segments = [make_segment(source_uri=str(src)), make_segment(source_uri=str(src), **bad)]
+        with caplog.at_level("WARNING"):
+            assert export_ab_pairs(segments, tmp_path / "ab") == 1
+        assert "skipped 1" in caplog.text
+        assert len(list((tmp_path / "ab").glob("*.wav"))) == 2
 
 
 class TestRhoBinCounts:

@@ -149,12 +149,12 @@ class TestDeltaQuality:
     def test_enhanced_equals_noisy_gives_zero(self):
         clean, noisy = self._triple()
         triple = EvalTriple.from_components(clean, noisy, noisy)
-        assert delta_quality(triple).delta == 0.0
+        assert delta_quality(triple) == 0.0
 
     def test_enhanced_equals_clean_is_positive(self):
         clean, noisy = self._triple()
         triple = EvalTriple.from_components(clean, noisy, clean)
-        assert delta_quality(triple).delta > 0.0
+        assert delta_quality(triple) > 0.0
 
     def test_unknown_metric_rejected(self):
         clean, noisy = self._triple()
@@ -166,13 +166,13 @@ class TestDeltaQuality:
         clean, noisy = self._triple()
         register_metric("const7", lambda ref, deg: 7.0)
         triple = EvalTriple.from_components(clean, noisy, clean)
-        assert delta_quality(triple, "const7").delta == 0.0
+        assert delta_quality(triple, "const7") == 0.0
 
     def test_external_metric_command(self):
         clean, noisy = self._triple()
         triple = EvalTriple.from_components(clean, noisy, clean)
         metric = 'external:python3 -c "print(4.5)" {reference} {degraded}'
-        assert delta_quality(triple, metric).delta == 0.0
+        assert delta_quality(triple, metric) == 0.0
 
     def test_external_metric_without_score_names_it(self):
         clean, noisy = self._triple()

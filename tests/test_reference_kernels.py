@@ -14,7 +14,7 @@ from helpers import (
     reference_stft,
 )
 from speechmine.audio_io import AudioBuffer
-from speechmine.dsp import _BLOCK_FRAMES, Spectrogram, StftConfig, istft, stft
+from speechmine.dsp import _BLOCK_FRAMES, StftConfig, istft, stft
 from speechmine.enhance import spectral_gate_enhance
 
 FS = 48000
@@ -47,22 +47,21 @@ CASES = [
 class TestMatchesReference:
     def test_stft(self, window_len, hop, steps):
         cfg = StftConfig(window_len=window_len, hop=hop)
-        buf = signal(window_len, hop, steps)
-        got = stft(buf, cfg)
-        want = reference_stft(buf, cfg)
-        assert got.values.shape == want.values.shape == (window_len // 2 + 1, steps)
-        assert np.array_equal(got.values, want.values)
+        x = signal(window_len, hop, steps).samples
+        got = stft(x, cfg)
+        want = reference_stft(x, cfg)
+        assert got.shape == want.shape == (window_len // 2 + 1, steps)
+        assert np.array_equal(got, want)
 
     def test_istft(self, window_len, hop, steps):
         cfg = StftConfig(window_len=window_len, hop=hop)
-        spec = reference_stft(signal(window_len, hop, steps), cfg)
+        spec = reference_stft(signal(window_len, hop, steps).samples, cfg)
         rng = np.random.default_rng(steps)
         # a modified spectrogram (random per-cell gains), C-contiguous as
         # (bins, steps) rather than the transposed layout stft returns
-        values = np.ascontiguousarray(spec.values * rng.uniform(0.0, 1.0, spec.values.shape))
-        modified = Spectrogram(values, FS, window_len, hop)
-        got = istft(modified, cfg).samples
-        want = reference_istft(modified, cfg).samples
+        modified = np.ascontiguousarray(spec * rng.uniform(0.0, 1.0, spec.shape))
+        got = istft(modified, cfg)
+        want = reference_istft(modified, cfg)
         assert got.shape == want.shape == ((steps - 1) * hop + window_len,)
         assert np.array_equal(got, want)
 

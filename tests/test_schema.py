@@ -67,6 +67,8 @@ MANIFEST_PROBES = [
     pytest.param({"sample_rate": 48000.5}, id="sample_rate-float"),
     pytest.param({"source_uri": 5}, id="source_uri-int"),
     pytest.param({"config_hash": 1}, id="config_hash-int"),
+    # exported as a pair of empty WAVs
+    pytest.param({"start_sample": -2 * FS, "end_sample": 0}, id="start_sample-negative"),
     # loaded, then overflowed the report's float hours
     pytest.param({"end_sample": 10**400}, id="end_sample-huge"),
     # terms beyond the float range whose sum is 0
