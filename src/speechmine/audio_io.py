@@ -23,7 +23,13 @@ WAVE_FORMAT_PCM = 0x0001
 WAVE_FORMAT_IEEE_FLOAT = 0x0003
 WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 
-WRITE_FORMATS = ("pcm16", "pcm24", "float32")
+# Write format -> (format code, bits per sample, full scale). Integer PCM
+# is scaled by 2^(bits-1); float samples are stored as they are.
+CODECS = {
+    "pcm16": (WAVE_FORMAT_PCM, 16, 2.0**15),
+    "pcm24": (WAVE_FORMAT_PCM, 24, 2.0**23),
+    "float32": (WAVE_FORMAT_IEEE_FLOAT, 32, 1.0),
+}
 
 
 class WavError(Exception):
@@ -61,86 +67,88 @@ class AudioBuffer:
         return self.samples.size / self.sample_rate
 
 
-def _read_chunks(raw: bytes, path: str) -> dict[bytes, bytes]:
-    """Split a RIFF/WAVE payload into its chunks (first occurrence wins)."""
+def _chunk_spans(raw: bytes, path: str) -> dict[bytes, tuple[int, int]]:
+    """Offset and available size of each chunk body of a RIFF/WAVE payload
+    (first occurrence wins)."""
     if len(raw) < 12:
         raise WavError(f"{path}: file too short for a RIFF header")
     if raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise WavError(f"{path}: not a RIFF/WAVE file")
-    chunks: dict[bytes, bytes] = {}
+    spans: dict[bytes, tuple[int, int]] = {}
     pos = 12
     while pos + 8 <= len(raw):
         cid = raw[pos : pos + 4]
         (size,) = struct.unpack_from("<I", raw, pos + 4)
-        body = raw[pos + 8 : pos + 8 + size]
-        if len(body) < size:
-            # data chunk sizes in the wild are sometimes optimistic; a short
-            # non-data chunk is a genuine header problem
-            if cid != b"data":
-                raise WavError(f"{path}: truncated {cid!r} chunk")
-        chunks.setdefault(cid, body)
+        available = min(size, len(raw) - pos - 8)
+        # data chunk sizes in the wild are sometimes optimistic; a short
+        # non-data chunk is a genuine header problem
+        if available < size and cid != b"data":
+            raise WavError(f"{path}: truncated {cid!r} chunk")
+        spans.setdefault(cid, (pos + 8, available))
         pos += 8 + size + (size & 1)  # chunks are word-aligned
-    return chunks
+    return spans
 
 
 def read_wav(path: str | Path) -> AudioBuffer:
     """Decode a WAV file to a mono float64 AudioBuffer in [-1, 1].
 
     Integer PCM is scaled by 2^(bits-1); stereo is downmixed by
-    averaging the two channels.
+    averaging the two channels. Every malformed file raises WavError.
     """
     p = Path(path)
     if not p.is_file():
         raise WavError(f"{p}: file not found")
     raw = p.read_bytes()
-    chunks = _read_chunks(raw, str(p))
-    if b"fmt " not in chunks:
+    spans = _chunk_spans(raw, str(p))
+    if b"fmt " not in spans:
         raise WavError(f"{p}: missing fmt chunk")
-    if b"data" not in chunks:
+    if b"data" not in spans:
         raise WavError(f"{p}: missing data chunk")
-    fmt = chunks[b"fmt "]
-    if len(fmt) < 16:
+    fmt, fmt_size = spans[b"fmt "]
+    if fmt_size < 16:
         raise WavError(f"{p}: fmt chunk too short")
-    code, channels, rate, _byte_rate, block_align, bits = struct.unpack_from("<HHIIHH", fmt, 0)
+    code, channels, rate, _byte_rate, block_align, bits = struct.unpack_from("<HHIIHH", raw, fmt)
     if code == WAVE_FORMAT_EXTENSIBLE:
-        if len(fmt) < 40:
+        if fmt_size < 40:
             raise WavError(f"{p}: extensible fmt chunk too short")
-        (code,) = struct.unpack_from("<H", fmt, 24)  # first 2 bytes of the subformat GUID
+        (code,) = struct.unpack_from("<H", raw, fmt + 24)  # first 2 bytes of the subformat GUID
     if channels not in (1, 2):
         raise WavError(f"{p}: unsupported channel count {channels} (mono/stereo only)")
-
-    data = chunks[b"data"]
-    if code == WAVE_FORMAT_PCM and bits == 16:
-        usable = len(data) - len(data) % (2 * channels)
-        x = np.frombuffer(data[:usable], dtype="<i2").astype(np.float64) / 2.0**15
-    elif code == WAVE_FORMAT_PCM and bits == 24:
-        usable = len(data) - len(data) % (3 * channels)
-        b = np.frombuffer(data[:usable], dtype=np.uint8).reshape(-1, 3).astype(np.int32)
-        vals = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
-        vals[vals >= 1 << 23] -= 1 << 24
-        x = vals.astype(np.float64) / 2.0**23
-    elif code == WAVE_FORMAT_IEEE_FLOAT and bits == 32:
-        usable = len(data) - len(data) % (4 * channels)
-        x = np.frombuffer(data[:usable], dtype="<f4").astype(np.float64)
-    else:
+    scale = next((s for c, b, s in CODECS.values() if (c, b) == (code, bits)), None)
+    if scale is None:
         raise WavError(f"{p}: unsupported codec (format code {code}, {bits}-bit)")
     if block_align and block_align != channels * bits // 8:
         raise WavError(f"{p}: block alignment {block_align} inconsistent with format")
 
+    data, size = spans[b"data"]
+    width = bits // 8
+    count = size // (width * channels) * channels
+    if width == 3:  # widen to 4 bytes, sample in the top three; >> 8 sign-extends
+        wide = np.zeros((count, 4), dtype=np.uint8)
+        wide[:, 1:] = np.frombuffer(raw, np.uint8, 3 * count, data).reshape(count, 3)
+        values = wide.view("<i4")[:, 0] >> 8
+    else:
+        dtype = "<f4" if code == WAVE_FORMAT_IEEE_FLOAT else "<i2"
+        values = np.frombuffer(raw, dtype, count, data)
+    x = values.astype(np.float64)
+    if scale != 1.0:
+        x /= scale
     if channels == 2:
         x = x.reshape(-1, 2).mean(axis=1)
-    if x.size and not np.isfinite(x).all():
-        raise WavError(f"{p}: non-finite sample values")
-    return AudioBuffer(samples=x, sample_rate=int(rate), source=str(p))
+    try:
+        return AudioBuffer(samples=x, sample_rate=int(rate), source=str(p))
+    except ValueError as exc:  # non-finite samples, zero sample rate
+        raise WavError(f"{p}: {exc}") from exc
 
 
 def write_wav(path: str | Path, buf: AudioBuffer, fmt: str = "float32") -> None:
-    """Encode an AudioBuffer as a mono WAV file.
+    """Encode an AudioBuffer as a mono WAV file in one of the CODECS.
 
     Samples outside [-1, 1] are clipped; the clip count is logged.
     """
-    if fmt not in WRITE_FORMATS:
-        raise ValueError(f"unsupported write format {fmt!r}; expected one of {WRITE_FORMATS}")
+    if fmt not in CODECS:
+        raise ValueError(f"unsupported write format {fmt!r}; expected one of {tuple(CODECS)}")
+    code, bits, scale = CODECS[fmt]
     p = Path(path)
     x = buf.samples
     n_clipped = int(np.count_nonzero((x < -1.0) | (x > 1.0)))
@@ -148,24 +156,12 @@ def write_wav(path: str | Path, buf: AudioBuffer, fmt: str = "float32") -> None:
         logger.warning("%s: clipping %d sample(s) outside [-1, 1]", p, n_clipped)
         x = np.clip(x, -1.0, 1.0)
 
-    if fmt == "pcm16":
-        q = np.clip(np.round(x * 2.0**15), -(1 << 15), (1 << 15) - 1).astype("<i2")
-        payload = q.tobytes()
-        bits, code = 16, WAVE_FORMAT_PCM
-    elif fmt == "pcm24":
-        q = np.clip(np.round(x * 2.0**23), -(1 << 23), (1 << 23) - 1).astype(np.int64)
-        q = np.where(q < 0, q + (1 << 24), q).astype(np.uint32)
-        b = np.empty((q.size, 3), dtype=np.uint8)
-        b[:, 0] = q & 0xFF
-        b[:, 1] = (q >> 8) & 0xFF
-        b[:, 2] = (q >> 16) & 0xFF
-        payload = b.tobytes()
-        bits, code = 24, WAVE_FORMAT_PCM
-    else:
-        payload = x.astype("<f4").tobytes()
-        bits, code = 32, WAVE_FORMAT_IEEE_FLOAT
-
     block_align = bits // 8
+    if code == WAVE_FORMAT_IEEE_FLOAT:
+        payload = x.astype("<f4").tobytes()
+    else:  # the low bytes of a little-endian int32 are the two's-complement sample
+        q = np.clip(np.round(x * scale), -scale, scale - 1).astype("<i4")
+        payload = q.view(np.uint8).reshape(-1, 4)[:, :block_align].tobytes()
     header = b"".join(
         [
             b"RIFF",

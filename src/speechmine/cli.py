@@ -19,9 +19,16 @@ import sys
 from pathlib import Path
 
 from . import evalgen
-from .audio_io import read_wav, write_wav
-from .curation import ConfigError, export_ab_pairs, filter_manifest, load_config, run_round
-from .enhance import EnhancerSpec, enhance
+from .audio_io import WavError, read_wav, write_wav
+from .curation import (
+    DEFAULT_RHO_BIN_WIDTH_DB,
+    ConfigError,
+    export_ab_pairs,
+    filter_manifest,
+    load_config,
+    run_round,
+)
+from .enhance import EnhancerError, EnhancerSpec, enhance
 from .evalgen import EvalTriple, NoiseSpec, delta_quality, inject_noise, synth_clean
 from .schema import decode, load_json
 
@@ -107,6 +114,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not isinstance(files, list):
         raise ConfigError(f"{meta_path}: expected an object holding a files list")
     spec = _enhancer_from_file(args.enhancer_config)
+    evalgen.resolve_metric(args.metric)  # an unknown metric fails the run, not every entry
 
     per_file = []
     skipped = 0
@@ -118,16 +126,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
             logger.warning("skipping unpaired entry %s", entry)
             continue
         clean_path, noisy_path = paths
-        clean = read_wav(clean_path)
-        noisy = read_wav(noisy_path)
-        enhanced = enhance(noisy, spec)
-        triple = EvalTriple.from_components(clean, noisy, enhanced)
+        try:
+            clean = read_wav(clean_path)
+            noisy = read_wav(noisy_path)
+            triple = EvalTriple.from_components(clean, noisy, enhance(noisy, spec))
+            delta = delta_quality(triple, args.metric)
+        except (WavError, EnhancerError, ValueError) as exc:
+            skipped += 1
+            logger.warning("skipping entry %s: %s", entry["noisy"], exc)
+            continue
         per_file.append(
-            {
-                "noisy": entry["noisy"],
-                "target_snr_db": entry.get("target_snr_db"),
-                "delta": delta_quality(triple, args.metric),
-            }
+            {"noisy": entry["noisy"], "target_snr_db": entry.get("target_snr_db"), "delta": delta}
         )
     report = {
         "metric": args.metric,
@@ -175,7 +184,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_export_ab(args: argparse.Namespace) -> int:
-    segments = filter_manifest(args.manifest, min_rho=args.min_rho, max_rho=args.max_rho)
+    segments = filter_manifest(
+        evalgen.load_manifests([args.manifest]), min_rho=args.min_rho, max_rho=args.max_rho
+    )
     enhancer = _enhancer_from_file(args.enhancer_config) if args.enhancer_config else None
     pairs = export_ab_pairs(segments, args.out, enhancer=enhancer)
     print(f"exported {pairs} A/B pair(s) to {args.out}")
@@ -220,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="cross-round curated-hours and score histograms")
     p.add_argument("manifests", nargs="+", help="manifest files")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--bin-width", type=float, default=5.0)
+    p.add_argument("--bin-width", type=float, default=DEFAULT_RHO_BIN_WIDTH_DB)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("export-ab", help="export unprocessed/enhanced segment pairs")

@@ -16,6 +16,7 @@ import hashlib
 import json
 import logging
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -25,7 +26,8 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .audio_io import AudioBuffer, frame_len_samples, frame_matrix, read_wav, write_wav
-from .dsp import StftConfig, bandwidth_profile, rms_db
+from . import dsp
+from .dsp import StftConfig, rms_db
 from .enhance import EnhancerSpec, enhance
 from .schema import ConfigError, decode, encode, load_json
 from .vad import VadSpec, detect
@@ -221,7 +223,8 @@ def bandwidth_gate(
     """Frame (column of the frame matrix) passes iff its estimated cutoff
     reaches min_bandwidth_hz (inclusive). Returns (acceptance, cutoff_hz)
     so the cutoffs can be stored as segment metadata."""
-    cutoff_hz = bandwidth_profile(xhat_frames, sample_rate, cfg)
+    # looked up on dsp at each call, so a wrapper set on dsp.estimate_cutoff sees every call
+    cutoff_hz = np.array([dsp.estimate_cutoff(frame, sample_rate, cfg) for frame in xhat_frames.T])
     return (cutoff_hz >= min_bandwidth_hz).astype(np.uint8), cutoff_hz
 
 
@@ -241,15 +244,6 @@ def extract_segments(accept: np.ndarray, k: int) -> list[tuple[int, int]]:
                 blocks.append((s, s + k))
             run_start = None
     return blocks
-
-
-@dataclass
-class FileResult:
-    """Outcome of curating one corpus entry."""
-
-    source: str
-    segments: list[CuratedSegment]
-    error: str | None = None
 
 
 @dataclass
@@ -284,12 +278,8 @@ def rho_bin_counts(
     return counts
 
 
-def curate_file(
-    buf: AudioBuffer,
-    cfg: CurationConfig,
-) -> tuple[list[CuratedSegment], AudioBuffer]:
-    """Run the full per-file pipeline; returns the accepted segments and
-    the enhanced signal (for optional export)."""
+def curate_file(buf: AudioBuffer, cfg: CurationConfig) -> list[CuratedSegment]:
+    """Run the full per-file pipeline; returns the accepted segments."""
     if buf.sample_rate != cfg.sample_rate:
         raise ValueError(
             f"sample rate {buf.sample_rate} does not match configured "
@@ -304,7 +294,7 @@ def curate_file(
     v = frame_matrix(mask, flen)
     frame_count = x.shape[1]
     if frame_count == 0:
-        return [], enhanced
+        return []
 
     rho = np.array(
         [rho_hat(x[:, l], xhat[:, l], v[:, l], cfg.rho_max_db) for l in range(frame_count)]
@@ -331,7 +321,7 @@ def curate_file(
         )
         seg.validate_against(cfg)
         segments.append(seg)
-    return segments, enhanced
+    return segments
 
 
 def append_manifest(path: str | Path, segments: Sequence[CuratedSegment]) -> None:
@@ -361,14 +351,13 @@ def load_manifest(path: str | Path) -> tuple[list[CuratedSegment], int]:
     return segments, skipped
 
 
-def _curate_one(source: str, cfg: CurationConfig) -> FileResult:
+def _curate_one(source: str, cfg: CurationConfig) -> tuple[list[CuratedSegment], str | None]:
+    """The file's segments and, if it failed, the error message."""
     try:
-        buf = read_wav(source)
-        segments, _ = curate_file(buf, cfg)
-        return FileResult(source=source, segments=segments)
+        return curate_file(read_wav(source), cfg), None
     except Exception as exc:  # per-file isolation: one bad file never kills a round
         logger.error("curation failed for %s: %s", source, exc)
-        return FileResult(source=source, segments=[], error=str(exc))
+        return [], str(exc)
 
 
 def run_round(
@@ -376,10 +365,9 @@ def run_round(
     cfg: CurationConfig,
     manifest_out: str | Path,
     jobs: int = 1,
-    report_out: str | Path | None = None,
 ) -> RoundReport:
     """Curate every corpus file, append segments to the manifest and write
-    a round report next to it.
+    a round report next to it, at ``{manifest}.round{round_id}.report.json``.
 
     Records are written in corpus order by a single writer, so a rerun
     with identical inputs produces byte-identical manifest records.
@@ -394,10 +382,10 @@ def run_round(
 
     all_segments: list[CuratedSegment] = []
     failures: list[dict[str, str]] = []
-    for res in results:
-        if res.error is not None:
-            failures.append({"source": res.source, "error": res.error})
-        all_segments.extend(res.segments)
+    for source, (segments, error) in zip(sources, results):
+        if error is not None:
+            failures.append({"source": source, "error": error})
+        all_segments.extend(segments)
     append_manifest(manifest_out, all_segments)
 
     rho_values = [r for seg in all_segments for r in seg.frame_rho]
@@ -411,18 +399,14 @@ def run_round(
         rho_histogram=rho_bin_counts(rho_values),
         generated_at=datetime.now(timezone.utc).isoformat(),
     )
-    report_path = (
-        Path(report_out)
-        if report_out is not None
-        else Path(str(manifest_out) + f".round{cfg.round_id}.report.json")
-    )
+    report_path = Path(f"{manifest_out}.round{cfg.round_id}.report.json")
     report_path.parent.mkdir(parents=True, exist_ok=True)
     report_path.write_text(report.to_json() + "\n", encoding="utf-8")
     return report
 
 
 def filter_manifest(
-    manifest: str | Path,
+    segments: Iterable[CuratedSegment],
     min_rho: float | None = None,
     max_rho: float | None = None,
 ) -> list[CuratedSegment]:
@@ -431,17 +415,12 @@ def filter_manifest(
     min_rho keeps segments whose weakest frame reaches the bound;
     max_rho keeps segments whose strongest frame stays at or under it.
     """
-    segments, skipped = load_manifest(manifest)
-    if skipped:
-        logger.warning("%s: skipped %d malformed record(s)", manifest, skipped)
-    kept = []
-    for seg in segments:
-        if min_rho is not None and min(seg.frame_rho) < min_rho:
-            continue
-        if max_rho is not None and max(seg.frame_rho) > max_rho:
-            continue
-        kept.append(seg)
-    return kept
+    return [
+        seg
+        for seg in segments
+        if (min_rho is None or min(seg.frame_rho) >= min_rho)
+        and (max_rho is None or max(seg.frame_rho) <= max_rho)
+    ]
 
 
 def export_ab_pairs(
@@ -459,6 +438,12 @@ def export_ab_pairs(
     buffers are held. A segment whose source is unreadable, that ends past
     its source, whose enhancer identifier does not decode or whose
     enhancement fails is skipped and counted.
+
+    Files are named ``{stem}_r{round}_{start}_{side}.wav``; sources that
+    share a stem use ``{stem}_{first 8 hex digits of sha256(source_uri)}``.
+    The enhancer runs with ``stft_cfg`` (default StftConfig()), not the
+    round's STFT, which the manifest does not record: after a round with
+    another STFT the enhanced side differs from the one that was scored.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -466,10 +451,14 @@ def export_ab_pairs(
     by_source: dict[str, list[CuratedSegment]] = {}
     for seg in segments:
         by_source.setdefault(seg.source_uri, []).append(seg)
+    stem_count = Counter(Path(source_uri).stem for source_uri in by_source)
 
     pairs = 0
     skipped = 0
     for source_uri, group in by_source.items():
+        stem = Path(source_uri).stem
+        if stem_count[stem] > 1:
+            stem += "_" + hashlib.sha256(source_uri.encode("utf-8")).hexdigest()[:8]
         try:
             buf = read_wav(source_uri)
         except Exception as exc:
@@ -498,11 +487,11 @@ def export_ab_pairs(
                                len(same), source_uri, exc)
                 continue
             for seg in same:
-                stem = f"{Path(source_uri).stem}_r{seg.round_id}_{seg.start_sample}"
+                name = f"{stem}_r{seg.round_id}_{seg.start_sample}"
                 sl = slice(seg.start_sample, seg.end_sample)
-                write_wav(out / f"{stem}_unprocessed.wav",
+                write_wav(out / f"{name}_unprocessed.wav",
                           AudioBuffer(buf.samples[sl], buf.sample_rate), "float32")
-                write_wav(out / f"{stem}_enhanced.wav",
+                write_wav(out / f"{name}_enhanced.wav",
                           AudioBuffer(enhanced.samples[sl], buf.sample_rate), "float32")
                 pairs += 1
     if skipped:

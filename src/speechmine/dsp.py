@@ -12,7 +12,9 @@ import numpy as np
 RMS_FLOOR = 1e-10
 FLOOR_DB = 20.0 * np.log10(RMS_FLOOR)
 
-DEFAULT_ROLLOFF_DB = 35.0
+# A bin is inside a frame's band while its mean log magnitude stays within
+# this many dB of the strongest bin's.
+ROLLOFF_DB = 35.0
 
 # Frames tapered and transformed per FFT call in stft/istft: enough to
 # amortise the call, small enough that the block temporaries stay in cache.
@@ -138,42 +140,17 @@ def istft(values: np.ndarray, cfg: StftConfig) -> np.ndarray:
     return out
 
 
-def _mean_log_magnitude(values: np.ndarray) -> np.ndarray:
-    """Per-bin log magnitude in dB, averaged over time steps."""
-    mag = np.maximum(np.abs(values), RMS_FLOOR)
-    return 20.0 * np.log10(mag).mean(axis=1)
-
-
-def estimate_cutoff(
-    frame: np.ndarray,
-    sample_rate: int,
-    cfg: StftConfig,
-    rolloff_db: float = DEFAULT_ROLLOFF_DB,
-) -> float:
+def estimate_cutoff(frame: np.ndarray, sample_rate: int, cfg: StftConfig) -> float:
     """Spectral cutoff of one frame: the highest bin whose time-averaged log
-    magnitude stays within ``rolloff_db`` of the strongest bin.
+    magnitude stays within ROLLOFF_DB of the strongest bin.
 
     Returns the bin's center frequency in Hz; a frame that is entirely at
     the silence floor yields 0.0.
     """
-    avg_db = _mean_log_magnitude(stft(frame, cfg))
+    mag = np.maximum(np.abs(stft(frame, cfg)), RMS_FLOOR)
+    avg_db = 20.0 * np.log10(mag).mean(axis=1)
     peak = float(avg_db.max())
     if peak <= FLOOR_DB + 1e-9:
         return 0.0
-    passing = np.flatnonzero(avg_db >= peak - rolloff_db)
+    passing = np.flatnonzero(avg_db >= peak - ROLLOFF_DB)
     return float(passing[-1] * (sample_rate / cfg.window_len))
-
-
-def bandwidth_profile(
-    grid_frames: np.ndarray,
-    sample_rate: int,
-    cfg: StftConfig,
-    rolloff_db: float = DEFAULT_ROLLOFF_DB,
-) -> np.ndarray:
-    """estimate_cutoff applied to every column of a frame matrix, in Hz."""
-    return np.array(
-        [
-            estimate_cutoff(grid_frames[:, l], sample_rate, cfg, rolloff_db)
-            for l in range(grid_frames.shape[1])
-        ]
-    )

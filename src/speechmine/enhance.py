@@ -36,11 +36,11 @@ logger = logging.getLogger(__name__)
 EXTERNAL_PARAMS = {"command": str, "exchange_dir": str, "timeout_s": float}
 
 
-def check_external_command(params: dict[str, Any], what: str) -> None:
-    """Reject an external command without its {input} and {output} placeholders."""
-    cmd = params.get("command", "")
-    if "{input}" not in cmd or "{output}" not in cmd:
-        raise ValueError(f"external {what} command must contain {{input}} and {{output}}")
+def check_external_command(command: str, names: tuple[str, str], what: str) -> None:
+    """Reject an external command without a ``{name}`` placeholder for each of names."""
+    if not all(f"{{{name}}}" in command for name in names):
+        a, b = names
+        raise ValueError(f"external {what} command must contain {{{a}}} and {{{b}}}")
 
 
 # Every enhancer kind with the name and type of each parameter it takes.
@@ -51,8 +51,6 @@ ENHANCER_PARAMS: dict[str, dict[str, type]] = {
     "external": EXTERNAL_PARAMS,
 }
 
-DEFAULT_GATE_THRESHOLD_DB = 20.0
-DEFAULT_ATTENUATION_DB = 40.0
 DEFAULT_TIMEOUT_S = 600.0
 
 
@@ -72,14 +70,14 @@ class EnhancerSpec:
             raise ValueError(f"unknown enhancer kind {self.kind!r}; expected one of {tuple(ENHANCER_PARAMS)}")
         check_params(self.params, ENHANCER_PARAMS[self.kind], f"{self.kind} enhancer")
         if self.kind == "spectral_gate":
-            att = self.params.get("attenuation_db", DEFAULT_ATTENUATION_DB)
+            att = self.params.get("attenuation_db", 0.0)
             if att < 0:
                 raise ValueError(f"attenuation_db must be >= 0, got {att}")
         elif self.kind == "oracle":
             if "reference_dir" not in self.params:
                 raise ValueError("oracle enhancer requires a reference_dir parameter")
         elif self.kind == "external":
-            check_external_command(self.params, "enhancer")
+            check_external_command(self.params.get("command", ""), ("input", "output"), "enhancer")
 
     def identifier(self) -> str:
         """Canonical serialized form, stable enough to re-run from a manifest."""
@@ -88,8 +86,8 @@ class EnhancerSpec:
 
 def spectral_gate_enhance(
     buf: AudioBuffer,
-    gate_threshold_db: float = DEFAULT_GATE_THRESHOLD_DB,
-    attenuation_db: float = DEFAULT_ATTENUATION_DB,
+    gate_threshold_db: float = 20.0,
+    attenuation_db: float = 40.0,
     cfg: StftConfig | None = None,
 ) -> AudioBuffer:
     """Attenuate time-frequency cells close to the per-bin noise floor.
@@ -197,14 +195,9 @@ def enhance(buf: AudioBuffer, spec: EnhancerSpec, stft_cfg: StftConfig | None = 
     if spec.kind == "identity":
         out = AudioBuffer(buf.samples.copy(), buf.sample_rate, source=buf.source)
     elif spec.kind == "spectral_gate":
-        out = spectral_gate_enhance(
-            buf,
-            gate_threshold_db=spec.params.get("gate_threshold_db", DEFAULT_GATE_THRESHOLD_DB),
-            attenuation_db=spec.params.get("attenuation_db", DEFAULT_ATTENUATION_DB),
-            cfg=stft_cfg,
-        )
+        out = spectral_gate_enhance(buf, cfg=stft_cfg, **spec.params)
     elif spec.kind == "oracle":
-        out = _oracle_enhance(buf, spec.params["reference_dir"])
+        out = _oracle_enhance(buf, **spec.params)
     else:
         _, result = run_exchange_command(inputs={"input": buf}, **spec.params)
         out = AudioBuffer(result.samples, buf.sample_rate, source=buf.source)

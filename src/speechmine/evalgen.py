@@ -21,7 +21,7 @@ import numpy as np
 from .audio_io import AudioBuffer, frame_len_samples, frame_matrix
 from .curation import DEFAULT_RHO_BIN_WIDTH_DB, CuratedSegment, load_manifest, rho_bin_counts
 from .dsp import rms_db
-from .enhance import run_exchange_command
+from .enhance import check_external_command, run_exchange_command
 
 logger = logging.getLogger(__name__)
 
@@ -30,6 +30,7 @@ NOISE_KINDS = ("white", "pink", "babble_proxy")
 SEGSNR_MIN_DB = -10.0
 SEGSNR_MAX_DB = 35.0
 SEGSNR_ENERGY_SCREEN_DB = -60.0
+SEGSNR_FRAME_MS = 32.0
 
 
 @dataclass(frozen=True)
@@ -70,13 +71,10 @@ class EvalTriple:
 
     @classmethod
     def from_components(
-        cls,
-        clean: AudioBuffer,
-        noisy: AudioBuffer,
-        enhanced: AudioBuffer,
-        frame_seconds: float = 1.0,
+        cls, clean: AudioBuffer, noisy: AudioBuffer, enhanced: AudioBuffer
     ) -> "EvalTriple":
-        flen = frame_len_samples(clean.sample_rate, frame_seconds)
+        """The triple with the true SNR of each 1-s frame of the mix."""
+        flen = frame_len_samples(clean.sample_rate, 1.0)
         noise = frame_matrix(noisy.samples - clean.samples, flen)
         ref = frame_matrix(clean.samples, flen)
         snr = np.array(
@@ -173,19 +171,15 @@ def inject_noise(clean: AudioBuffer, spec: NoiseSpec) -> tuple[AudioBuffer, floa
     return noisy, target_snr_db
 
 
-def segmental_snr(
-    reference: AudioBuffer,
-    degraded: AudioBuffer,
-    frame_ms: float = 32.0,
-) -> float:
-    """Mean per-frame SNR in dB over non-overlapping frames, each clamped
-    to [-10, 35], counting only frames whose reference level exceeds
-    -60 dBFS."""
+def segmental_snr(reference: AudioBuffer, degraded: AudioBuffer) -> float:
+    """Mean per-frame SNR in dB over non-overlapping 32-ms frames, each
+    clamped to [-10, 35], counting only frames whose reference level
+    exceeds -60 dBFS."""
     if len(reference) != len(degraded):
         raise ValueError(
             f"length mismatch: reference {len(reference)} vs degraded {len(degraded)}"
         )
-    flen = max(1, int(round(reference.sample_rate * frame_ms / 1000.0)))
+    flen = max(1, int(round(reference.sample_rate * SEGSNR_FRAME_MS / 1000.0)))
     ref = frame_matrix(reference.samples, flen)
     deg = frame_matrix(degraded.samples, flen)
     if ref.shape[1] == 0:
@@ -228,8 +222,7 @@ def resolve_metric(metric_id: str) -> MetricFn:
         return _METRICS[metric_id]
     if metric_id.startswith("external:"):
         command = metric_id[len("external:") :]
-        if "{reference}" not in command or "{degraded}" not in command:
-            raise ValueError("external metric command must contain {reference} and {degraded}")
+        check_external_command(command, ("reference", "degraded"), "metric")
         return _external_metric(command)
     raise ValueError(f"unknown metric {metric_id!r}")
 

@@ -51,7 +51,7 @@ class VadSpec:
         if self.window_seconds <= 0:
             raise ValueError(f"window_seconds must be positive, got {self.window_seconds}")
         if self.kind == "external":
-            check_external_command(self.params, "VAD")
+            check_external_command(self.params.get("command", ""), ("input", "output"), "VAD")
 
     def window_samples(self, sample_rate: int) -> int:
         return max(1, int(round(sample_rate * self.window_seconds)))

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import logging
+import struct
 from pathlib import Path
 
 import numpy as np
 
 import speechmine
-from speechmine.audio_io import AudioBuffer
+from speechmine.audio_io import (
+    WAVE_FORMAT_EXTENSIBLE,
+    WAVE_FORMAT_IEEE_FLOAT,
+    WAVE_FORMAT_PCM,
+    AudioBuffer,
+    WavError,
+)
 from speechmine.dsp import StftConfig
 from speechmine.evalgen import synth_clean
 
@@ -152,3 +160,136 @@ def reference_spectral_gate_enhance(buf: AudioBuffer, gate_threshold_db: float,
     n = min(len(buf), y.size)
     out[:n] = y[:n]
     return AudioBuffer(out, buf.sample_rate, source=buf.source)
+
+
+# Reference WAV codec: the chunk-copying reader with one decode branch per
+# codec and the writer with one encode branch per codec, kept as they were
+# before the single CODECS table. The production codec must decode the same
+# samples and write the same bytes.
+
+_logger = logging.getLogger(__name__)
+
+REFERENCE_WRITE_FORMATS = ("pcm16", "pcm24", "float32")
+
+
+def reference_read_chunks(raw: bytes, path: str) -> dict[bytes, bytes]:
+    """Split a RIFF/WAVE payload into its chunks (first occurrence wins)."""
+    if len(raw) < 12:
+        raise WavError(f"{path}: file too short for a RIFF header")
+    if raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
+        raise WavError(f"{path}: not a RIFF/WAVE file")
+    chunks: dict[bytes, bytes] = {}
+    pos = 12
+    while pos + 8 <= len(raw):
+        cid = raw[pos : pos + 4]
+        (size,) = struct.unpack_from("<I", raw, pos + 4)
+        body = raw[pos + 8 : pos + 8 + size]
+        if len(body) < size:
+            # data chunk sizes in the wild are sometimes optimistic; a short
+            # non-data chunk is a genuine header problem
+            if cid != b"data":
+                raise WavError(f"{path}: truncated {cid!r} chunk")
+        chunks.setdefault(cid, body)
+        pos += 8 + size + (size & 1)  # chunks are word-aligned
+    return chunks
+
+
+def reference_read_wav(path: str | Path) -> AudioBuffer:
+    """Decode a WAV file to a mono float64 AudioBuffer in [-1, 1].
+
+    Integer PCM is scaled by 2^(bits-1); stereo is downmixed by
+    averaging the two channels.
+    """
+    p = Path(path)
+    if not p.is_file():
+        raise WavError(f"{p}: file not found")
+    raw = p.read_bytes()
+    chunks = reference_read_chunks(raw, str(p))
+    if b"fmt " not in chunks:
+        raise WavError(f"{p}: missing fmt chunk")
+    if b"data" not in chunks:
+        raise WavError(f"{p}: missing data chunk")
+    fmt = chunks[b"fmt "]
+    if len(fmt) < 16:
+        raise WavError(f"{p}: fmt chunk too short")
+    code, channels, rate, _byte_rate, block_align, bits = struct.unpack_from("<HHIIHH", fmt, 0)
+    if code == WAVE_FORMAT_EXTENSIBLE:
+        if len(fmt) < 40:
+            raise WavError(f"{p}: extensible fmt chunk too short")
+        (code,) = struct.unpack_from("<H", fmt, 24)  # first 2 bytes of the subformat GUID
+    if channels not in (1, 2):
+        raise WavError(f"{p}: unsupported channel count {channels} (mono/stereo only)")
+
+    data = chunks[b"data"]
+    if code == WAVE_FORMAT_PCM and bits == 16:
+        usable = len(data) - len(data) % (2 * channels)
+        x = np.frombuffer(data[:usable], dtype="<i2").astype(np.float64) / 2.0**15
+    elif code == WAVE_FORMAT_PCM and bits == 24:
+        usable = len(data) - len(data) % (3 * channels)
+        b = np.frombuffer(data[:usable], dtype=np.uint8).reshape(-1, 3).astype(np.int32)
+        vals = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
+        vals[vals >= 1 << 23] -= 1 << 24
+        x = vals.astype(np.float64) / 2.0**23
+    elif code == WAVE_FORMAT_IEEE_FLOAT and bits == 32:
+        usable = len(data) - len(data) % (4 * channels)
+        x = np.frombuffer(data[:usable], dtype="<f4").astype(np.float64)
+    else:
+        raise WavError(f"{p}: unsupported codec (format code {code}, {bits}-bit)")
+    if block_align and block_align != channels * bits // 8:
+        raise WavError(f"{p}: block alignment {block_align} inconsistent with format")
+
+    if channels == 2:
+        x = x.reshape(-1, 2).mean(axis=1)
+    if x.size and not np.isfinite(x).all():
+        raise WavError(f"{p}: non-finite sample values")
+    return AudioBuffer(samples=x, sample_rate=int(rate), source=str(p))
+
+
+def reference_write_wav(path: str | Path, buf: AudioBuffer, fmt: str = "float32") -> None:
+    """Encode an AudioBuffer as a mono WAV file.
+
+    Samples outside [-1, 1] are clipped; the clip count is logged.
+    """
+    if fmt not in REFERENCE_WRITE_FORMATS:
+        raise ValueError(f"unsupported write format {fmt!r}; expected one of {REFERENCE_WRITE_FORMATS}")
+    p = Path(path)
+    x = buf.samples
+    n_clipped = int(np.count_nonzero((x < -1.0) | (x > 1.0)))
+    if n_clipped:
+        _logger.warning("%s: clipping %d sample(s) outside [-1, 1]", p, n_clipped)
+        x = np.clip(x, -1.0, 1.0)
+
+    if fmt == "pcm16":
+        q = np.clip(np.round(x * 2.0**15), -(1 << 15), (1 << 15) - 1).astype("<i2")
+        payload = q.tobytes()
+        bits, code = 16, WAVE_FORMAT_PCM
+    elif fmt == "pcm24":
+        q = np.clip(np.round(x * 2.0**23), -(1 << 23), (1 << 23) - 1).astype(np.int64)
+        q = np.where(q < 0, q + (1 << 24), q).astype(np.uint32)
+        b = np.empty((q.size, 3), dtype=np.uint8)
+        b[:, 0] = q & 0xFF
+        b[:, 1] = (q >> 8) & 0xFF
+        b[:, 2] = (q >> 16) & 0xFF
+        payload = b.tobytes()
+        bits, code = 24, WAVE_FORMAT_PCM
+    else:
+        payload = x.astype("<f4").tobytes()
+        bits, code = 32, WAVE_FORMAT_IEEE_FLOAT
+
+    block_align = bits // 8
+    header = b"".join(
+        [
+            b"RIFF",
+            struct.pack("<I", 36 + len(payload)),
+            b"WAVE",
+            b"fmt ",
+            struct.pack("<IHHIIHH", 16, code, 1, buf.sample_rate,
+                        buf.sample_rate * block_align, block_align, bits),
+            b"data",
+            struct.pack("<I", len(payload)),
+        ]
+    )
+    try:
+        p.write_bytes(header + payload)
+    except OSError as exc:
+        raise WavError(f"{p}: write failed: {exc}") from exc

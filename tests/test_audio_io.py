@@ -75,6 +75,12 @@ class TestReadWav:
         with pytest.raises(WavError, match="unsupported codec"):
             read_wav(p)
 
+    def test_zero_sample_rate_is_wav_error_naming_path(self, tmp_path):
+        p = tmp_path / "rate0.wav"
+        p.write_bytes(make_wav_bytes(1, 1, 0, 16, b"\x00" * 8))
+        with pytest.raises(WavError, match="rate0.wav.*sample_rate"):
+            read_wav(p)
+
     def test_too_many_channels(self, tmp_path):
         p = tmp_path / "quad.wav"
         p.write_bytes(make_wav_bytes(1, 4, 48000, 16, b"\x00" * 32))

@@ -202,6 +202,44 @@ def test_eval_bad_metadata(tmp_path, capsys, text, code, skipped):
         assert (report["files_evaluated"], report["files_skipped"]) == (0, skipped)
 
 
+def _garbage_noisy(pairs):
+    (pairs / "noisy_000.wav").write_bytes(b"garbage")
+
+
+def _short_clean(pairs):
+    write_wav(pairs / "clean_000.wav", synth_clean(1.0, FS, seed=9), "float32")
+
+
+@pytest.mark.parametrize("spoil", [
+    pytest.param(_garbage_noisy, id="unreadable-noisy"),
+    pytest.param(_short_clean, id="length-mismatch"),
+])
+def test_eval_skips_a_bad_pair_and_scores_the_rest(tmp_path, capsys, caplog, spoil):
+    pairs = tmp_path / "pairs"
+    main(["synth", "--out", str(pairs), "--count", "2", "--duration", "2"])
+    spoil(pairs)
+    enh = tmp_path / "enh.json"
+    enh.write_text('{"kind": "identity"}')
+    capsys.readouterr()
+    with caplog.at_level("WARNING"):
+        assert main(["eval", "--pairs", str(pairs), "--enhancer-config", str(enh)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["files_evaluated"], report["files_skipped"]) == (1, 1)
+    assert [f["noisy"] for f in report["per_file"]] == ["noisy_001.wav"]
+    assert "skipping entry noisy_000.wav" in caplog.text
+
+
+def test_eval_unknown_metric_fails_the_run(tmp_path, capsys):
+    pairs = tmp_path / "pairs"
+    main(["synth", "--out", str(pairs), "--count", "1", "--duration", "1"])
+    enh = tmp_path / "enh.json"
+    enh.write_text('{"kind": "identity"}')
+    capsys.readouterr()
+    assert main(["eval", "--pairs", str(pairs), "--enhancer-config", str(enh),
+                 "--metric", "nope"]) == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_unexpected_failure_exits_1(tmp_path, monkeypatch):
     cfg = write_config(tmp_path)
     corpus = write_corpus(tmp_path, count=1)

@@ -1,6 +1,7 @@
 """Curation engine tests: scoring, gates, segment extraction, rounds,
 manifests and A/B export."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -194,15 +195,15 @@ class TestManifest:
     def test_filter_min_rho(self, tmp_path):
         path = tmp_path / "m.jsonl"
         append_manifest(path, [make_segment(frame_rho=[50.0] * 12)])
-        assert len(filter_manifest(path, min_rho=45.0)) == 1
-        assert len(filter_manifest(path, min_rho=55.0)) == 0
+        assert len(filter_manifest(load_manifest(path)[0], min_rho=45.0)) == 1
+        assert len(filter_manifest(load_manifest(path)[0], min_rho=55.0)) == 0
 
     def test_filter_max_rho_keeps_boundary(self, tmp_path):
         path = tmp_path / "m.jsonl"
         rho = [28.0] + [26.0] * 11
         append_manifest(path, [make_segment(frame_rho=rho)])
-        assert len(filter_manifest(path, max_rho=30.0)) == 1
-        assert len(filter_manifest(path, max_rho=27.0)) == 0
+        assert len(filter_manifest(load_manifest(path)[0], max_rho=30.0)) == 1
+        assert len(filter_manifest(load_manifest(path)[0], max_rho=27.0)) == 0
 
     def test_filter_matches_linear_scan(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -217,7 +218,7 @@ class TestManifest:
         path = tmp_path / "m.jsonl"
         append_manifest(path, segments)
         for min_rho, max_rho in [(30.0, None), (None, 60.0), (25.0, 70.0)]:
-            got = filter_manifest(path, min_rho=min_rho, max_rho=max_rho)
+            got = filter_manifest(load_manifest(path)[0], min_rho=min_rho, max_rho=max_rho)
             want = [
                 s
                 for s in segments
@@ -304,9 +305,8 @@ class TestCurateFile:
 
     def test_shorter_than_frame_yields_nothing(self):
         cfg = CurationConfig(enhancer=EnhancerSpec("identity"))
-        segments, enhanced = curate_file(AudioBuffer(np.zeros(FS // 2), FS), cfg)
+        segments = curate_file(AudioBuffer(np.zeros(FS // 2), FS), cfg)
         assert segments == []
-        assert len(enhanced) == FS // 2
 
     def test_identity_with_always_on_accepts_every_full_band_frame(self):
         # the documented degenerate case: zero residual means the score
@@ -315,13 +315,13 @@ class TestCurateFile:
             enhancer=EnhancerSpec("identity"), vad=VadSpec(kind="always_on")
         )
         buf = synth_clean(15.0, FS, seed=21)
-        segments, _ = curate_file(buf, cfg)
+        segments = curate_file(buf, cfg)
         assert [(s.start_sample, s.end_sample) for s in segments] == [(0, 12 * FS)]
         assert all(r == 100.0 for r in segments[0].frame_rho)
 
     def test_eleven_seconds_insufficient_for_twelve_second_segment(self):
         cfg = CurationConfig(enhancer=EnhancerSpec("identity"), vad=VadSpec(kind="always_on"))
-        segments, _ = curate_file(synth_clean(11.0, FS, seed=22), cfg)
+        segments = curate_file(synth_clean(11.0, FS, seed=22), cfg)
         assert segments == []
 
 
@@ -484,6 +484,22 @@ class TestExportAbPairs:
             assert export_ab_pairs(segments, tmp_path / "ab") == 1
         assert "skipped 1" in caplog.text
         assert len(list((tmp_path / "ab").glob("*.wav"))) == 2
+
+    def test_same_file_name_in_two_directories_keeps_both_pairs(self, tmp_path):
+        sources = [tmp_path / "a" / "x.wav", tmp_path / "b" / "x.wav", tmp_path / "c" / "y.wav"]
+        for seed, src in enumerate(sources, start=63):
+            src.parent.mkdir()
+            write_wav(src, synth_clean(13.0, FS, seed=seed), "float32")
+        out = tmp_path / "ab"
+        pairs = export_ab_pairs([make_segment(source_uri=str(src)) for src in sources], out)
+        names = sorted(p.name for p in out.glob("*.wav"))
+        assert pairs == len(names) // 2 == 3
+        tags = [hashlib.sha256(str(src).encode("utf-8")).hexdigest()[:8] for src in sources[:2]]
+        assert names == sorted(
+            [f"x_{tags[0]}_r0_0_{side}.wav" for side in ("enhanced", "unprocessed")]
+            + [f"x_{tags[1]}_r0_0_{side}.wav" for side in ("enhanced", "unprocessed")]
+            + ["y_r0_0_enhanced.wav", "y_r0_0_unprocessed.wav"]  # a unique stem keeps its name
+        )
 
 
 class TestRhoBinCounts:
