@@ -180,15 +180,18 @@ def write_wav(path: str | Path, buf: AudioBuffer, fmt: str = "float32") -> None:
         raise WavError(f"{p}: write failed: {exc}") from exc
 
 
+def whole_positive(x: float, message: str, error: type[ValueError] = ValueError) -> int:
+    """x as an integer; raises error(message) unless x is a whole positive number to within 1e-9."""
+    if not math.isfinite(x) or abs(x - round(x)) > 1e-9 or round(x) < 1:
+        raise error(message)
+    return int(round(x))
+
+
 def frame_len_samples(sample_rate: int, frame_seconds: float) -> int:
     """Samples per frame; the product sample_rate * frame_seconds must be integral."""
     flen = sample_rate * frame_seconds
-    if not math.isfinite(flen) or abs(flen - round(flen)) > 1e-9 or round(flen) < 1:
-        raise ValueError(
-            f"frame length {frame_seconds} s at {sample_rate} Hz is not a whole "
-            f"positive number of samples ({flen})"
-        )
-    return int(round(flen))
+    return whole_positive(flen, f"frame length {frame_seconds} s at {sample_rate} Hz is not a "
+                          f"whole positive number of samples ({flen})")
 
 
 def frame_matrix(samples: np.ndarray, frame_len: int) -> np.ndarray:

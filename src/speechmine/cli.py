@@ -3,14 +3,16 @@
 Subcommands: curate, synth, eval, report, export-ab. All pipeline
 parameters come from the config file; flags only select paths and the
 subcommand, which keeps the config hash stamped into manifests
-meaningful. Exit codes: 0 success, 2 config error, 3 empty corpus,
-1 unexpected failure. Set SECP_LOG to change the log level.
+meaningful. Set SECP_LOG to change the log level. Exit codes: 0 success,
+2 bad user input (a file, a flag or SECP_LOG; one line, no traceback),
+3 empty corpus, 1 unexpected failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import glob
 import json
 import logging
@@ -50,8 +52,9 @@ def _enhancer_from_file(path: str) -> EnhancerSpec:
 def cmd_curate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if args.round is not None:
-        cfg.round_id = args.round
-        cfg.validate()
+        cfg = dataclasses.replace(cfg, round_id=args.round)
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs: must be at least 1, got {args.jobs}")
     files = sorted(p for p in glob.glob(args.corpus, recursive=True) if Path(p).is_file())
     if not files:
         print(f"no files matched corpus pattern {args.corpus!r}", file=sys.stderr)
@@ -248,13 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("SECP_LOG", "INFO").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        level = os.environ.get("SECP_LOG", "INFO")
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            raise ConfigError(f"SECP_LOG: unknown log level {level!r}")
+        logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .audio_io import AudioBuffer, frame_len_samples, frame_matrix, read_wav, write_wav
+from .audio_io import AudioBuffer, frame_len_samples, frame_matrix, read_wav, whole_positive, write_wav
 from . import dsp
 from .dsp import StftConfig, rms_db
 from .enhance import EnhancerSpec, enhance
@@ -41,10 +41,10 @@ NEG_INF_DB = -1.0e9
 DEFAULT_RHO_BIN_WIDTH_DB = 5.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class CurationConfig:
-    """Every pipeline parameter. The config file is the single source of
-    truth; its hash is stamped onto every manifest record."""
+    """Every pipeline parameter, checked when built. The config file is the
+    single source of truth; its hash is stamped onto every manifest record."""
 
     sample_rate: int = 48000
     segment_seconds: float = 12.0
@@ -57,19 +57,16 @@ class CurationConfig:
     enhancer: EnhancerSpec = field(default_factory=lambda: EnhancerSpec("spectral_gate"))
     vad: VadSpec = field(default_factory=VadSpec)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if int(self.sample_rate) != self.sample_rate or self.sample_rate <= 0:
             raise ConfigError(f"sample_rate: must be a positive integer, got {self.sample_rate}")
         try:
             flen = frame_len_samples(self.sample_rate, self.frame_seconds)
         except ValueError as exc:
             raise ConfigError(f"frame_seconds: {exc}") from exc
-        ratio = self.segment_seconds / self.frame_seconds
-        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise ConfigError(
-                f"segment_seconds: {self.segment_seconds} is not a positive integer "
-                f"multiple of frame_seconds {self.frame_seconds}"
-            )
+        whole_positive(self.segment_seconds / self.frame_seconds,
+                       f"segment_seconds: {self.segment_seconds} is not a positive integer "
+                       f"multiple of frame_seconds {self.frame_seconds}", ConfigError)
         if not math.isfinite(self.snr_threshold_db):
             raise ConfigError(f"snr_threshold_db: must be finite, got {self.snr_threshold_db}")
         if not 0 <= self.min_bandwidth_hz <= self.sample_rate / 2:
@@ -103,9 +100,7 @@ class CurationConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CurationConfig":
-        cfg = decode(cls, data, "config")
-        cfg.validate()
-        return cfg
+        return decode(cls, data, "config")
 
 
 def load_config(path: str | Path) -> CurationConfig:
@@ -118,7 +113,7 @@ class CuratedSegment:
     """One accepted fixed-duration block with its per-frame metadata.
 
     This is the manifest record; every field round-trips bit-exactly
-    through JSON.
+    through JSON. Invariants checkable without the config are checked when built.
     """
 
     source_uri: str
@@ -139,8 +134,7 @@ class CuratedSegment:
     def duration_seconds(self) -> float:
         return (self.end_sample - self.start_sample) / self.sample_rate
 
-    def validate(self) -> None:
-        """Structural invariants checkable without the original config."""
+    def __post_init__(self) -> None:
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if not self.frame_rho or len(self.frame_rho) != len(self.frame_fc):
@@ -165,7 +159,6 @@ class CuratedSegment:
 
     def validate_against(self, cfg: CurationConfig) -> None:
         """Gate invariants, checkable only with the producing config."""
-        self.validate()
         if self.end_sample - self.start_sample != cfg.frames_per_segment * cfg.frame_len:
             raise ValueError("segment span does not equal the configured duration")
         if not all(r > cfg.snr_threshold_db for r in self.frame_rho):
@@ -178,9 +171,7 @@ class CuratedSegment:
 
     @classmethod
     def from_json(cls, line: str) -> "CuratedSegment":
-        seg = decode(cls, json.loads(line), "record")
-        seg.validate()
-        return seg
+        return decode(cls, json.loads(line), "record")
 
 
 def rho_hat(
@@ -325,20 +316,23 @@ def curate_file(buf: AudioBuffer, cfg: CurationConfig) -> list[CuratedSegment]:
 
 
 def append_manifest(path: str | Path, segments: Sequence[CuratedSegment]) -> None:
-    """Append validated records to a JSONL manifest."""
+    """Append records to a JSONL manifest."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     with p.open("a", encoding="utf-8") as fh:
         for seg in segments:
-            seg.validate()
             fh.write(seg.to_json() + "\n")
 
 
 def load_manifest(path: str | Path) -> tuple[list[CuratedSegment], int]:
-    """Read a JSONL manifest; malformed records are skipped and counted."""
+    """Read a JSONL manifest; malformed records are skipped and counted, a
+    missing manifest is a ConfigError."""
+    p = Path(path)
+    if not p.is_file():
+        raise ConfigError(f"manifest not found: {p}")
     segments: list[CuratedSegment] = []
     skipped = 0
-    with Path(path).open("rb") as fh:  # decoded per line, so a bad byte costs one record
+    with p.open("rb") as fh:  # decoded per line, so a bad byte costs one record
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")
@@ -369,16 +363,12 @@ def run_round(
     """Curate every corpus file, append segments to the manifest and write
     a round report next to it, at ``{manifest}.round{round_id}.report.json``.
 
-    Records are written in corpus order by a single writer, so a rerun
-    with identical inputs produces byte-identical manifest records.
+    ``jobs`` (at least 1) threads curate the files; a single writer appends
+    the records in corpus order, so a rerun gives byte-identical records.
     """
-    cfg.validate()
     sources = [str(p) for p in corpus]
-    if jobs > 1 and sources:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda s: _curate_one(s, cfg), sources))
-    else:
-        results = [_curate_one(s, cfg) for s in sources]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        results = list(pool.map(lambda s: _curate_one(s, cfg), sources))
 
     all_segments: list[CuratedSegment] = []
     failures: list[dict[str, str]] = []
@@ -436,11 +426,13 @@ def export_ab_pairs(
     segment. Segments are grouped by source: each source is read once and
     enhanced once per distinct enhancer, and only the current source's
     buffers are held. A segment whose source is unreadable, that ends past
-    its source, whose enhancer identifier does not decode or whose
-    enhancement fails is skipped and counted.
+    its source, whose enhancer identifier does not decode, whose
+    enhancement fails or whose pair is already written is skipped and counted.
 
-    Files are named ``{stem}_r{round}_{start}_{side}.wav``; sources that
-    share a stem use ``{stem}_{first 8 hex digits of sha256(source_uri)}``.
+    Files are named ``{stem}_r{round}_{start}_{side}.wav``. Sources that
+    share a stem use ``{stem}_{tag}``, and different enhancers that share
+    one source's ``r{round}_{start}`` add ``_{tag}`` after the start; a tag
+    is the first 8 hex digits of sha256(source_uri or enhancer identifier).
     The enhancer runs with ``stft_cfg`` (default StftConfig()), not the
     round's STFT, which the manifest does not record: after a round with
     another STFT the enhanced side differs from the one that was scored.
@@ -478,7 +470,10 @@ def export_ab_pairs(
                                source_uri, seg.start_sample, exc)
                 continue
             by_enhancer.setdefault(spec.identifier(), (spec, []))[1].append(seg)
-        for spec, same in by_enhancer.values():
+        enhancers_at = Counter(key for _, same in by_enhancer.values()
+                               for key in {(seg.round_id, seg.start_sample) for seg in same})
+        written: set[str] = set()
+        for eid, (spec, same) in by_enhancer.items():
             try:
                 enhanced = enhance(buf, spec, stft_cfg)
             except Exception as exc:
@@ -488,6 +483,13 @@ def export_ab_pairs(
                 continue
             for seg in same:
                 name = f"{stem}_r{seg.round_id}_{seg.start_sample}"
+                if enhancers_at[seg.round_id, seg.start_sample] > 1:
+                    name += "_" + hashlib.sha256(eid.encode("utf-8")).hexdigest()[:8]
+                if name in written:
+                    skipped += 1
+                    logger.warning("skipping segment of %s: pair %s already written", source_uri, name)
+                    continue
+                written.add(name)
                 sl = slice(seg.start_sample, seg.end_sample)
                 write_wav(out / f"{name}_unprocessed.wav",
                           AudioBuffer(buf.samples[sl], buf.sample_rate), "float32")

@@ -22,6 +22,7 @@ from .audio_io import AudioBuffer, frame_len_samples, frame_matrix
 from .curation import DEFAULT_RHO_BIN_WIDTH_DB, CuratedSegment, load_manifest, rho_bin_counts
 from .dsp import rms_db
 from .enhance import check_external_command, run_exchange_command
+from .schema import ConfigError
 
 logger = logging.getLogger(__name__)
 
@@ -224,7 +225,7 @@ def resolve_metric(metric_id: str) -> MetricFn:
         command = metric_id[len("external:") :]
         check_external_command(command, ("reference", "degraded"), "metric")
         return _external_metric(command)
-    raise ValueError(f"unknown metric {metric_id!r}")
+    raise ConfigError(f"unknown metric {metric_id!r}")
 
 
 def delta_quality(triple: EvalTriple, metric_id: str = "segmental_snr") -> float:

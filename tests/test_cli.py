@@ -236,7 +236,7 @@ def test_eval_unknown_metric_fails_the_run(tmp_path, capsys):
     enh.write_text('{"kind": "identity"}')
     capsys.readouterr()
     assert main(["eval", "--pairs", str(pairs), "--enhancer-config", str(enh),
-                 "--metric", "nope"]) == 1
+                 "--metric", "nope"]) == 2
     assert capsys.readouterr().out == ""
 
 
@@ -252,3 +252,33 @@ def test_unexpected_failure_exits_1(tmp_path, monkeypatch):
     code = main(["curate", "--config", str(cfg), "--corpus", str(corpus / "*.wav"),
                  "--manifest", str(tmp_path / "m.jsonl")])
     assert code == 1
+
+
+# argv ({tmp} is the test directory) and environment of one user error each
+USER_ERRORS = [
+    pytest.param(["eval", "--pairs", "{tmp}/pairs", "--enhancer-config", "{tmp}/enh.json",
+                  "--metric", "nope"], {}, id="unknown-metric"),
+    pytest.param(["report", "{tmp}/missing.jsonl", "--out", "{tmp}/report"], {},
+                 id="report-missing-manifest"),
+    pytest.param(["export-ab", "--manifest", "{tmp}/missing.jsonl", "--out", "{tmp}/ab"], {},
+                 id="export-missing-manifest"),
+    pytest.param(["curate", "--config", "{tmp}/config.json", "--corpus", "{tmp}/corpus/*.wav",
+                  "--manifest", "{tmp}/m.jsonl", "--jobs", "0"], {}, id="jobs-zero"),
+    pytest.param(["synth", "--out", "{tmp}/more", "--count", "1", "--duration", "1"],
+                 {"SECP_LOG": "bogus"}, id="unknown-log-level"),
+]
+
+
+@pytest.mark.parametrize("argv, env", USER_ERRORS)
+def test_user_error_exits_2_with_one_line(tmp_path, capsys, caplog, monkeypatch, argv, env):
+    main(["synth", "--out", str(tmp_path / "pairs"), "--count", "1", "--duration", "1"])
+    (tmp_path / "enh.json").write_text('{"kind": "identity"}')
+    write_config(tmp_path)
+    write_corpus(tmp_path, count=1)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    capsys.readouterr()
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not [r for r in caplog.records if r.exc_info]

@@ -1,6 +1,7 @@
 """Curation engine tests: scoring, gates, segment extraction, rounds,
 manifests and A/B export."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -30,7 +31,7 @@ from speechmine.curation import (
 )
 from speechmine.dsp import StftConfig
 from speechmine.enhance import EnhancerSpec
-from speechmine.evalgen import synth_clean
+from speechmine.evalgen import NoiseSpec, inject_noise, synth_clean
 from speechmine.schema import decode
 from speechmine.vad import VadSpec
 
@@ -135,23 +136,27 @@ class TestExtractSegments:
 
 class TestCuratedSegment:
     def test_valid_passes(self):
-        make_segment().validate()
+        make_segment()
 
     def test_misaligned_start_rejected(self):
         with pytest.raises(ValueError, match="aligned"):
-            make_segment(start_sample=100, end_sample=12 * FS + 100).validate()
+            make_segment(start_sample=100, end_sample=12 * FS + 100)
 
     def test_span_not_divisible_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
-            make_segment(end_sample=12 * FS + 7).validate()
+            make_segment(end_sample=12 * FS + 7)
 
     def test_fc_beyond_nyquist_rejected(self):
         with pytest.raises(ValueError, match="Nyquist"):
-            make_segment(frame_fc=[25000.0] * 12).validate()
+            make_segment(frame_fc=[25000.0] * 12)
 
     def test_rho_fc_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal-length"):
-            make_segment(frame_fc=[24000.0] * 11).validate()
+            make_segment(frame_fc=[24000.0] * 11)
+
+    def test_negative_start_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            make_segment(start_sample=-12 * FS, end_sample=0)
 
     def test_validate_against_config(self):
         cfg = CurationConfig()
@@ -231,7 +236,6 @@ class TestManifest:
 class TestConfig:
     def test_defaults_follow_published_operating_point(self):
         cfg = CurationConfig()
-        cfg.validate()
         assert cfg.segment_seconds == 12.0
         assert cfg.frame_seconds == 1.0
         assert cfg.snr_threshold_db == 20.0
@@ -239,15 +243,23 @@ class TestConfig:
 
     def test_negative_bandwidth_names_field(self):
         with pytest.raises(ConfigError, match="min_bandwidth_hz"):
-            CurationConfig(min_bandwidth_hz=-1.0).validate()
+            CurationConfig(min_bandwidth_hz=-1.0)
 
     def test_segment_not_multiple_of_frame(self):
         with pytest.raises(ConfigError, match="segment_seconds"):
-            CurationConfig(segment_seconds=12.5).validate()
+            CurationConfig(segment_seconds=12.5)
 
     def test_frame_shorter_than_window(self):
         with pytest.raises(ConfigError, match="analysis window"):
-            CurationConfig(frame_seconds=0.025).validate()
+            CurationConfig(frame_seconds=0.025)
+
+    def test_nan_snr_threshold_rejected(self):
+        with pytest.raises(ConfigError, match="snr_threshold_db"):
+            CurationConfig(snr_threshold_db=float("nan"))
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            CurationConfig().segment_seconds = 12.5
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown config field"):
@@ -500,6 +512,63 @@ class TestExportAbPairs:
             + [f"x_{tags[1]}_r0_0_{side}.wav" for side in ("enhanced", "unprocessed")]
             + ["y_r0_0_enhanced.wav", "y_r0_0_unprocessed.wav"]  # a unique stem keeps its name
         )
+
+
+    def test_one_segment_under_two_enhancers_keeps_both_pairs(self, tmp_path):
+        src = tmp_path / "x.wav"
+        write_wav(src, synth_clean(13.0, FS, seed=66), "float32")
+        ids = ['{"kind":"identity"}', '{"kind":"spectral_gate"}']
+        out = tmp_path / "ab"
+        pairs = export_ab_pairs([make_segment(source_uri=str(src), enhancer_id=i) for i in ids], out)
+        names = sorted(p.name for p in out.glob("*.wav"))
+        assert pairs == len(names) // 2 == 2
+        tags = [hashlib.sha256(decode(EnhancerSpec, json.loads(i), "e").identifier().encode("utf-8"))
+                .hexdigest()[:8] for i in ids]
+        assert names == sorted(f"x_r0_0_{tag}_{side}.wav" for tag in tags
+                               for side in ("enhanced", "unprocessed"))
+
+    def test_duplicate_record_written_once_and_counted(self, tmp_path, caplog):
+        src = tmp_path / "x.wav"
+        write_wav(src, synth_clean(13.0, FS, seed=67), "float32")
+        seg = make_segment(source_uri=str(src))
+        out = tmp_path / "ab"
+        with caplog.at_level("WARNING"):
+            assert export_ab_pairs([seg, seg], out) == 1
+        assert "skipped 1" in caplog.text
+        assert sorted(p.name for p in out.glob("*.wav")) == ["x_r0_0_enhanced.wav", "x_r0_0_unprocessed.wav"]
+
+
+class TestMetamorphic:
+    """Curation reads level ratios only, so flipping the polarity or
+    scaling by a power of two (exact in floating point) keeps the records."""
+
+    # 18-dB mixes through a 6-dB gate: even at gain 2^-3 the quietest tenth of
+    # the VAD windows sits above -75 dB, so the VAD's -60 dB floor never sets
+    # its threshold, and every level is far above RMS_FLOOR
+    CFG = CurationConfig(segment_seconds=4.0, snr_threshold_db=5.0,
+                         enhancer=EnhancerSpec("spectral_gate", {"attenuation_db": 6.0}))
+
+    @pytest.fixture(scope="class", params=[0, 1, 2])
+    def curated(self, request):
+        clean = synth_clean(20.0, FS, seed=request.param)
+        noisy, _ = inject_noise(clean, NoiseSpec(snr_clip=(18.0, 18.5), seed=request.param))
+        segments = curate_file(noisy, self.CFG)
+        assert segments
+        return noisy.samples, segments
+
+    def test_polarity(self, curated):
+        x, want = curated
+        got = curate_file(AudioBuffer(-x, FS), self.CFG)
+        assert [s.to_json() for s in got] == [s.to_json() for s in want]
+
+    @pytest.mark.parametrize("k", [-3, 2])
+    def test_power_of_two_gain(self, curated, k):
+        x, want = curated
+        got = curate_file(AudioBuffer(x * 2.0**k, FS), self.CFG)
+        assert [(s.start_sample, s.end_sample, s.frame_fc) for s in got] == [
+            (s.start_sample, s.end_sample, s.frame_fc) for s in want]
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g.frame_rho, w.frame_rho, rtol=0, atol=1e-9)
 
 
 class TestRhoBinCounts:
