@@ -32,7 +32,6 @@ from .evalgen import (
     delta_quality,
     inject_noise,
     load_manifests,
-    register_metric,
     rho_histogram,
     segmental_snr,
     synth_clean,
@@ -71,7 +70,6 @@ __all__ = [
     "load_manifest",
     "load_manifests",
     "read_wav",
-    "register_metric",
     "rho_hat",
     "rho_histogram",
     "rms_db",

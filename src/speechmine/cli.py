@@ -16,6 +16,7 @@ import dataclasses
 import glob
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -25,9 +26,11 @@ from .audio_io import WavError, read_wav, write_wav
 from .curation import (
     DEFAULT_RHO_BIN_WIDTH_DB,
     ConfigError,
+    CurationConfig,
     export_ab_pairs,
     filter_manifest,
     load_config,
+    load_round_configs,
     run_round,
 )
 from .enhance import EnhancerError, EnhancerSpec, enhance
@@ -42,11 +45,13 @@ EXIT_CONFIG = 2
 EXIT_EMPTY_CORPUS = 3
 
 
-def _enhancer_from_file(path: str) -> EnhancerSpec:
+def _enhancement_from_file(path: str) -> CurationConfig:
+    """A pipeline config (one with an ``enhancer`` key), checked whole, or a
+    bare enhancer spec under the default config, so with the default STFT."""
     data = load_json(path)
     if isinstance(data, dict) and "enhancer" in data:
-        data = data["enhancer"]
-    return decode(EnhancerSpec, data, f"{path}: enhancer")
+        return CurationConfig.from_dict(data)
+    return CurationConfig(enhancer=decode(EnhancerSpec, data, f"{path}: enhancer"))
 
 
 def cmd_curate(args: argparse.Namespace) -> int:
@@ -116,7 +121,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     files = meta.get("files") if isinstance(meta, dict) else None
     if not isinstance(files, list):
         raise ConfigError(f"{meta_path}: expected an object holding a files list")
-    spec = _enhancer_from_file(args.enhancer_config)
+    cfg = _enhancement_from_file(args.enhancer_config)
     evalgen.resolve_metric(args.metric)  # an unknown metric fails the run, not every entry
 
     per_file = []
@@ -132,7 +137,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         try:
             clean = read_wav(clean_path)
             noisy = read_wav(noisy_path)
-            triple = EvalTriple.from_components(clean, noisy, enhance(noisy, spec))
+            triple = EvalTriple.from_components(clean, noisy, enhance(noisy, cfg.enhancer, cfg.stft))
             delta = delta_quality(triple, args.metric)
         except (WavError, EnhancerError, ValueError) as exc:
             skipped += 1
@@ -143,7 +148,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
     report = {
         "metric": args.metric,
-        "enhancer": spec.identifier(),
+        "enhancer": cfg.enhancer.identifier(),
         "files_evaluated": len(per_file),
         "files_skipped": skipped,
         "mean_delta": (sum(f["delta"] for f in per_file) / len(per_file)) if per_file else None,
@@ -159,6 +164,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.bin_width) and args.bin_width > 0):
+        raise ConfigError(f"--bin-width: must be a finite positive number, got {args.bin_width}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     segments = evalgen.load_manifests(args.manifests)
@@ -190,8 +197,12 @@ def cmd_export_ab(args: argparse.Namespace) -> int:
     segments = filter_manifest(
         evalgen.load_manifests([args.manifest]), min_rho=args.min_rho, max_rho=args.max_rho
     )
-    enhancer = _enhancer_from_file(args.enhancer_config) if args.enhancer_config else None
-    pairs = export_ab_pairs(segments, args.out, enhancer=enhancer)
+    override, configs = None, {}
+    if args.enhancer_config:
+        override = _enhancement_from_file(args.enhancer_config)
+    else:
+        configs = load_round_configs(args.manifest, {seg.round_id for seg in segments})
+    pairs = export_ab_pairs(segments, args.out, configs, enhancer=override)
     print(f"exported {pairs} A/B pair(s) to {args.out}")
     return EXIT_OK
 
@@ -226,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score an enhancer on a clean/noisy pair corpus")
     p.add_argument("--pairs", required=True, help="directory produced by synth")
-    p.add_argument("--enhancer-config", required=True, help="JSON enhancer spec")
+    p.add_argument("--enhancer-config", required=True,
+                   help="enhancer spec or pipeline config; a config's STFT is used too")
     p.add_argument("--metric", default="segmental_snr")
     p.add_argument("--out", default=None, help="report path (default: stdout)")
     p.set_defaults(func=cmd_eval)
@@ -245,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rho", type=float, default=None,
                    help="keep segments whose strongest frame stays at or under this bound")
     p.add_argument("--enhancer-config", default=None,
-                   help="override the enhancer recorded in the manifest")
+                   help="enhancer spec or pipeline config; a config's STFT is used too "
+                        "(default: each round's config)")
     p.set_defaults(func=cmd_export_ab)
     return parser
 

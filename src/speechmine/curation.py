@@ -16,12 +16,14 @@ import hashlib
 import json
 import logging
 import math
+import os
+import uuid
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -239,10 +241,11 @@ def extract_segments(accept: np.ndarray, k: int) -> list[tuple[int, int]]:
 
 @dataclass
 class RoundReport:
-    """Aggregate statistics for one corpus pass."""
+    """Aggregate statistics for one corpus pass and the config that ran it."""
 
     round_id: int
     config_hash: str
+    config: CurationConfig
     files_processed: int
     failures: list[dict[str, str]]
     segment_count: int
@@ -252,6 +255,40 @@ class RoundReport:
 
     def to_json(self) -> str:
         return json.dumps(encode(self), indent=2, sort_keys=True)
+
+
+def round_report_path(manifest: str | Path, round_id: int) -> Path:
+    """Where a round's report file sits next to its manifest."""
+    return Path(f"{manifest}.round{round_id}.report.json")
+
+
+def _write_text_atomic(path: Path, text: str) -> None:
+    """Replace a file's text in one step: a failure leaves the old file or
+    the new one, never part of one, and no temporary file."""
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def load_round_configs(manifest: str | Path, round_ids: Iterable[int]) -> dict[str, CurationConfig]:
+    """``{config_hash: config}`` from the report files of the given rounds of
+    a manifest. A missing report file is passed over; one that does not
+    decode is logged and passed over."""
+    configs: dict[str, CurationConfig] = {}
+    for round_id in sorted(set(round_ids)):
+        path = round_report_path(manifest, round_id)
+        if not path.is_file():
+            continue
+        try:
+            cfg = CurationConfig.from_dict(load_json(path, "round report")["config"])
+        except (ConfigError, KeyError, TypeError) as exc:
+            logger.warning("%s: no round config: %s", path, exc)
+            continue
+        configs[cfg.config_hash()] = cfg
+    return configs
 
 
 def rho_bin_counts(
@@ -361,7 +398,8 @@ def run_round(
     jobs: int = 1,
 ) -> RoundReport:
     """Curate every corpus file, append segments to the manifest and write
-    a round report next to it, at ``{manifest}.round{round_id}.report.json``.
+    a round report, which holds the config, next to it at
+    ``{manifest}.round{round_id}.report.json``.
 
     ``jobs`` (at least 1) threads curate the files; a single writer appends
     the records in corpus order, so a rerun gives byte-identical records.
@@ -382,6 +420,7 @@ def run_round(
     report = RoundReport(
         round_id=cfg.round_id,
         config_hash=cfg.config_hash(),
+        config=cfg,
         files_processed=len(sources),
         failures=failures,
         segment_count=len(all_segments),
@@ -389,9 +428,7 @@ def run_round(
         rho_histogram=rho_bin_counts(rho_values),
         generated_at=datetime.now(timezone.utc).isoformat(),
     )
-    report_path = Path(f"{manifest_out}.round{cfg.round_id}.report.json")
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    report_path.write_text(report.to_json() + "\n", encoding="utf-8")
+    _write_text_atomic(round_report_path(manifest_out, cfg.round_id), report.to_json() + "\n")
     return report
 
 
@@ -416,26 +453,28 @@ def filter_manifest(
 def export_ab_pairs(
     segments: Sequence[CuratedSegment],
     out_dir: str | Path,
-    enhancer: EnhancerSpec | None = None,
-    stft_cfg: StftConfig | None = None,
+    configs: Mapping[str, CurationConfig],
+    enhancer: CurationConfig | None = None,
 ) -> int:
     """Write one unprocessed/enhanced WAV pair per segment for A/B listening.
 
-    The enhanced side re-runs the enhancer recorded in each segment (or an
-    explicit override) over the whole source file, then slices the exact
-    segment. Segments are grouped by source: each source is read once and
-    enhanced once per distinct enhancer, and only the current source's
-    buffers are held. A segment whose source is unreadable, that ends past
-    its source, whose enhancer identifier does not decode, whose
-    enhancement fails or whose pair is already written is skipped and counted.
+    The enhanced side re-runs an enhancer and STFT over the whole source
+    file, then slices the exact segment. They are taken, in this order,
+    from the override config ``enhancer``; from ``configs[seg.config_hash]``,
+    the config of the round that scored the segment; or from the segment's
+    ``enhancer_id`` with the default StftConfig(). Segments that take the
+    last path are counted and logged once. Segments are grouped by source:
+    each source is read once and enhanced once per distinct enhancer and
+    STFT, and only the current source's buffers are held. A segment whose
+    source is unreadable, that ends past its source, whose enhancer
+    identifier does not decode, whose enhancement fails or whose pair is
+    already written is skipped and counted.
 
     Files are named ``{stem}_r{round}_{start}_{side}.wav``. Sources that
     share a stem use ``{stem}_{tag}``, and different enhancers that share
     one source's ``r{round}_{start}`` add ``_{tag}`` after the start; a tag
     is the first 8 hex digits of sha256(source_uri or enhancer identifier).
-    The enhancer runs with ``stft_cfg`` (default StftConfig()), not the
-    round's STFT, which the manifest does not record: after a round with
-    another STFT the enhanced side differs from the one that was scored.
+    One enhancer under two STFTs at the same name writes its first pair.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -447,6 +486,7 @@ def export_ab_pairs(
 
     pairs = 0
     skipped = 0
+    fallback = 0
     for source_uri, group in by_source.items():
         stem = Path(source_uri).stem
         if stem_count[stem] > 1:
@@ -457,25 +497,30 @@ def export_ab_pairs(
             skipped += len(group)
             logger.warning("skipping %d segment(s) of %s: %s", len(group), source_uri, exc)
             continue
-        # canonical enhancer identifier -> (spec, segments), in order of first appearance
-        by_enhancer: dict[str, tuple[EnhancerSpec, list[CuratedSegment]]] = {}
+        # (canonical enhancer identifier, STFT) -> (config, segments), in order of first appearance
+        by_enhancer: dict[tuple[str, StftConfig], tuple[CurationConfig, list[CuratedSegment]]] = {}
         for seg in group:
             try:
                 if seg.end_sample > len(buf):
                     raise ValueError(f"ends at sample {seg.end_sample}, past the source's {len(buf)}")
-                spec = enhancer or decode(EnhancerSpec, json.loads(seg.enhancer_id), "enhancer_id")
+                cfg = enhancer if enhancer is not None else configs.get(seg.config_hash)
+                if cfg is None:
+                    spec = decode(EnhancerSpec, json.loads(seg.enhancer_id), "enhancer_id")
+                    cfg = CurationConfig(enhancer=spec)
+                    fallback += 1
             except ValueError as exc:  # also ConfigError and JSONDecodeError
                 skipped += 1
                 logger.warning("skipping segment of %s at sample %d: %s",
                                source_uri, seg.start_sample, exc)
                 continue
-            by_enhancer.setdefault(spec.identifier(), (spec, []))[1].append(seg)
+            key = (cfg.enhancer.identifier(), cfg.stft)
+            by_enhancer.setdefault(key, (cfg, []))[1].append(seg)
         enhancers_at = Counter(key for _, same in by_enhancer.values()
                                for key in {(seg.round_id, seg.start_sample) for seg in same})
         written: set[str] = set()
-        for eid, (spec, same) in by_enhancer.items():
+        for (eid, _), (cfg, same) in by_enhancer.items():
             try:
-                enhanced = enhance(buf, spec, stft_cfg)
+                enhanced = enhance(buf, cfg.enhancer, cfg.stft)
             except Exception as exc:
                 skipped += len(same)
                 logger.warning("skipping %d segment(s) of %s: enhancement failed: %s",
@@ -496,6 +541,9 @@ def export_ab_pairs(
                 write_wav(out / f"{name}_enhanced.wav",
                           AudioBuffer(enhanced.samples[sl], buf.sample_rate), "float32")
                 pairs += 1
+    if fallback:
+        logger.warning("%d segment(s) have no round config; their enhancer_id and the "
+                       "default STFT were used", fallback)
     if skipped:
         logger.warning("export skipped %d segment(s)", skipped)
     return pairs

@@ -190,8 +190,9 @@ def run_exchange_command(
     return proc.stdout, result
 
 
-def enhance(buf: AudioBuffer, spec: EnhancerSpec, stft_cfg: StftConfig | None = None) -> AudioBuffer:
-    """Run the configured backend and enforce the shape-alignment contract."""
+def enhance(buf: AudioBuffer, spec: EnhancerSpec, stft_cfg: StftConfig) -> AudioBuffer:
+    """Run the configured backend and enforce the shape-alignment contract.
+    ``stft_cfg`` is the analysis the spectral gate uses; other backends ignore it."""
     if spec.kind == "identity":
         out = AudioBuffer(buf.samples.copy(), buf.sample_rate, source=buf.source)
     elif spec.kind == "spectral_gate":

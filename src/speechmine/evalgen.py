@@ -195,17 +195,7 @@ def segmental_snr(reference: AudioBuffer, degraded: AudioBuffer) -> float:
     return float(np.mean(np.clip(snr, SEGSNR_MIN_DB, SEGSNR_MAX_DB)))
 
 
-MetricFn = Callable[[AudioBuffer, AudioBuffer], float]
-
-_METRICS: dict[str, MetricFn] = {"segmental_snr": segmental_snr}
-
-
-def register_metric(metric_id: str, fn: MetricFn) -> None:
-    """Add an in-process quality metric; fn(reference, degraded) -> score."""
-    _METRICS[metric_id] = fn
-
-
-def _external_metric(command: str) -> MetricFn:
+def _external_metric(command: str) -> Callable[[AudioBuffer, AudioBuffer], float]:
     def run(reference: AudioBuffer, degraded: AudioBuffer) -> float:
         stdout, _ = run_exchange_command(
             command, {"reference": reference, "degraded": degraded}, what="metric"
@@ -218,9 +208,10 @@ def _external_metric(command: str) -> MetricFn:
     return run
 
 
-def resolve_metric(metric_id: str) -> MetricFn:
-    if metric_id in _METRICS:
-        return _METRICS[metric_id]
+def resolve_metric(metric_id: str) -> Callable[[AudioBuffer, AudioBuffer], float]:
+    """``segmental_snr`` or ``external:{command}``; fn(reference, degraded) -> score."""
+    if metric_id == "segmental_snr":
+        return segmental_snr
     if metric_id.startswith("external:"):
         command = metric_id[len("external:") :]
         check_external_command(command, ("reference", "degraded"), "metric")

@@ -8,8 +8,9 @@ import pytest
 from speechmine.audio_io import read_wav, write_wav
 from speechmine.cli import main
 from speechmine.curation import CurationConfig, load_manifest
-from speechmine.enhance import EnhancerSpec
-from speechmine.evalgen import synth_clean
+from speechmine.dsp import StftConfig
+from speechmine.enhance import EnhancerSpec, enhance
+from speechmine.evalgen import EvalTriple, NoiseSpec, delta_quality, inject_noise, synth_clean
 from speechmine.vad import VadSpec
 
 FS = 48000
@@ -282,3 +283,109 @@ def test_user_error_exits_2_with_one_line(tmp_path, capsys, caplog, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not [r for r in caplog.records if r.exc_info]
+
+
+@pytest.mark.parametrize("width", ["0", "nan", "-5", "inf"])
+def test_report_bin_width_must_be_finite_positive(tmp_path, capsys, width):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text("")
+    assert main(["report", str(manifest), "--out", str(tmp_path / "r"), f"--bin-width={width}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --bin-width") and err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
+
+
+# A round with a non-default STFT: a 12-s spectral-gate mix at 30 dB SNR
+# curates 2 four-second segments under a 1024-sample window.
+STFT_1024 = CurationConfig(segment_seconds=4.0, stft=StftConfig(window_len=1024))
+
+
+class TestExportRoundConfig:
+    def _round(self, tmp_path):
+        noisy, _ = inject_noise(synth_clean(12.0, FS, seed=0), NoiseSpec(snr_clip=(30.0, 30.5), seed=1))
+        src = tmp_path / "corpus" / "mix.wav"
+        src.parent.mkdir()
+        write_wav(src, noisy, "float32")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(STFT_1024.to_dict()))
+        manifest = tmp_path / "m.jsonl"
+        assert main(["curate", "--config", str(cfg_path), "--corpus", str(src),
+                     "--manifest", str(manifest)]) == 0
+        segments, _ = load_manifest(manifest)
+        assert len(segments) == 2
+        return manifest, segments, read_wav(src)
+
+    def _exported(self, out, segments, buf, stft_cfg):
+        """Whether every exported enhanced side equals, as float32, the
+        enhancement of its source under stft_cfg."""
+        enhanced = enhance(buf, STFT_1024.enhancer, stft_cfg).samples.astype(np.float32)
+        return all(
+            np.array_equal(read_wav(out / f"mix_r0_{seg.start_sample}_enhanced.wav").samples,
+                           enhanced[seg.start_sample:seg.end_sample])
+            for seg in segments
+        )
+
+    def test_enhanced_side_is_the_scored_enhancement(self, tmp_path):
+        manifest, segments, buf = self._round(tmp_path)
+        out = tmp_path / "ab"
+        assert main(["export-ab", "--manifest", str(manifest), "--out", str(out)]) == 0
+        assert self._exported(out, segments, buf, STFT_1024.stft)
+        assert not self._exported(out, segments, buf, StftConfig())
+
+    @pytest.mark.parametrize("spoil", [
+        pytest.param(lambda p: p.unlink(), id="missing"),
+        pytest.param(lambda p: p.write_text(p.read_text()[:200]), id="torn"),
+        pytest.param(lambda p: p.write_text('{"round_id": 0, "failures": []}'), id="no-config"),
+    ])
+    def test_report_without_config_falls_back_logged_once(self, tmp_path, caplog, spoil):
+        manifest, segments, buf = self._round(tmp_path)
+        spoil(tmp_path / "m.jsonl.round0.report.json")
+        out = tmp_path / "ab"
+        with caplog.at_level("WARNING"):
+            assert main(["export-ab", "--manifest", str(manifest), "--out", str(out)]) == 0
+        assert self._exported(out, segments, buf, StftConfig())
+        fallback = [r.getMessage() for r in caplog.records if "no round config;" in r.getMessage()]
+        assert fallback == ["2 segment(s) have no round config; their enhancer_id and the "
+                            "default STFT were used"]
+
+    def test_override_config_replaces_enhancer_and_stft(self, tmp_path):
+        manifest, segments, buf = self._round(tmp_path)
+        override = tmp_path / "override.json"
+        override.write_text(json.dumps(CurationConfig().to_dict()))
+        out = tmp_path / "ab"
+        assert main(["export-ab", "--manifest", str(manifest), "--out", str(out),
+                     "--enhancer-config", str(override)]) == 0
+        assert self._exported(out, segments, buf, StftConfig())
+
+
+class TestEvalConfig:
+    @pytest.mark.parametrize("data, used, unused", [
+        pytest.param(STFT_1024.to_dict(), STFT_1024.stft, StftConfig(), id="config-1024"),
+        pytest.param({"kind": "spectral_gate"}, StftConfig(), STFT_1024.stft, id="bare-spec"),
+    ])
+    def test_config_stft_is_used(self, tmp_path, capsys, data, used, unused):
+        pairs = tmp_path / "pairs"
+        main(["synth", "--out", str(pairs), "--count", "1", "--duration", "3", "--seed", "2"])
+        enh = tmp_path / "enh.json"
+        enh.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["eval", "--pairs", str(pairs), "--enhancer-config", str(enh)]) == 0
+        got = json.loads(capsys.readouterr().out)["per_file"][0]["delta"]
+        clean, noisy = read_wav(pairs / "clean_000.wav"), read_wav(pairs / "noisy_000.wav")
+        spec = EnhancerSpec("spectral_gate")
+
+        def delta(cfg):
+            return delta_quality(EvalTriple.from_components(clean, noisy, enhance(noisy, spec, cfg)))
+
+        assert got == delta(used)
+        assert got != delta(unused)
+
+    def test_unknown_config_field_exits_2(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs"
+        main(["synth", "--out", str(pairs), "--count", "1", "--duration", "1"])
+        enh = tmp_path / "enh.json"
+        enh.write_text(json.dumps({**STFT_1024.to_dict(), "stfft": 1}))
+        capsys.readouterr()
+        assert main(["eval", "--pairs", str(pairs), "--enhancer-config", str(enh)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "stfft" in captured.err

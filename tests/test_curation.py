@@ -4,6 +4,7 @@ manifests and A/B export."""
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from speechmine.curation import (
     filter_manifest,
     load_config,
     load_manifest,
+    load_round_configs,
     rho_bin_counts,
     rho_hat,
     run_round,
@@ -36,6 +38,16 @@ from speechmine.schema import decode
 from speechmine.vad import VadSpec
 
 FS = 48000
+
+
+# every field set to a value other than its default
+ALL_FIELDS_CONFIG = CurationConfig(
+    sample_rate=44100, segment_seconds=6.0, frame_seconds=0.5, snr_threshold_db=25.0,
+    min_bandwidth_hz=18000.0, rho_max_db=90.0, round_id=2,
+    stft=StftConfig(window_len=1024, hop=256, window="hann"),
+    enhancer=EnhancerSpec("spectral_gate", {"gate_threshold_db": 15.0, "attenuation_db": 30.0}),
+    vad=VadSpec("energy", window_seconds=0.03, relative_threshold_db=12.0, absolute_floor_db=-55.0),
+)
 
 
 class TestRhoHat:
@@ -291,13 +303,7 @@ class TestConfig:
         assert CurationConfig.from_dict({"vad": {"kind": "energy"}}).config_hash() == golden
 
     def test_all_fields_config_hash_is_golden(self):
-        cfg = CurationConfig(
-            sample_rate=44100, segment_seconds=6.0, frame_seconds=0.5, snr_threshold_db=25.0,
-            min_bandwidth_hz=18000.0, rho_max_db=90.0, round_id=2,
-            stft=StftConfig(window_len=1024, hop=256, window="hann"),
-            enhancer=EnhancerSpec("spectral_gate", {"gate_threshold_db": 15.0, "attenuation_db": 30.0}),
-            vad=VadSpec("energy", window_seconds=0.03, relative_threshold_db=12.0, absolute_floor_db=-55.0),
-        )
+        cfg = ALL_FIELDS_CONFIG
         golden = "095c55f1097e12f80db47012a0b7199e291a772dc3ed028d0e3c6312dce0facc"
         assert cfg.config_hash() == golden
         assert CurationConfig.from_dict(json.loads(cfg.canonical_text())).config_hash() == golden
@@ -384,6 +390,55 @@ class TestRunRound:
         assert report.segment_count == 0
         assert manifest.read_text() == ""
 
+    @pytest.mark.parametrize("golden, cfg", [
+        pytest.param("109f363a1e2abd73515818bfcaadb657a7daab9dc781dbd3215a9517719d890a",
+                     CurationConfig(), id="default"),
+        pytest.param("095c55f1097e12f80db47012a0b7199e291a772dc3ed028d0e3c6312dce0facc",
+                     ALL_FIELDS_CONFIG, id="all-fields"),
+    ])
+    def test_report_config_reloads_to_every_record_hash(self, tmp_path, golden, cfg):
+        corpus = []
+        for seed in (0, 3):  # at 40 dB, one of the two files yields a segment under each config
+            noisy, _ = inject_noise(synth_clean(13.0, cfg.sample_rate, seed=seed),
+                                    NoiseSpec(snr_clip=(40.0, 40.5), seed=1))
+            corpus.append(tmp_path / f"f{seed}.wav")
+            write_wav(corpus[-1], noisy, "float32")
+        manifest = tmp_path / "m.jsonl"
+        run_round(corpus, cfg, manifest)
+        records, _ = load_manifest(manifest)
+        assert records
+        configs = load_round_configs(manifest, {seg.round_id for seg in records})
+        assert configs == {golden: cfg}
+        assert {seg.config_hash for seg in records} == {golden}
+
+    @pytest.mark.parametrize("fail", ["write", "replace"])
+    def test_failed_report_write_keeps_the_previous_report(self, tmp_path, monkeypatch, fail):
+        corpus = self._write_corpus(tmp_path, count=1)
+        manifest = tmp_path / "m.jsonl"
+        run_round(corpus, self._config(), manifest)
+        report_path = tmp_path / "m.jsonl.round0.report.json"
+        before = report_path.read_text()
+        real_write_text = Path.write_text
+
+        def torn_write_text(path, text, *args, **kwargs):
+            real_write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        if fail == "write":
+            monkeypatch.setattr(Path, "write_text", torn_write_text)
+        else:
+            monkeypatch.setattr(curation.os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            run_round(corpus, dataclasses.replace(self._config(), snr_threshold_db=30.0), manifest)
+        monkeypatch.undo()
+        assert report_path.read_text() == before
+        assert json.loads(before)["config"] == self._config().to_dict()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "f0.wav", "m.jsonl", "m.jsonl.round0.report.json"]
+
 
 class TestExportAbPairs:
     def _curated_manifest(self, tmp_path, enhancer, count=3):
@@ -400,7 +455,7 @@ class TestExportAbPairs:
     def test_pair_lengths_and_count(self, tmp_path):
         manifest = self._curated_manifest(tmp_path, EnhancerSpec("identity"))
         out = tmp_path / "ab"
-        assert export_ab_pairs(load_manifest(manifest)[0], out) == 3
+        assert export_ab_pairs(load_manifest(manifest)[0], out, {}) == 3
         wavs = sorted(out.glob("*.wav"))
         assert len(wavs) == 6
         for w in wavs:
@@ -409,7 +464,7 @@ class TestExportAbPairs:
     def test_identity_pairs_bit_identical(self, tmp_path):
         manifest = self._curated_manifest(tmp_path, EnhancerSpec("identity"), count=1)
         out = tmp_path / "ab"
-        export_ab_pairs(load_manifest(manifest)[0], out)
+        export_ab_pairs(load_manifest(manifest)[0], out, {})
         a = read_wav(next(out.glob("*_unprocessed.wav")))
         b = read_wav(next(out.glob("*_enhanced.wav")))
         assert np.array_equal(a.samples, b.samples)
@@ -430,7 +485,7 @@ class TestExportAbPairs:
         manifest = tmp_path / "m.jsonl"
         run_round([tmp_path / "mix.wav"], cfg, manifest)
         out = tmp_path / "ab"
-        assert export_ab_pairs(load_manifest(manifest)[0], out) == 1
+        assert export_ab_pairs(load_manifest(manifest)[0], out, {}) == 1
         b = read_wav(next(out.glob("*_enhanced.wav")))
         ref = read_wav(ref_dir / "mix.wav")
         assert np.array_equal(b.samples, ref.samples[: 12 * FS])
@@ -451,7 +506,7 @@ class TestExportAbPairs:
             return read_wav(path)
 
         monkeypatch.setattr(curation, "read_wav", counting_read_wav)
-        assert export_ab_pairs(load_manifest(manifest)[0], tmp_path / "ab") == 3
+        assert export_ab_pairs(load_manifest(manifest)[0], tmp_path / "ab", {}) == 3
         assert reads == [str(src)]
         assert len(list((tmp_path / "ab").glob("*.wav"))) == 6
 
@@ -469,18 +524,18 @@ class TestExportAbPairs:
         calls = []
         real_enhance = curation.enhance
 
-        def counting_enhance(buf, spec, stft_cfg=None):
+        def counting_enhance(buf, spec, stft_cfg):
             calls.append(spec.identifier())
             return real_enhance(buf, spec, stft_cfg)
 
         monkeypatch.setattr(curation, "enhance", counting_enhance)
-        assert export_ab_pairs(load_manifest(manifest)[0], tmp_path / "ab") == 2
+        assert export_ab_pairs(load_manifest(manifest)[0], tmp_path / "ab", {}) == 2
         assert calls == [decode(EnhancerSpec, json.loads(ids[0]), "enhancer_id").identifier()]
 
     def test_missing_source_skipped_with_count(self, tmp_path, caplog):
         segments = [make_segment(source_uri=str(tmp_path / "gone.wav"))]
         with caplog.at_level("WARNING"):
-            assert export_ab_pairs(segments, tmp_path / "ab") == 0
+            assert export_ab_pairs(segments, tmp_path / "ab", {}) == 0
         assert "skipped 1" in caplog.text
 
     @pytest.mark.parametrize("bad", [
@@ -493,7 +548,7 @@ class TestExportAbPairs:
         write_wav(src, synth_clean(13.0, FS, seed=62), "float32")
         segments = [make_segment(source_uri=str(src)), make_segment(source_uri=str(src), **bad)]
         with caplog.at_level("WARNING"):
-            assert export_ab_pairs(segments, tmp_path / "ab") == 1
+            assert export_ab_pairs(segments, tmp_path / "ab", {}) == 1
         assert "skipped 1" in caplog.text
         assert len(list((tmp_path / "ab").glob("*.wav"))) == 2
 
@@ -503,7 +558,7 @@ class TestExportAbPairs:
             src.parent.mkdir()
             write_wav(src, synth_clean(13.0, FS, seed=seed), "float32")
         out = tmp_path / "ab"
-        pairs = export_ab_pairs([make_segment(source_uri=str(src)) for src in sources], out)
+        pairs = export_ab_pairs([make_segment(source_uri=str(src)) for src in sources], out, {})
         names = sorted(p.name for p in out.glob("*.wav"))
         assert pairs == len(names) // 2 == 3
         tags = [hashlib.sha256(str(src).encode("utf-8")).hexdigest()[:8] for src in sources[:2]]
@@ -519,7 +574,7 @@ class TestExportAbPairs:
         write_wav(src, synth_clean(13.0, FS, seed=66), "float32")
         ids = ['{"kind":"identity"}', '{"kind":"spectral_gate"}']
         out = tmp_path / "ab"
-        pairs = export_ab_pairs([make_segment(source_uri=str(src), enhancer_id=i) for i in ids], out)
+        pairs = export_ab_pairs([make_segment(source_uri=str(src), enhancer_id=i) for i in ids], out, {})
         names = sorted(p.name for p in out.glob("*.wav"))
         assert pairs == len(names) // 2 == 2
         tags = [hashlib.sha256(decode(EnhancerSpec, json.loads(i), "e").identifier().encode("utf-8"))
@@ -533,7 +588,7 @@ class TestExportAbPairs:
         seg = make_segment(source_uri=str(src))
         out = tmp_path / "ab"
         with caplog.at_level("WARNING"):
-            assert export_ab_pairs([seg, seg], out) == 1
+            assert export_ab_pairs([seg, seg], out, {}) == 1
         assert "skipped 1" in caplog.text
         assert sorted(p.name for p in out.glob("*.wav")) == ["x_r0_0_enhanced.wav", "x_r0_0_unprocessed.wav"]
 

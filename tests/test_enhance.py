@@ -51,14 +51,14 @@ class TestIdentity:
     def test_bit_identical(self):
         rng = np.random.default_rng(0)
         buf = AudioBuffer(rng.uniform(-0.5, 0.5, 12345), FS)
-        out = enhance(buf, EnhancerSpec("identity"))
+        out = enhance(buf, EnhancerSpec("identity"), StftConfig())
         assert np.array_equal(out.samples, buf.samples)
         assert out.samples is not buf.samples
 
     def test_deterministic(self):
         buf = AudioBuffer(np.linspace(-0.1, 0.1, 5000), FS)
-        a = enhance(buf, EnhancerSpec("identity"))
-        b = enhance(buf, EnhancerSpec("identity"))
+        a = enhance(buf, EnhancerSpec("identity"), StftConfig())
+        b = enhance(buf, EnhancerSpec("identity"), StftConfig())
         assert np.array_equal(a.samples, b.samples)
 
 
@@ -176,19 +176,19 @@ class TestOracle:
         write_wav(tmp_path / "ref" / "a.wav", AudioBuffer(clean, FS), "float32")
         write_wav(tmp_path / "a.wav", AudioBuffer(noisy, FS), "float32")
         buf = read_wav(tmp_path / "a.wav")
-        out = enhance(buf, EnhancerSpec("oracle", {"reference_dir": str(tmp_path / "ref")}))
+        out = enhance(buf, EnhancerSpec("oracle", {"reference_dir": str(tmp_path / "ref")}), StftConfig())
         assert np.array_equal(out.samples, clean)
 
     def test_missing_reference_reported(self, tmp_path):
         (tmp_path / "ref").mkdir()
         buf = AudioBuffer(np.zeros(100), FS, source=str(tmp_path / "b.wav"))
         with pytest.raises(EnhancerError, match="reference not found"):
-            enhance(buf, EnhancerSpec("oracle", {"reference_dir": str(tmp_path / "ref")}))
+            enhance(buf, EnhancerSpec("oracle", {"reference_dir": str(tmp_path / "ref")}), StftConfig())
 
     def test_sourceless_buffer_rejected(self, tmp_path):
         buf = AudioBuffer(np.zeros(100), FS)
         with pytest.raises(EnhancerError, match="source"):
-            enhance(buf, EnhancerSpec("oracle", {"reference_dir": str(tmp_path)}))
+            enhance(buf, EnhancerSpec("oracle", {"reference_dir": str(tmp_path)}), StftConfig())
 
 
 class TestExternal:
@@ -202,7 +202,7 @@ class TestExternal:
                 "exchange_dir": str(tmp_path),
             },
         )
-        out = enhance(AudioBuffer(x, FS), spec)
+        out = enhance(AudioBuffer(x, FS), spec, StftConfig())
         assert np.array_equal(out.samples, x)
 
     def test_nonzero_exit_reported_with_code(self, tmp_path):
@@ -212,7 +212,7 @@ class TestExternal:
              "exchange_dir": str(tmp_path)},
         )
         with pytest.raises(EnhancerError, match="exited 3"):
-            enhance(AudioBuffer(np.zeros(1000), FS), spec)
+            enhance(AudioBuffer(np.zeros(1000), FS), spec, StftConfig())
 
     def test_wrong_length_output_names_both_lengths(self, tmp_path):
         script = tmp_path / "half.py"
@@ -227,7 +227,7 @@ class TestExternal:
             {"command": f"python3 {script} {{input}} {{output}}", "exchange_dir": str(tmp_path)},
         )
         with pytest.raises(EnhancerError, match="expected 1000 samples, got 500"):
-            enhance(AudioBuffer(np.zeros(1000), FS), spec)
+            enhance(AudioBuffer(np.zeros(1000), FS), spec, StftConfig())
 
     def test_timeout_reported(self, tmp_path):
         spec = EnhancerSpec(
@@ -236,7 +236,7 @@ class TestExternal:
              "exchange_dir": str(tmp_path), "timeout_s": 0.5},
         )
         with pytest.raises(EnhancerError, match="timed out"):
-            enhance(AudioBuffer(np.zeros(1000), FS), spec)
+            enhance(AudioBuffer(np.zeros(1000), FS), spec, StftConfig())
 
 
 class TestLengthContract:
@@ -254,4 +254,4 @@ class TestLengthContract:
             EnhancerSpec("oracle", {"reference_dir": str(tmp_path / "ref")}),
         ]
         for spec in specs:
-            assert len(enhance(buf, spec)) == n
+            assert len(enhance(buf, spec, StftConfig())) == n

@@ -15,7 +15,6 @@ from speechmine.evalgen import (
     draw_target_snr,
     inject_noise,
     load_manifests,
-    register_metric,
     rho_histogram,
     segmental_snr,
     synth_clean,
@@ -161,12 +160,6 @@ class TestDeltaQuality:
         triple = EvalTriple.from_components(clean, noisy, noisy)
         with pytest.raises(ValueError, match="unknown metric"):
             delta_quality(triple, "pesq")
-
-    def test_registered_metric_used(self):
-        clean, noisy = self._triple()
-        register_metric("const7", lambda ref, deg: 7.0)
-        triple = EvalTriple.from_components(clean, noisy, clean)
-        assert delta_quality(triple, "const7") == 0.0
 
     def test_external_metric_command(self):
         clean, noisy = self._triple()
