@@ -12,7 +12,6 @@ from .curation import (
     ConfigError,
     CurationConfig,
     CuratedSegment,
-    NEG_INF_DB,
     RoundReport,
     curate_file,
     export_ab_pairs,
@@ -48,7 +47,6 @@ __all__ = [
     "EnhancerError",
     "EnhancerSpec",
     "EvalTriple",
-    "NEG_INF_DB",
     "NoiseSpec",
     "RoundReport",
     "StftConfig",

@@ -35,7 +35,7 @@ from .curation import (
 )
 from .enhance import EnhancerError, EnhancerSpec, enhance
 from .evalgen import EvalTriple, NoiseSpec, delta_quality, inject_noise, synth_clean
-from .schema import decode, load_json
+from .schema import decode, encode, load_json
 
 logger = logging.getLogger(__name__)
 
@@ -76,18 +76,24 @@ def cmd_curate(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise ConfigError(f"--count: must be at least 1, got {args.count}")
+    if args.sample_rate < 1:
+        raise ConfigError(f"--sample-rate: must be positive, got {args.sample_rate}")
+    if not (math.isfinite(args.duration) and round(args.duration * args.sample_rate) >= 1):
+        raise ConfigError(f"--duration: must be at least one sample long, got {args.duration}")
+    noise = NoiseSpec(
+        noise_kind=args.noise_kind,
+        rayleigh_sigma=args.rayleigh_sigma,
+        snr_clip=(args.snr_min, args.snr_max),
+        seed=args.seed + 100_000,
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     for i in range(args.count):
         clean = synth_clean(args.duration, args.sample_rate, seed=args.seed + i)
-        spec = NoiseSpec(
-            noise_kind=args.noise_kind,
-            rayleigh_sigma=args.rayleigh_sigma,
-            snr_clip=(args.snr_min, args.snr_max),
-            seed=args.seed + 100_000 + i,
-        )
-        noisy, target = inject_noise(clean, spec)
+        noisy, target = inject_noise(clean, dataclasses.replace(noise, seed=noise.seed + i))
         clean_name = f"clean_{i:03d}.wav"
         noisy_name = f"noisy_{i:03d}.wav"
         write_wav(out / clean_name, clean, "float32")
@@ -149,6 +155,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = {
         "metric": args.metric,
         "enhancer": cfg.enhancer.identifier(),
+        "stft": encode(cfg.stft),
         "files_evaluated": len(per_file),
         "files_skipped": skipped,
         "mean_delta": (sum(f["delta"] for f in per_file) / len(per_file)) if per_file else None,
@@ -185,9 +192,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         writer = csv.writer(fh)
         writer.writerow(["round_id", "bin", "count"])
         for rid, counts in hist.items():
-            for bin_key, count in sorted(
-                counts.items(), key=lambda kv: (kv[0] == "neg_inf", float(kv[0]) if kv[0] != "neg_inf" else 0)
-            ):
+            for bin_key, count in sorted(counts.items(), key=lambda kv: float(kv[0])):
                 writer.writerow([rid, bin_key, count])
     print(f"wrote report.json, accepted_hours.csv, rho_histogram.csv to {out}")
     return EXIT_OK
@@ -197,12 +202,12 @@ def cmd_export_ab(args: argparse.Namespace) -> int:
     segments = filter_manifest(
         evalgen.load_manifests([args.manifest]), min_rho=args.min_rho, max_rho=args.max_rho
     )
-    override, configs = None, {}
     if args.enhancer_config:
         override = _enhancement_from_file(args.enhancer_config)
+        configs = {seg.config_hash: override for seg in segments}
     else:
         configs = load_round_configs(args.manifest, {seg.round_id for seg in segments})
-    pairs = export_ab_pairs(segments, args.out, configs, enhancer=override)
+    pairs = export_ab_pairs(segments, args.out, configs)
     print(f"exported {pairs} A/B pair(s) to {args.out}")
     return EXIT_OK
 

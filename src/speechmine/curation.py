@@ -36,10 +36,6 @@ from .vad import VadSpec, detect
 
 logger = logging.getLogger(__name__)
 
-# Stored stand-in for the -inf score of frames the VAD rejected: orders
-# below any real dB value and survives text serialization.
-NEG_INF_DB = -1.0e9
-
 DEFAULT_RHO_BIN_WIDTH_DB = 5.0
 
 
@@ -153,7 +149,7 @@ class CuratedSegment:
             raise ValueError(
                 f"start_sample {self.start_sample} not aligned to frame length {self.frame_len}"
             )
-        if not all(map(math.isfinite, self.frame_rho)):  # NEG_INF_DB is finite
+        if not all(map(math.isfinite, self.frame_rho)):
             raise ValueError("frame_rho contains non-finite values")
         fc = self.frame_fc
         if not (all(map(math.isfinite, fc)) and 0 <= min(fc) and max(fc) <= self.sample_rate / 2):
@@ -185,8 +181,10 @@ def rho_hat(
     """Residual-based SNR estimate for one frame, in dB.
 
     Enhanced level minus residual level when the frame is at least half
-    speech; the sentinel otherwise. A vanishing residual (identity-like
-    enhancement) is capped at rho_max_db to keep manifests numeric.
+    speech; -inf otherwise, so an unvoiced frame fails every finite SNR
+    threshold. Both levels are floored at -200 dB, so a voiced score is
+    finite; a vanishing residual (identity-like enhancement) is capped at
+    rho_max_db.
     """
     x_frame = np.asarray(x_frame, dtype=np.float64)
     xhat_frame = np.asarray(xhat_frame, dtype=np.float64)
@@ -197,7 +195,7 @@ def rho_hat(
             f"v {v_frame.shape}"
         )
     if v_frame.mean() < 0.5:
-        return NEG_INF_DB
+        return -math.inf
     rho = rms_db(xhat_frame) - rms_db(x_frame - xhat_frame)
     return float(min(rho, rho_max_db))
 
@@ -265,6 +263,7 @@ def round_report_path(manifest: str | Path, round_id: int) -> Path:
 def _write_text_atomic(path: Path, text: str) -> None:
     """Replace a file's text in one step: a failure leaves the old file or
     the new one, never part of one, and no temporary file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}.tmp")
     try:
         tmp.write_text(text, encoding="utf-8")
@@ -295,13 +294,10 @@ def rho_bin_counts(
     values: Iterable[float],
     bin_width_db: float = DEFAULT_RHO_BIN_WIDTH_DB,
 ) -> dict[str, int]:
-    """Bin SNR estimates by lower edge; sentinel values get their own bin."""
+    """Bin SNR estimates by lower edge."""
     counts: dict[str, int] = {}
     for v in values:
-        if v <= NEG_INF_DB / 2:
-            key = "neg_inf"
-        else:
-            key = f"{math.floor(v / bin_width_db) * bin_width_db:g}"
+        key = f"{math.floor(v / bin_width_db) * bin_width_db:g}"
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -397,9 +393,9 @@ def run_round(
     manifest_out: str | Path,
     jobs: int = 1,
 ) -> RoundReport:
-    """Curate every corpus file, append segments to the manifest and write
-    a round report, which holds the config, next to it at
-    ``{manifest}.round{round_id}.report.json``.
+    """Curate every corpus file, write a round report, which holds the
+    config, at ``{manifest}.round{round_id}.report.json``, then append the
+    segments to the manifest.
 
     ``jobs`` (at least 1) threads curate the files; a single writer appends
     the records in corpus order, so a rerun gives byte-identical records.
@@ -414,7 +410,6 @@ def run_round(
         if error is not None:
             failures.append({"source": source, "error": error})
         all_segments.extend(segments)
-    append_manifest(manifest_out, all_segments)
 
     rho_values = [r for seg in all_segments for r in seg.frame_rho]
     report = RoundReport(
@@ -428,7 +423,9 @@ def run_round(
         rho_histogram=rho_bin_counts(rho_values),
         generated_at=datetime.now(timezone.utc).isoformat(),
     )
+    # the report goes first, so every appended record's config_hash is in one
     _write_text_atomic(round_report_path(manifest_out, cfg.round_id), report.to_json() + "\n")
+    append_manifest(manifest_out, all_segments)
     return report
 
 
@@ -454,16 +451,15 @@ def export_ab_pairs(
     segments: Sequence[CuratedSegment],
     out_dir: str | Path,
     configs: Mapping[str, CurationConfig],
-    enhancer: CurationConfig | None = None,
 ) -> int:
     """Write one unprocessed/enhanced WAV pair per segment for A/B listening.
 
     The enhanced side re-runs an enhancer and STFT over the whole source
-    file, then slices the exact segment. They are taken, in this order,
-    from the override config ``enhancer``; from ``configs[seg.config_hash]``,
-    the config of the round that scored the segment; or from the segment's
+    file, then slices the exact segment. They are taken from
+    ``configs[seg.config_hash]``, the config of the round that scored the
+    segment, or, for a hash not in ``configs``, from the segment's
     ``enhancer_id`` with the default StftConfig(). Segments that take the
-    last path are counted and logged once. Segments are grouped by source:
+    second path are counted and logged once. Segments are grouped by source:
     each source is read once and enhanced once per distinct enhancer and
     STFT, and only the current source's buffers are held. A segment whose
     source is unreadable, that ends past its source, whose enhancer
@@ -503,7 +499,7 @@ def export_ab_pairs(
             try:
                 if seg.end_sample > len(buf):
                     raise ValueError(f"ends at sample {seg.end_sample}, past the source's {len(buf)}")
-                cfg = enhancer if enhancer is not None else configs.get(seg.config_hash)
+                cfg = configs.get(seg.config_hash)
                 if cfg is None:
                     spec = decode(EnhancerSpec, json.loads(seg.enhancer_id), "enhancer_id")
                     cfg = CurationConfig(enhancer=spec)

@@ -21,13 +21,15 @@ ROLLOFF_DB = 35.0
 _BLOCK_FRAMES = 64
 
 
-def rms_db(samples: np.ndarray) -> float:
-    """Root-mean-square level in dB (0 dB == RMS of 1.0), floored at -200 dB."""
+def rms_db(samples: np.ndarray) -> float | np.ndarray:
+    """Root-mean-square level in dB (0 dB == RMS of 1.0), floored at -200 dB,
+    over the last axis: a float for 1-D input, one level per row for 2-D."""
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.size == 0:
+    if samples.shape[-1] == 0:
         raise ValueError("rms_db of an empty sequence is undefined")
-    rms = np.sqrt(np.mean(np.square(samples)))
-    return float(20.0 * np.log10(max(rms, RMS_FLOOR)))
+    rms = np.sqrt(np.mean(np.square(samples), axis=-1))
+    levels = 20.0 * np.log10(np.maximum(rms, RMS_FLOOR))
+    return float(levels) if levels.ndim == 0 else levels
 
 
 def _hann_periodic(n: int) -> np.ndarray:

@@ -86,9 +86,9 @@ class EnhancerSpec:
 
 def spectral_gate_enhance(
     buf: AudioBuffer,
+    cfg: StftConfig,
     gate_threshold_db: float = 20.0,
     attenuation_db: float = 40.0,
-    cfg: StftConfig | None = None,
 ) -> AudioBuffer:
     """Attenuate time-frequency cells close to the per-bin noise floor.
 
@@ -98,7 +98,6 @@ def spectral_gate_enhance(
     before the inverse transform. The output is trimmed/zero-padded back to
     the input length (the overlap-add never covers the final partial hop).
     """
-    cfg = cfg or StftConfig()
     if len(buf) < cfg.window_len:
         logger.warning(
             "buffer of %d samples is shorter than one window (%d); returning unchanged",
@@ -196,7 +195,7 @@ def enhance(buf: AudioBuffer, spec: EnhancerSpec, stft_cfg: StftConfig) -> Audio
     if spec.kind == "identity":
         out = AudioBuffer(buf.samples.copy(), buf.sample_rate, source=buf.source)
     elif spec.kind == "spectral_gate":
-        out = spectral_gate_enhance(buf, cfg=stft_cfg, **spec.params)
+        out = spectral_gate_enhance(buf, stft_cfg, **spec.params)
     elif spec.kind == "oracle":
         out = _oracle_enhance(buf, **spec.params)
     else:

@@ -46,12 +46,12 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         if self.noise_kind not in NOISE_KINDS:
-            raise ValueError(f"unknown noise_kind {self.noise_kind!r}; expected one of {NOISE_KINDS}")
-        if self.rayleigh_sigma <= 0:
-            raise ValueError(f"rayleigh_sigma must be positive, got {self.rayleigh_sigma}")
+            raise ConfigError(f"unknown noise_kind {self.noise_kind!r}; expected one of {NOISE_KINDS}")
+        if not self.rayleigh_sigma > 0:
+            raise ConfigError(f"rayleigh_sigma: must be positive, got {self.rayleigh_sigma}")
         lo, hi = self.snr_clip
         if not lo < hi:
-            raise ValueError(f"snr_clip must satisfy min < max, got {self.snr_clip}")
+            raise ConfigError(f"snr_clip: must satisfy min < max, got {self.snr_clip}")
 
 
 @dataclass
@@ -78,9 +78,7 @@ class EvalTriple:
         flen = frame_len_samples(clean.sample_rate, 1.0)
         noise = frame_matrix(noisy.samples - clean.samples, flen)
         ref = frame_matrix(clean.samples, flen)
-        snr = np.array(
-            [rms_db(ref[:, l]) - rms_db(noise[:, l]) for l in range(ref.shape[1])]
-        )
+        snr = rms_db(ref.T) - rms_db(noise.T)
         return cls(clean=clean, noisy=noisy, enhanced=enhanced, true_snr_db=snr)
 
 

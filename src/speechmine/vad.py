@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .dsp import RMS_FLOOR
+from .dsp import FLOOR_DB, rms_db
 from .enhance import EXTERNAL_PARAMS, check_external_command, run_exchange_command
 from .schema import check_params
 
@@ -28,10 +28,6 @@ VAD_PARAMS: dict[str, dict[str, type]] = {
     "external": EXTERNAL_PARAMS,
 }
 
-DEFAULT_WINDOW_SECONDS = 0.02
-DEFAULT_RELATIVE_THRESHOLD_DB = 15.0
-DEFAULT_ABSOLUTE_FLOOR_DB = -60.0
-
 
 @dataclass(frozen=True)
 class VadSpec:
@@ -39,9 +35,9 @@ class VadSpec:
     parameters typed by VAD_PARAMS."""
 
     kind: str = "energy"
-    window_seconds: float = DEFAULT_WINDOW_SECONDS
-    relative_threshold_db: float = DEFAULT_RELATIVE_THRESHOLD_DB
-    absolute_floor_db: float = DEFAULT_ABSOLUTE_FLOOR_DB
+    window_seconds: float = 0.02
+    relative_threshold_db: float = 15.0
+    absolute_floor_db: float = -60.0
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -59,19 +55,12 @@ class VadSpec:
 
 def _window_rms_db(samples: np.ndarray, win: int) -> np.ndarray:
     """RMS level in dB of consecutive windows; the trailing partial window
-    is evaluated over its own samples."""
-    n = samples.size
-    full = n // win
-    levels = []
-    if full:
-        sq = np.square(samples[: full * win]).reshape(full, win)
-        rms = np.sqrt(sq.mean(axis=1))
-        levels.append(20.0 * np.log10(np.maximum(rms, RMS_FLOOR)))
-    rem = n - full * win
-    if rem or full == 0:
-        tail = samples[full * win :]
-        rms = np.sqrt(np.mean(np.square(tail))) if tail.size else 0.0
-        levels.append(np.array([20.0 * np.log10(max(rms, RMS_FLOOR))]))
+    is evaluated over its own samples, and empty input is one floor level."""
+    full = samples.size // win
+    levels = [rms_db(samples[: full * win].reshape(full, win))] if full else []
+    tail = samples[full * win :]
+    if tail.size or not full:
+        levels.append([rms_db(tail) if tail.size else FLOOR_DB])
     return np.concatenate(levels)
 
 

@@ -112,7 +112,8 @@ def make_segment(**overrides):
 
 # Reference kernels: the gather-index STFT, the per-hop overlap-add ISTFT and
 # the np.where spectral gate, kept as they were before the strided, blocked
-# rewrite. The production kernels must match them bit for bit.
+# rewrite, and the VAD's window levels as they were before it called rms_db.
+# The production kernels must match them bit for bit.
 
 
 def reference_stft(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
@@ -160,6 +161,22 @@ def reference_spectral_gate_enhance(buf: AudioBuffer, gate_threshold_db: float,
     n = min(len(buf), y.size)
     out[:n] = y[:n]
     return AudioBuffer(out, buf.sample_rate, source=buf.source)
+
+
+def reference_window_rms_db(samples: np.ndarray, win: int) -> np.ndarray:
+    n = samples.size
+    full = n // win
+    levels = []
+    if full:
+        sq = np.square(samples[: full * win]).reshape(full, win)
+        rms = np.sqrt(sq.mean(axis=1))
+        levels.append(20.0 * np.log10(np.maximum(rms, 1e-10)))
+    rem = n - full * win
+    if rem or full == 0:
+        tail = samples[full * win :]
+        rms = np.sqrt(np.mean(np.square(tail))) if tail.size else 0.0
+        levels.append(np.array([20.0 * np.log10(max(rms, 1e-10))]))
+    return np.concatenate(levels)
 
 
 # Reference WAV codec: the chunk-copying reader with one decode branch per

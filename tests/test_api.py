@@ -7,7 +7,7 @@ import speechmine
 
 ALL = [
     "AudioBuffer", "ConfigError", "CurationConfig", "CuratedSegment", "EnhancerError",
-    "EnhancerSpec", "EvalTriple", "NEG_INF_DB", "NoiseSpec", "RoundReport", "StftConfig",
+    "EnhancerSpec", "EvalTriple", "NoiseSpec", "RoundReport", "StftConfig",
     "VadSpec", "WavError", "accepted_hours", "curate_file", "delta_quality", "detect",
     "energy_vad_windows", "enhance", "estimate_cutoff", "export_ab_pairs", "extract_segments",
     "filter_manifest", "inject_noise", "istft", "load_config", "load_manifest", "load_manifests",
@@ -17,11 +17,13 @@ ALL = [
 
 SIGNATURES = {
     "export_ab_pairs": "(segments: 'Sequence[CuratedSegment]', out_dir: 'str | Path', "
-                       "configs: 'Mapping[str, CurationConfig]', "
-                       "enhancer: 'CurationConfig | None' = None) -> 'int'",
+                       "configs: 'Mapping[str, CurationConfig]') -> 'int'",
     "enhance": "(buf: 'AudioBuffer', spec: 'EnhancerSpec', stft_cfg: 'StftConfig') -> 'AudioBuffer'",
+    "rms_db": "(samples: 'np.ndarray') -> 'float | np.ndarray'",
     "run_round": "(corpus: 'Sequence[str | Path]', cfg: 'CurationConfig', "
                  "manifest_out: 'str | Path', jobs: 'int' = 1) -> 'RoundReport'",
+    "spectral_gate_enhance": "(buf: 'AudioBuffer', cfg: 'StftConfig', gate_threshold_db: 'float' = 20.0, "
+                             "attenuation_db: 'float' = 40.0) -> 'AudioBuffer'",
 }
 
 

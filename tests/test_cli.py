@@ -11,6 +11,7 @@ from speechmine.curation import CurationConfig, load_manifest
 from speechmine.dsp import StftConfig
 from speechmine.enhance import EnhancerSpec, enhance
 from speechmine.evalgen import EvalTriple, NoiseSpec, delta_quality, inject_noise, synth_clean
+from speechmine.schema import encode
 from speechmine.vad import VadSpec
 
 FS = 48000
@@ -53,6 +54,25 @@ class TestSynth:
         out = tmp_path / "pairs"
         main(["synth", "--out", str(out), "--count", "1", "--duration", "4"])
         assert len(read_wav(out / "clean_000.wav")) == 4 * FS
+
+    @pytest.mark.parametrize("flags, named", [
+        pytest.param(["--count=-2"], "--count", id="count-negative"),
+        pytest.param(["--count=0"], "--count", id="count-zero"),
+        pytest.param(["--duration=-1"], "--duration", id="duration-negative"),
+        pytest.param(["--duration=1e-6"], "--duration", id="duration-under-one-sample"),
+        pytest.param(["--duration=nan"], "--duration", id="duration-nan"),
+        pytest.param(["--sample-rate=0"], "--sample-rate", id="sample-rate-zero"),
+        pytest.param(["--snr-min=10", "--snr-max=5"], "snr_clip", id="snr-min-above-max"),
+        pytest.param(["--rayleigh-sigma=0"], "rayleigh_sigma", id="sigma-zero"),
+        pytest.param(["--rayleigh-sigma=nan"], "rayleigh_sigma", id="sigma-nan"),
+    ])
+    def test_bad_flag_exits_2_with_one_line_and_writes_nothing(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "pairs"
+        argv = ["synth", "--out", str(out), "--count", "1", "--duration", "1", *flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {named}") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestCurate:
@@ -351,11 +371,13 @@ class TestExportRoundConfig:
     def test_override_config_replaces_enhancer_and_stft(self, tmp_path):
         manifest, segments, buf = self._round(tmp_path)
         override = tmp_path / "override.json"
-        override.write_text(json.dumps(CurationConfig().to_dict()))
+        # neither the round's STFT nor the fallback's default one
+        override.write_text(json.dumps(CurationConfig(stft=StftConfig(window_len=512)).to_dict()))
         out = tmp_path / "ab"
         assert main(["export-ab", "--manifest", str(manifest), "--out", str(out),
                      "--enhancer-config", str(override)]) == 0
-        assert self._exported(out, segments, buf, StftConfig())
+        assert self._exported(out, segments, buf, StftConfig(window_len=512))
+        assert not self._exported(out, segments, buf, StftConfig())
 
 
 class TestEvalConfig:
@@ -370,7 +392,9 @@ class TestEvalConfig:
         enh.write_text(json.dumps(data))
         capsys.readouterr()
         assert main(["eval", "--pairs", str(pairs), "--enhancer-config", str(enh)]) == 0
-        got = json.loads(capsys.readouterr().out)["per_file"][0]["delta"]
+        report = json.loads(capsys.readouterr().out)
+        assert report["stft"] == encode(used) != encode(unused)
+        got = report["per_file"][0]["delta"]
         clean, noisy = read_wav(pairs / "clean_000.wav"), read_wav(pairs / "noisy_000.wav")
         spec = EnhancerSpec("spectral_gate")
 

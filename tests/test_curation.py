@@ -16,7 +16,6 @@ from speechmine.curation import (
     ConfigError,
     CurationConfig,
     CuratedSegment,
-    NEG_INF_DB,
     append_manifest,
     bandwidth_gate,
     curate_file,
@@ -56,11 +55,11 @@ class TestRhoHat:
         x = xhat + 0.001
         assert rho_hat(x, xhat, np.ones(1000)) == pytest.approx(40.0, abs=1e-9)
 
-    def test_vad_minority_gives_sentinel(self):
+    def test_vad_minority_scores_minus_infinity(self):
         rng = np.random.default_rng(0)
         v = np.zeros(1000)
         v[:400] = 1  # mean 0.4
-        assert rho_hat(rng.standard_normal(1000), rng.standard_normal(1000), v) == NEG_INF_DB
+        assert rho_hat(rng.standard_normal(1000), rng.standard_normal(1000), v) == -np.inf
 
     def test_zero_residual_clamps_to_rho_max(self):
         x = np.full(1000, 0.25)
@@ -77,12 +76,12 @@ class TestRhoHat:
     def test_exact_half_voiced_counts_as_speech(self):
         v = np.zeros(1000)
         v[:500] = 1
-        assert rho_hat(np.full(1000, 0.2), np.full(1000, 0.1), v) != NEG_INF_DB
+        assert rho_hat(np.full(1000, 0.2), np.full(1000, 0.1), v) != -np.inf
 
 
 class TestGates:
     def test_snr_gate_strict(self):
-        rho = np.array([25.0, 20.0, 19.9, NEG_INF_DB])
+        rho = np.array([25.0, 20.0, 19.9, -np.inf])
         assert snr_gate(rho, 20.0).tolist() == [1, 0, 0, 0]
 
     def test_snr_gate_all_max(self):
@@ -418,6 +417,7 @@ class TestRunRound:
         run_round(corpus, self._config(), manifest)
         report_path = tmp_path / "m.jsonl.round0.report.json"
         before = report_path.read_text()
+        manifest_before = manifest.read_bytes()
         real_write_text = Path.write_text
 
         def torn_write_text(path, text, *args, **kwargs):
@@ -435,6 +435,7 @@ class TestRunRound:
             run_round(corpus, dataclasses.replace(self._config(), snr_threshold_db=30.0), manifest)
         monkeypatch.undo()
         assert report_path.read_text() == before
+        assert manifest.read_bytes() == manifest_before
         assert json.loads(before)["config"] == self._config().to_dict()
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "f0.wav", "m.jsonl", "m.jsonl.round0.report.json"]
@@ -627,8 +628,7 @@ class TestMetamorphic:
 
 
 class TestRhoBinCounts:
-    def test_sentinel_binned_separately(self):
-        counts = rho_bin_counts([22.0, 22.0, NEG_INF_DB, -3.0])
-        assert counts["20"] == 2
-        assert counts["neg_inf"] == 1
-        assert counts["-5"] == 1
+    def test_binned_by_lower_edge(self):
+        # -1e9, the unvoiced score stored by older versions, is an ordinary value
+        counts = rho_bin_counts([22.0, 22.0, -1.0e9, -3.0])
+        assert counts == {"20": 2, "-1e+09": 1, "-5": 1}

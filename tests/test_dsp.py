@@ -17,7 +17,8 @@ FS = 48000
 
 class TestRmsDb:
     def test_constant_one_is_zero_db(self):
-        assert rms_db(np.ones(1000)) == 0.0
+        level = rms_db(np.ones(1000))
+        assert type(level) is float and level == 0.0
 
     def test_full_scale_sine(self):
         x = np.sin(2 * np.pi * 100 * np.arange(FS) / FS)  # whole periods
@@ -29,6 +30,18 @@ class TestRmsDb:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             rms_db(np.array([]))
+        with pytest.raises(ValueError):
+            rms_db(np.zeros((3, 0)))
+
+    def test_one_level_per_row_equals_a_row_loop(self):
+        rng = np.random.default_rng(4)
+        for rows, cols in [(1, 1), (3, 7), (5, 960), (2, 48000), (0, 4)]:
+            x = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-4, 0, (rows, 1))
+            if rows > 1:
+                x[1] = 0.0  # a silent row sits at the floor
+            got = rms_db(x)
+            assert got.shape == (rows,)
+            assert np.array_equal(got, [rms_db(row) for row in x])
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(0)

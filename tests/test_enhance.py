@@ -64,21 +64,21 @@ class TestIdentity:
 
 class TestSpectralGate:
     def test_silence_stays_silent(self):
-        out = spectral_gate_enhance(AudioBuffer(np.zeros(FS), FS))
+        out = spectral_gate_enhance(AudioBuffer(np.zeros(FS), FS), StftConfig())
         assert not out.samples.any()
 
     def test_zero_attenuation_is_noop_within_roundtrip_error(self):
         cfg = StftConfig()
         rng = np.random.default_rng(1)
         x = rng.standard_normal(FS) * 0.2
-        out = spectral_gate_enhance(AudioBuffer(x, FS), 20.0, 0.0, cfg)
+        out = spectral_gate_enhance(AudioBuffer(x, FS), cfg, 20.0, 0.0)
         w = cfg.window_len
         assert np.max(np.abs(out.samples[w:-w] - x[w:-w])) < 1e-9
 
     def test_short_buffer_returned_unchanged_with_warning(self, caplog):
         x = np.linspace(0, 0.1, 500)
         with caplog.at_level("WARNING"):
-            out = spectral_gate_enhance(AudioBuffer(x, FS))
+            out = spectral_gate_enhance(AudioBuffer(x, FS), StftConfig())
         assert np.array_equal(out.samples, x)
         assert "shorter" in caplog.text
 
@@ -96,7 +96,7 @@ class TestSpectralGate:
         noise = rng.standard_normal(n)
         noise *= 10 ** (-60 / 20) / rms(noise)
         mix = AudioBuffer(tone + noise, FS)
-        out = spectral_gate_enhance(mix, 20.0, 40.0, cfg)
+        out = spectral_gate_enhance(mix, cfg, 20.0, 40.0)
 
         margin = int(0.1 * FS)
         on_core = np.zeros(n, bool)
@@ -130,7 +130,7 @@ class TestSpectralGate:
         hiss = rng.standard_normal(n)
         hiss *= 10 ** (-40 / 20) * rms(clean) / rms(hiss)
         mix = AudioBuffer(clean + hiss, FS)
-        out = spectral_gate_enhance(mix, 20.0, 40.0, cfg)
+        out = spectral_gate_enhance(mix, cfg, 20.0, 40.0)
 
         cov = ((n - cfg.window_len) // cfg.hop) * cfg.hop + cfg.window_len
         resid = (mix.samples - out.samples)[:cov]
@@ -160,7 +160,7 @@ class TestSpectralGate:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            spectral_gate_enhance(buf, cfg=cfg)
+            spectral_gate_enhance(buf, cfg)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

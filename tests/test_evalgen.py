@@ -187,7 +187,7 @@ class TestDeltaQuality:
         frames = frame_matrix(clean.samples, FS)
         nframes = frame_matrix(noise, FS)
         want = [rms_db(frames[:, l]) - rms_db(nframes[:, l]) for l in range(frames.shape[1])]
-        np.testing.assert_allclose(triple.true_snr_db, want, atol=1e-9)
+        assert np.array_equal(triple.true_snr_db, want)
 
 
 class TestManifestReports:

@@ -68,6 +68,6 @@ class TestMatchesReference:
     def test_spectral_gate(self, window_len, hop, steps):
         cfg = StftConfig(window_len=window_len, hop=hop)
         buf = signal(window_len, hop, steps)
-        got = spectral_gate_enhance(buf, 12.0, 30.0, cfg).samples
+        got = spectral_gate_enhance(buf, cfg, 12.0, 30.0).samples
         want = reference_spectral_gate_enhance(buf, 12.0, 30.0, cfg).samples
         assert np.array_equal(got, want)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SCRIPT_PREAMBLE
+from helpers import SCRIPT_PREAMBLE, reference_window_rms_db
 from speechmine.audio_io import AudioBuffer
-from speechmine.vad import VadSpec, detect, energy_vad_windows
+from speechmine.vad import VadSpec, _window_rms_db, detect, energy_vad_windows
 
 FS = 48000
 
@@ -87,6 +87,25 @@ class TestDetect:
         mask = detect(AudioBuffer(np.zeros(5000), FS), spec)
         assert mask.dtype == np.uint8
         assert mask.tolist() == [0, 0, 1, 1, 1] * 1000
+
+
+WIN = VadSpec().window_samples(FS)
+
+
+class TestWindowLevels:
+    """The window levels, taken with dsp.rms_db, equal the VAD's own level
+    loop that came before, bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, WIN - 1, WIN, 7 * WIN, 7 * WIN + 13, 180 * FS])
+    def test_equal_to_reference(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.uniform(-0.5, 0.5, n)
+        x[: n // 3] *= 1e-4
+        x[n // 3 : n // 3 + 2 * WIN] = 0.0  # digital silence reaches the floor
+        want = reference_window_rms_db(x, WIN)
+        assert np.array_equal(_window_rms_db(x, WIN), want)
+        assert np.array_equal(energy_vad_windows(AudioBuffer(x, FS), VadSpec()),
+                              want >= max(np.percentile(want, 10) + 15.0, -60.0))
 
 
 class TestMaskInvariants:
