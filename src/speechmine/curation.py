@@ -276,18 +276,20 @@ def load_round_configs(manifest: str | Path, round_ids: Iterable[int]) -> dict[s
     """``{config_hash: config}`` from the report files of the given rounds of
     a manifest. A missing report file is passed over; one that does not
     decode is logged and passed over."""
-    configs: dict[str, CurationConfig] = {}
-    for round_id in sorted(set(round_ids)):
-        path = round_report_path(manifest, round_id)
-        if not path.is_file():
-            continue
-        try:
-            cfg = CurationConfig.from_dict(load_json(path, "round report")["config"])
-        except (ConfigError, KeyError, TypeError) as exc:
-            logger.warning("%s: no round config: %s", path, exc)
-            continue
-        configs[cfg.config_hash()] = cfg
-    return configs
+    configs = (_report_config(round_report_path(manifest, r)) for r in sorted(set(round_ids)))
+    return {cfg.config_hash(): cfg for cfg in configs if cfg is not None}
+
+
+def _report_config(path: Path) -> CurationConfig | None:
+    """The config in a round report file, or None when there is no such file
+    or it does not decode (logged)."""
+    if not path.is_file():
+        return None
+    try:
+        return CurationConfig.from_dict(load_json(path, "round report")["config"])
+    except (ConfigError, KeyError, TypeError) as exc:
+        logger.warning("%s: no round config: %s", path, exc)
+        return None
 
 
 def rho_bin_counts(
@@ -399,7 +401,19 @@ def run_round(
 
     ``jobs`` (at least 1) threads curate the files; a single writer appends
     the records in corpus order, so a rerun gives byte-identical records.
+
+    A round whose report already holds a different config is a ConfigError,
+    raised before anything is written: its report would be replaced, and
+    export could no longer find the config of the first run's records.
     """
+    report_path = round_report_path(manifest_out, cfg.round_id)
+    previous = _report_config(report_path)
+    if previous is not None and previous.config_hash() != cfg.config_hash():
+        raise ConfigError(
+            f"{report_path}: round {cfg.round_id} already ran under config "
+            f"{previous.config_hash()[:12]}, not {cfg.config_hash()[:12]}; "
+            "give the round another round_id or manifest"
+        )
     sources = [str(p) for p in corpus]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         results = list(pool.map(lambda s: _curate_one(s, cfg), sources))
@@ -424,7 +438,7 @@ def run_round(
         generated_at=datetime.now(timezone.utc).isoformat(),
     )
     # the report goes first, so every appended record's config_hash is in one
-    _write_text_atomic(round_report_path(manifest_out, cfg.round_id), report.to_json() + "\n")
+    _write_text_atomic(report_path, report.to_json() + "\n")
     append_manifest(manifest_out, all_segments)
     return report
 
@@ -537,6 +551,8 @@ def export_ab_pairs(
                 write_wav(out / f"{name}_enhanced.wav",
                           AudioBuffer(enhanced.samples[sl], buf.sample_rate), "float32")
                 pairs += 1
+            del enhanced  # before the next enhancement of this source is made
+        del buf  # before the next source is read
     if fallback:
         logger.warning("%d segment(s) have no round config; their enhancer_id and the "
                        "default STFT were used", fallback)

@@ -114,6 +114,12 @@ def istft(values: np.ndarray, cfg: StftConfig) -> np.ndarray:
     and any memory layout of ``values``. Every sample sums its frames
     in ascending time order, so the result equals a frame-by-frame loop
     bit for bit.
+
+    Working set: the output signal plus one block of frames. The summed
+    squared window is built over at most ceil(w/hop) frames: hop-long rows
+    that every frame's window covers sum the same squares in the same order,
+    so one such row stands for all of them, and the partly covered rows at
+    each end are the same as those of the short sum.
     """
     w = cfg.window_len
     hop = cfg.hop
@@ -124,22 +130,33 @@ def istft(values: np.ndarray, cfg: StftConfig) -> np.ndarray:
     pieces = -(-w // hop)
     rows = steps - 1 + pieces
 
-    norm = np.zeros((rows, hop))
-    _overlap_add(norm, np.broadcast_to(taper * taper, (steps, w)), 0)
-
     out = np.zeros((rows, hop))
     for b in range(0, steps, _BLOCK_FRAMES):
         block = np.fft.irfft(values[:, b : b + _BLOCK_FRAMES].T, n=w, axis=1)
         block *= taper
         _overlap_add(out, block, b)
 
-    out_len = (steps - 1) * hop + w
-    out = out.reshape(-1)[:out_len]
-    norm = norm.reshape(-1)[:out_len]
+    # rows [0, edge) and the last `edge` rows miss some frame; the rows
+    # between are covered by every frame, each equal to norm[edge]
+    frames = min(steps, pieces)
+    norm = np.zeros((frames - 1 + pieces, hop))
+    _overlap_add(norm, np.broadcast_to(taper * taper, (frames, w)), 0)
+    edge = pieces - 1
+    if steps > pieces:
+        _normalise(out[:edge], norm[:edge])
+        _normalise(out[edge:steps], norm[edge])
+        _normalise(out[steps:], norm[pieces:])
+    else:
+        _normalise(out, norm)
+    return out.reshape(-1)[: (steps - 1) * hop + w]
+
+
+def _normalise(out: np.ndarray, norm: np.ndarray) -> None:
+    """Divide ``out`` in place by ``norm`` (broadcast), zeroing samples
+    whose summed squared window is degenerate."""
     covered = norm > 1e-12
     np.divide(out, norm, out=out, where=covered)
-    out[~covered] = 0.0
-    return out
+    np.copyto(out, 0.0, where=~covered)
 
 
 def estimate_cutoff(frame: np.ndarray, sample_rate: int, cfg: StftConfig) -> float:

@@ -53,6 +53,10 @@ ENHANCER_PARAMS: dict[str, dict[str, type]] = {
 
 DEFAULT_TIMEOUT_S = 600.0
 
+# Frequency bins whose floor and gate spectral_gate_enhance takes at once:
+# the block's magnitudes stay small next to the spectrum.
+_GATE_BINS = 32
+
 
 class EnhancerError(Exception):
     """Backend failure or contract violation during enhancement."""
@@ -93,10 +97,14 @@ def spectral_gate_enhance(
     """Attenuate time-frequency cells close to the per-bin noise floor.
 
     The floor per bin is the 10th percentile of magnitude over time; cells
-    below floor + gate_threshold_db are scaled down by attenuation_db, in
-    place in the spectrogram (no gated copy), and the magnitudes are freed
-    before the inverse transform. The output is trimmed/zero-padded back to
-    the input length (the overlap-add never covers the final partial hop).
+    below floor + gate_threshold_db are scaled down by attenuation_db. The
+    output is trimmed/zero-padded back to the input length (the overlap-add
+    never covers the final partial hop).
+
+    Working set: one complex spectrum plus one output signal. The floor and
+    the gate are taken _GATE_BINS bins at a time, in place in the spectrum,
+    so no full-size magnitude or mask exists. The spectrum is freed before
+    the zero-padded output is allocated.
     """
     if len(buf) < cfg.window_len:
         logger.warning(
@@ -106,18 +114,25 @@ def spectral_gate_enhance(
         return AudioBuffer(buf.samples.copy(), buf.sample_rate, source=buf.source)
 
     values = stft(buf.samples, cfg)
-    mag = np.abs(values)
-    floor = np.percentile(mag, 10, axis=1, keepdims=True)
-    gate = mag < floor * 10.0 ** (gate_threshold_db / 20.0)
-    del mag
+    threshold = 10.0 ** (gate_threshold_db / 20.0)
     gain = 10.0 ** (-attenuation_db / 20.0)
-    np.multiply(values, gain, out=values, where=gate)
-
+    for b in range(0, values.shape[0], _GATE_BINS):
+        _gate_bins(values[b : b + _GATE_BINS], threshold, gain)
     y = istft(values, cfg)
+    del values  # the only reference to the spectrum: freed before `out` exists
     out = np.zeros(len(buf))
     n = min(len(buf), y.size)
     out[:n] = y[:n]
     return AudioBuffer(out, buf.sample_rate, source=buf.source)
+
+
+def _gate_bins(rows: np.ndarray, threshold: float, gain: float) -> None:
+    """Scale by ``gain``, in place, the cells of ``rows`` (bins, steps) whose
+    magnitude is below ``threshold`` times their bin's 10th-percentile floor.
+    A function of its own, so no view of the spectrum outlives a block."""
+    mag = np.abs(rows)
+    floor = np.percentile(mag, 10, axis=1, keepdims=True)
+    np.multiply(rows, gain, out=rows, where=mag < floor * threshold)
 
 
 def _oracle_enhance(buf: AudioBuffer, reference_dir: str) -> AudioBuffer:

@@ -122,6 +122,24 @@ class TestCurate:
         segments, _ = load_manifest(manifest)
         assert all(s.round_id == 4 for s in segments)
 
+    def test_second_config_in_one_round_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, count=1)
+        manifest = tmp_path / "m.jsonl"
+        report = tmp_path / "m.jsonl.round0.report.json"
+        argv = ["curate", "--config", str(write_config(tmp_path)), "--corpus",
+                str(corpus / "*.wav"), "--manifest", str(manifest)]
+        assert main(argv) == 0
+        before = manifest.read_bytes(), report.read_bytes()
+        other = tmp_path / "other"
+        other.mkdir()
+        capsys.readouterr()
+        assert main([*argv[:2], str(write_config(other, snr_threshold_db=30.0)), *argv[3:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert (manifest.read_bytes(), report.read_bytes()) == before
+        assert main(argv) == 0  # a rerun under the first config proceeds
+        assert len(load_manifest(manifest)[0]) == 2
+
     def test_per_file_failure_still_exits_0(self, tmp_path):
         cfg = write_config(tmp_path)
         corpus = write_corpus(tmp_path, count=2)

@@ -4,6 +4,7 @@ manifests and A/B export."""
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -431,8 +432,8 @@ class TestRunRound:
             monkeypatch.setattr(Path, "write_text", torn_write_text)
         else:
             monkeypatch.setattr(curation.os, "replace", failing_replace)
-        with pytest.raises(OSError):
-            run_round(corpus, dataclasses.replace(self._config(), snr_threshold_db=30.0), manifest)
+        with pytest.raises(OSError):  # a rerun under the same config rewrites the report
+            run_round(corpus, self._config(), manifest)
         monkeypatch.undo()
         assert report_path.read_text() == before
         assert manifest.read_bytes() == manifest_before
@@ -592,6 +593,30 @@ class TestExportAbPairs:
             assert export_ab_pairs([seg, seg], out, {}) == 1
         assert "skipped 1" in caplog.text
         assert sorted(p.name for p in out.glob("*.wav")) == ["x_r0_0_enhanced.wav", "x_r0_0_unprocessed.wav"]
+
+    def test_peak_memory_holds_one_source(self, tmp_path):
+        # Each source's buffer and enhancement are freed before the next
+        # source is read, so three more sources of the same length add less
+        # than half of one source's float64 samples to the traced peak.
+        n = 30 * FS
+        sources = []
+        for i in range(4):
+            sources.append(tmp_path / f"s{i}.wav")
+            write_wav(sources[-1], AudioBuffer(white_noise(n, 0.1, np.random.default_rng(70 + i)), FS),
+                      "float32")
+        segments = [make_segment(source_uri=str(src), enhancer_id='{"kind":"spectral_gate"}')
+                    for src in sources]
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert export_ab_pairs(segments[:count], tmp_path / f"ab{count}", {}) == count
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4) - peak(1) < 0.5 * n * 8
 
 
 class TestMetamorphic:

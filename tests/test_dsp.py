@@ -1,5 +1,7 @@
 """Numeric kernel tests: rms_db, STFT/ISTFT, cutoff estimation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,22 @@ class TestIstft:
         y = istft(stft(x, cfg), cfg)
         w = cfg.window_len
         assert np.max(np.abs(y[w:-w] - x[: y.size][w:-w])) < 1e-6
+
+    @pytest.mark.parametrize("hop", [512, 600])
+    def test_peak_memory_bounded_by_output_size(self, hop):
+        # The output and one block of frames, with the summed squared
+        # window built over a few frames only: no second signal-long array.
+        cfg = StftConfig(window_len=2048, hop=hop)
+        values = stft(np.random.default_rng(4).standard_normal(20 * FS), cfg)
+        out_bytes = ((values.shape[1] - 1) * hop + cfg.window_len) * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            istft(values, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * out_bytes
 
 
 class TestEstimateCutoff:

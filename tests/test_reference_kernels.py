@@ -20,9 +20,18 @@ from speechmine.enhance import spectral_gate_enhance
 FS = 48000
 
 CONFIGS = [(2048, 512), (2048, 600), (1024, 1024), (256, 64), (8, 3)]
-# 1 step, fewer steps than one block, an exact multiple of the block, and
-# one step more than a multiple
-STEP_COUNTS = [1, 37, 2 * _BLOCK_FRAMES, 2 * _BLOCK_FRAMES + 1]
+
+
+def step_counts(window_len: int, hop: int) -> list[int]:
+    """1 step, fewer steps than one block, an exact multiple of the block,
+    one step more than a multiple, and the counts around istft's split of
+    its normalisation into leading, interior and trailing rows: 2 and 3
+    steps, and p - 1 ... p + 1, 2p - 1 and 2p steps for p = ceil(w/hop)
+    window pieces."""
+    p = -(-window_len // hop)
+    counts = {1, 2, 3, 37, 2 * _BLOCK_FRAMES, 2 * _BLOCK_FRAMES + 1,
+              max(p - 1, 1), p, p + 1, 2 * p - 1, 2 * p}
+    return sorted(counts)
 
 
 def signal(window_len: int, hop: int, steps: int) -> AudioBuffer:
@@ -39,7 +48,7 @@ def signal(window_len: int, hop: int, steps: int) -> AudioBuffer:
 CASES = [
     pytest.param(w, hop, steps, id=f"w{w}-hop{hop}-steps{steps}")
     for w, hop in CONFIGS
-    for steps in STEP_COUNTS
+    for steps in step_counts(w, hop)
 ]
 
 
