@@ -199,6 +199,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_export_ab(args: argparse.Namespace) -> int:
+    for flag, bound in (("--min-rho", args.min_rho), ("--max-rho", args.max_rho)):
+        if bound is not None and math.isnan(bound):
+            raise ConfigError(f"{flag}: must be a number, got {bound}")
     segments = filter_manifest(
         evalgen.load_manifests([args.manifest]), min_rho=args.min_rho, max_rho=args.max_rho
     )

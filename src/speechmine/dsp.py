@@ -3,6 +3,7 @@ cutoff estimation."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,13 @@ def rms_db(samples: np.ndarray) -> float | np.ndarray:
     return float(levels) if levels.ndim == 0 else levels
 
 
+@functools.cache
 def _hann_periodic(n: int) -> np.ndarray:
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    """The periodic Hann window of n samples, computed once per n and
+    shared read-only by every transform."""
+    taper = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    taper.flags.writeable = False
+    return taper
 
 
 @dataclass(frozen=True)
@@ -166,8 +172,10 @@ def estimate_cutoff(frame: np.ndarray, sample_rate: int, cfg: StftConfig) -> flo
     Returns the bin's center frequency in Hz; a frame that is entirely at
     the silence floor yields 0.0.
     """
-    mag = np.maximum(np.abs(stft(frame, cfg)), RMS_FLOOR)
-    avg_db = 20.0 * np.log10(mag).mean(axis=1)
+    mag = np.abs(stft(frame, cfg))
+    np.maximum(mag, RMS_FLOOR, out=mag)
+    np.log10(mag, out=mag)
+    avg_db = 20.0 * mag.mean(axis=1)
     peak = float(avg_db.max())
     if peak <= FLOOR_DB + 1e-9:
         return 0.0

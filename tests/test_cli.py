@@ -333,6 +333,17 @@ def test_report_bin_width_must_be_finite_positive(tmp_path, capsys, width):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("flag", ["--min-rho", "--max-rho"])
+def test_export_ab_rho_bound_must_not_be_nan(tmp_path, capsys, flag):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text("")
+    out = tmp_path / "ab"
+    assert main(["export-ab", "--manifest", str(manifest), "--out", str(out), f"{flag}=nan"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # A round with a non-default STFT: a 12-s spectral-gate mix at 30 dB SNR
 # curates 2 four-second segments under a 1024-sample window.
 STFT_1024 = CurationConfig(segment_seconds=4.0, stft=StftConfig(window_len=1024))

@@ -148,11 +148,12 @@ class TestSpectralGate:
         assert np.mean(resid[off_core] ** 2) / np.mean(hiss[:cov][off_core] ** 2) > 0.9
 
     def test_peak_memory_bounded_by_spectrum_size(self):
-        # The floor and the gate take a block of bins at a time, in place in
-        # the one complex spectrum, and the spectrum is freed before the
-        # padded output exists: the traced peak is the spectrum, the inverse
-        # transform's output (a quarter of the spectrum at hop = w/4) and
-        # block temporaries, under 1.5x the spectrum's bytes.
+        # The floor takes a block of bins at a time and the gate a block of
+        # frames, in place in the one complex spectrum, and the spectrum is
+        # freed before the padded output exists: the traced peak is the
+        # spectrum, the inverse transform's output (a quarter of the
+        # spectrum at hop = w/4) and block temporaries, under 1.5x the
+        # spectrum's bytes.
         cfg = StftConfig()
         n = 20 * FS
         buf = AudioBuffer(np.random.default_rng(3).standard_normal(n) * 0.1, FS)

@@ -1,4 +1,5 @@
-"""Bit-exactness of the strided, blocked STFT/ISTFT and the in-place gate.
+"""Bit-exactness of the strided, blocked STFT/ISTFT, the in-place gate and
+its single-select noise floor.
 
 The production kernels must equal the reference kernels in helpers.py
 exactly (np.array_equal), for hops that divide the window and hops that
@@ -15,7 +16,7 @@ from helpers import (
 )
 from speechmine.audio_io import AudioBuffer
 from speechmine.dsp import _BLOCK_FRAMES, StftConfig, istft, stft
-from speechmine.enhance import spectral_gate_enhance
+from speechmine.enhance import _floor_10th, spectral_gate_enhance
 
 FS = 48000
 
@@ -80,3 +81,46 @@ class TestMatchesReference:
         got = spectral_gate_enhance(buf, cfg, 12.0, 30.0).samples
         want = reference_spectral_gate_enhance(buf, 12.0, 30.0, cfg).samples
         assert np.array_equal(got, want)
+
+
+def edge_signal(kind: str, window_len: int, hop: int) -> AudioBuffer:
+    """Inputs whose floor sits at an extreme: digital silence (every floor
+    0), silence for the first 90% of the frames (floor 0 in every bin,
+    nothing below it) and a pure tone (floors far below the tone's bins)."""
+    steps = 2 * _BLOCK_FRAMES + 1
+    n = window_len + (steps - 1) * hop + (hop - 1)
+    t = np.arange(n)
+    if kind == "silence":
+        return AudioBuffer(np.zeros(n), FS)
+    if kind == "tone":
+        return AudioBuffer(0.5 * np.sin(2 * np.pi * 0.05 * t), FS)
+    x = np.random.default_rng(window_len + hop).standard_normal(n) * 0.1
+    x[: int(0.9 * n)] = 0.0
+    return AudioBuffer(x, FS)
+
+
+@pytest.mark.parametrize("kind", ["silence", "late_onset", "tone"])
+@pytest.mark.parametrize("window_len,hop", CONFIGS)
+def test_spectral_gate_edge_inputs(window_len, hop, kind):
+    cfg = StftConfig(window_len=window_len, hop=hop)
+    buf = edge_signal(kind, window_len, hop)
+    got = spectral_gate_enhance(buf, cfg, 12.0, 30.0).samples
+    want = reference_spectral_gate_enhance(buf, 12.0, 30.0, cfg).samples
+    assert np.array_equal(got, want)
+
+
+def test_floor_equals_percentile_bytes():
+    # Every step count up to 600 and three around a 3-min file's at the
+    # default STFT; per count, uniform rows, rows rounded to quarters (many
+    # ties), an all-zero row and an all-inf row (NaN by numpy's rule, from
+    # inf - inf, at every n). The virtual index (n - 1) * 0.1 has every
+    # fractional part on both sides of 0.5, so both of numpy's lerp forms
+    # are exercised.
+    rng = np.random.default_rng(15)
+    for n in [*range(1, 601), 16871, 16872, 16873]:
+        uniform = rng.uniform(0.0, 3.0, (3, n))
+        mag = np.vstack([uniform, np.round(uniform * 4) / 4, np.zeros((1, n)), np.full((1, n), np.inf)])
+        with np.errstate(invalid="ignore"):  # inf - inf in both
+            want = np.percentile(mag, 10, axis=1)
+            got = _floor_10th(mag.copy())
+        assert got.tobytes() == want.tobytes(), f"n={n}"
