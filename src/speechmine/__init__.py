@@ -12,6 +12,7 @@ from .curation import (
     ConfigError,
     CurationConfig,
     CuratedSegment,
+    ManifestReader,
     RoundReport,
     curate_file,
     export_ab_pairs,
@@ -30,7 +31,6 @@ from .evalgen import (
     accepted_hours,
     delta_quality,
     inject_noise,
-    load_manifests,
     rho_histogram,
     segmental_snr,
     synth_clean,
@@ -47,6 +47,7 @@ __all__ = [
     "EnhancerError",
     "EnhancerSpec",
     "EvalTriple",
+    "ManifestReader",
     "NoiseSpec",
     "RoundReport",
     "StftConfig",
@@ -66,7 +67,6 @@ __all__ = [
     "istft",
     "load_config",
     "load_manifest",
-    "load_manifests",
     "read_wav",
     "rho_hat",
     "rho_histogram",

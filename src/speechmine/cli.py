@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import glob
+import itertools
 import json
 import logging
 import math
@@ -27,6 +28,7 @@ from .curation import (
     DEFAULT_RHO_BIN_WIDTH_DB,
     ConfigError,
     CurationConfig,
+    ManifestReader,
     export_ab_pairs,
     filter_manifest,
     load_config,
@@ -171,13 +173,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    """Curated hours and SNR histograms per round. The manifests are read
+    once, as one stream, holding only the per-round sums and counts; the
+    output directory is made only after every manifest has been read."""
     if not (math.isfinite(args.bin_width) and args.bin_width > 0):
         raise ConfigError(f"--bin-width: must be a finite positive number, got {args.bin_width}")
+    readers = [ManifestReader(path) for path in args.manifests]
+    hours, hist = evalgen.round_totals(itertools.chain.from_iterable(readers), args.bin_width)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    segments = evalgen.load_manifests(args.manifests)
-    hours = evalgen.accepted_hours(segments)
-    hist = evalgen.rho_histogram(segments, bin_width_db=args.bin_width)
     report = {
         "accepted_hours": {str(r): h for r, h in hours.items()},
         "rho_histogram": {str(r): counts for r, counts in hist.items()},
@@ -202,8 +206,12 @@ def cmd_export_ab(args: argparse.Namespace) -> int:
     for flag, bound in (("--min-rho", args.min_rho), ("--max-rho", args.max_rho)):
         if bound is not None and math.isnan(bound):
             raise ConfigError(f"{flag}: must be a number, got {bound}")
+    if args.min_rho is not None and args.max_rho is not None and args.min_rho > args.max_rho:
+        raise ConfigError(f"--min-rho {args.min_rho} is above --max-rho {args.max_rho}; "
+                          "no segment could be selected")
+    # filtered as it is read: only the selected records are held
     segments = filter_manifest(
-        evalgen.load_manifests([args.manifest]), min_rho=args.min_rho, max_rho=args.max_rho
+        ManifestReader(args.manifest), min_rho=args.min_rho, max_rho=args.max_rho
     )
     if args.enhancer_config:
         override = _enhancement_from_file(args.enhancer_config)

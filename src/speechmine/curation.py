@@ -22,8 +22,9 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -37,6 +38,10 @@ from .vad import VadSpec, detect
 logger = logging.getLogger(__name__)
 
 DEFAULT_RHO_BIN_WIDTH_DB = 5.0
+RHO_BIN_CHUNK = 8192  # values binned per numpy pass: bounds the buffer, never changes the counts
+
+_JSON_WS = " \t\n\r"  # what json.loads skips around a document
+_DECODER = json.JSONDecoder()
 
 
 @dataclass(frozen=True)
@@ -169,7 +174,13 @@ class CuratedSegment:
 
     @classmethod
     def from_json(cls, line: str) -> "CuratedSegment":
-        return decode(cls, json.loads(line), "record")
+        """The record of one manifest line, parsed as ``json.loads`` parses it:
+        JSON whitespace around one document, nothing else."""
+        text = line.strip(_JSON_WS)
+        obj, end = _DECODER.raw_decode(text)
+        if end != len(text):
+            raise json.JSONDecodeError("Extra data", text, end)
+        return decode(cls, obj, "record")
 
 
 def rho_hat(
@@ -292,16 +303,64 @@ def _report_config(path: Path) -> CurationConfig | None:
         return None
 
 
+class RhoBins:
+    """Counts of SNR estimates by lower bin edge, fed in batches of any size;
+    ``counts()`` is ``rho_bin_counts`` of every value added so far, in order.
+
+    Values are binned RHO_BIN_CHUNK at a time, so at most that many wait in
+    the buffer whatever the total.
+    """
+
+    def __init__(self, bin_width_db: float = DEFAULT_RHO_BIN_WIDTH_DB) -> None:
+        self.bin_width_db = bin_width_db
+        self._counts: dict[str, int] = {}
+        self._pending: list[float] = []
+
+    def add(self, values: Iterable[float]) -> None:
+        it = iter(values)
+        while True:
+            self._pending.extend(islice(it, RHO_BIN_CHUNK - len(self._pending)))
+            if len(self._pending) < RHO_BIN_CHUNK:
+                return
+            self._flush()
+
+    def counts(self) -> dict[str, int]:
+        self._flush()
+        return self._counts
+
+    def _flush(self) -> None:
+        if not self._pending:
+            return
+        w = self.bin_width_db
+        with np.errstate(over="ignore"):  # float arithmetic, as in Python
+            q = np.floor(np.array(self._pending, dtype=np.float64) / w)
+            # + 0.0 makes the edge of -0.0, or of a v / w that rounds to -0.0, the edge 0.0
+            edges = q * w + 0.0
+        self._pending.clear()
+        if np.isinf(q).any():  # v / w overflowed: no bin edge exists
+            raise OverflowError(f"an SNR estimate over bin width {w} is beyond the float range")
+        edges, first, count = np.unique(edges, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        for edge, n in zip(edges[order].tolist(), count[order].tolist()):
+            key = f"{edge:g}"
+            self._counts[key] = self._counts.get(key, 0) + n
+
+
 def rho_bin_counts(
     values: Iterable[float],
     bin_width_db: float = DEFAULT_RHO_BIN_WIDTH_DB,
 ) -> dict[str, int]:
-    """Bin SNR estimates by lower edge."""
-    counts: dict[str, int] = {}
-    for v in values:
-        key = f"{math.floor(v / bin_width_db) * bin_width_db:g}"
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    """Bin SNR estimates by lower edge: ``floor(v / w) * w`` formatted with
+    ``:g``, ``-0`` written ``0``.
+
+    Keys appear in the order their first value appears. Edges that format
+    to the same key share it and their counts add up: at w = 1e-4, 100.00011
+    and 100.00021 both count under ``"100"``, placed where the first of them
+    appeared.
+    """
+    bins = RhoBins(bin_width_db)
+    bins.add(values)
+    return bins.counts()
 
 
 def curate_file(buf: AudioBuffer, cfg: CurationConfig) -> list[CuratedSegment]:
@@ -359,25 +418,44 @@ def append_manifest(path: str | Path, segments: Sequence[CuratedSegment]) -> Non
             fh.write(seg.to_json() + "\n")
 
 
-def load_manifest(path: str | Path) -> tuple[list[CuratedSegment], int]:
-    """Read a JSONL manifest; malformed records are skipped and counted, a
-    missing manifest is a ConfigError."""
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"manifest not found: {p}")
-    segments: list[CuratedSegment] = []
-    skipped = 0
-    with p.open("rb") as fh:  # decoded per line, so a bad byte costs one record
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-                if not line.strip():
+class ManifestReader:
+    """The valid records of a JSONL manifest, streamed in file order.
+
+    A missing manifest is a ConfigError when the reader is made. Each pass
+    reads the file once and holds one line at a time. A malformed line is
+    skipped with a warning and counted in ``skipped``; a pass that skipped
+    any logs one summary line for the manifest.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        if not Path(path).is_file():
+            raise ConfigError(f"manifest not found: {Path(path)}")
+        self.path = path
+        self.skipped = 0
+
+    def __iter__(self) -> Iterator[CuratedSegment]:
+        self.skipped = 0
+        with open(self.path, "rb") as fh:  # decoded per line, so a bad byte costs one record
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    line = raw.decode("utf-8")
+                    if line.isspace():
+                        continue
+                    seg = CuratedSegment.from_json(line)
+                except (ValueError, TypeError) as exc:
+                    self.skipped += 1
+                    logger.warning("%s:%d: skipping malformed record: %s", self.path, lineno, exc)
                     continue
-                segments.append(CuratedSegment.from_json(line))
-            except (ValueError, TypeError) as exc:
-                skipped += 1
-                logger.warning("%s:%d: skipping malformed record: %s", path, lineno, exc)
-    return segments, skipped
+                yield seg
+        if self.skipped:
+            logger.warning("%s: skipped %d malformed record(s)", self.path, self.skipped)
+
+
+def load_manifest(path: str | Path) -> tuple[list[CuratedSegment], int]:
+    """Every valid record of a JSONL manifest, in file order, and the count
+    of malformed records skipped; a missing manifest is a ConfigError."""
+    reader = ManifestReader(path)
+    return list(reader), reader.skipped
 
 
 def _curate_one(source: str, cfg: CurationConfig) -> tuple[list[CuratedSegment], str | None]:
@@ -425,7 +503,6 @@ def run_round(
             failures.append({"source": source, "error": error})
         all_segments.extend(segments)
 
-    rho_values = [r for seg in all_segments for r in seg.frame_rho]
     report = RoundReport(
         round_id=cfg.round_id,
         config_hash=cfg.config_hash(),
@@ -434,7 +511,7 @@ def run_round(
         failures=failures,
         segment_count=len(all_segments),
         curated_seconds=float(sum(seg.duration_seconds for seg in all_segments)),
-        rho_histogram=rho_bin_counts(rho_values),
+        rho_histogram=rho_bin_counts(r for seg in all_segments for r in seg.frame_rho),
         generated_at=datetime.now(timezone.utc).isoformat(),
     )
     # the report goes first, so every appended record's config_hash is in one

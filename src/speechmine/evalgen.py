@@ -11,20 +11,17 @@ clean), with a built-in segmental SNR and room for external metrics.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .audio_io import AudioBuffer, frame_len_samples, frame_matrix
-from .curation import DEFAULT_RHO_BIN_WIDTH_DB, CuratedSegment, load_manifest, rho_bin_counts
+from .curation import DEFAULT_RHO_BIN_WIDTH_DB, CuratedSegment, RhoBins
+from .curation import load_manifest  # noqa: F401  (bench/tracing.py wraps this name)
 from .dsp import rms_db
 from .enhance import check_external_command, run_exchange_command
 from .schema import ConfigError
-
-logger = logging.getLogger(__name__)
 
 NOISE_KINDS = ("white", "pink", "babble_proxy")
 
@@ -225,32 +222,36 @@ def delta_quality(triple: EvalTriple, metric_id: str = "segmental_snr") -> float
     return float(q_enhanced - q_noisy)
 
 
-def load_manifests(manifests: Sequence[str | Path]) -> list[CuratedSegment]:
-    """Every record of the manifests, in order; malformed records are
-    skipped with a warning per manifest."""
-    segments: list[CuratedSegment] = []
-    for path in manifests:
-        loaded, skipped = load_manifest(path)
-        if skipped:
-            logger.warning("%s: skipped %d malformed record(s)", path, skipped)
-        segments.extend(loaded)
-    return segments
+def round_totals(
+    segments: Iterable[CuratedSegment],
+    bin_width_db: float = DEFAULT_RHO_BIN_WIDTH_DB,
+) -> tuple[dict[int, float], dict[int, dict[str, int]]]:
+    """Curated hours and binned per-frame SNR estimates, each keyed by round
+    in ascending order, from one pass over the records.
+
+    Only the per-round sums and bin counts are held, so the records can be a
+    stream of any length. Each round's seconds are summed in record order.
+    """
+    seconds: dict[int, float] = {}
+    bins: dict[int, RhoBins] = {}
+    for seg in segments:
+        rid = seg.round_id
+        seconds[rid] = seconds.get(rid, 0.0) + seg.duration_seconds
+        if rid not in bins:
+            bins[rid] = RhoBins(bin_width_db)
+        bins[rid].add(seg.frame_rho)
+    hours = {rid: s / 3600.0 for rid, s in sorted(seconds.items())}
+    return hours, {rid: bins[rid].counts() for rid in sorted(bins)}
 
 
 def rho_histogram(
-    segments: Sequence[CuratedSegment],
+    segments: Iterable[CuratedSegment],
     bin_width_db: float = DEFAULT_RHO_BIN_WIDTH_DB,
 ) -> dict[int, dict[str, int]]:
     """Binned counts of per-frame SNR estimates, keyed by round."""
-    per_round: dict[int, list[float]] = {}
-    for seg in segments:
-        per_round.setdefault(seg.round_id, []).extend(seg.frame_rho)
-    return {rid: rho_bin_counts(vals, bin_width_db) for rid, vals in sorted(per_round.items())}
+    return round_totals(segments, bin_width_db)[1]
 
 
-def accepted_hours(segments: Sequence[CuratedSegment]) -> dict[int, float]:
+def accepted_hours(segments: Iterable[CuratedSegment]) -> dict[int, float]:
     """Total curated duration in hours, keyed by round."""
-    seconds: dict[int, float] = {}
-    for seg in segments:
-        seconds[seg.round_id] = seconds.get(seg.round_id, 0.0) + seg.duration_seconds
-    return {rid: s / 3600.0 for rid, s in sorted(seconds.items())}
+    return round_totals(segments)[0]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from pathlib import Path
 
@@ -108,6 +109,16 @@ def make_segment(**overrides):
     )
     fields.update(overrides)
     return CuratedSegment(**fields)
+
+
+def reference_rho_bin_counts(values, bin_width_db: float = 5.0) -> dict[str, int]:
+    """The per-value loop that binned SNR estimates before the numpy
+    binning; ``rho_bin_counts`` must match its items, order included."""
+    counts: dict[str, int] = {}
+    for v in values:
+        key = f"{math.floor(v / bin_width_db) * bin_width_db:g}"
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 # Reference kernels: the gather-index STFT, the per-hop overlap-add ISTFT and

@@ -7,10 +7,10 @@ import speechmine
 
 ALL = [
     "AudioBuffer", "ConfigError", "CurationConfig", "CuratedSegment", "EnhancerError",
-    "EnhancerSpec", "EvalTriple", "NoiseSpec", "RoundReport", "StftConfig",
+    "EnhancerSpec", "EvalTriple", "ManifestReader", "NoiseSpec", "RoundReport", "StftConfig",
     "VadSpec", "WavError", "accepted_hours", "curate_file", "delta_quality", "detect",
     "energy_vad_windows", "enhance", "estimate_cutoff", "export_ab_pairs", "extract_segments",
-    "filter_manifest", "inject_noise", "istft", "load_config", "load_manifest", "load_manifests",
+    "filter_manifest", "inject_noise", "istft", "load_config", "load_manifest",
     "read_wav", "rho_hat", "rho_histogram", "rms_db", "run_round", "segmental_snr",
     "spectral_gate_enhance", "stft", "synth_clean", "write_wav",
 ]

@@ -1,13 +1,20 @@
 """Subcommand behavior and exit codes."""
 
+import hashlib
 import json
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from speechmine.audio_io import read_wav, write_wav
+import speechmine
+from helpers import make_segment
+from speechmine.audio_io import AudioBuffer, read_wav, write_wav
 from speechmine.cli import main
-from speechmine.curation import CurationConfig, load_manifest
+from speechmine.curation import CurationConfig, append_manifest, load_manifest
 from speechmine.dsp import StftConfig
 from speechmine.enhance import EnhancerSpec, enhance
 from speechmine.evalgen import EvalTriple, NoiseSpec, delta_quality, inject_noise, synth_clean
@@ -342,6 +349,163 @@ def test_export_ab_rho_bound_must_not_be_nan(tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {flag}") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_export_ab_min_rho_above_max_rho_exits_2_and_writes_nothing(tmp_path, capsys):
+    manifest = tmp_path / "m.jsonl"
+    append_manifest(manifest, [make_segment(frame_rho=[50.0] * 12)])
+    out = tmp_path / "ab"
+    assert main(["export-ab", "--manifest", str(manifest), "--out", str(out),
+                 "--min-rho", "60", "--max-rho", "40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: --min-rho") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_report_with_a_missing_manifest_exits_2_and_writes_nothing(tmp_path, capsys):
+    manifest = tmp_path / "m.jsonl"
+    append_manifest(manifest, [make_segment()])
+    out = tmp_path / "rep"
+    assert main(["report", str(manifest), str(tmp_path / "missing.jsonl"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: manifest not found") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    pytest.param(["report", "{tmp}/m.jsonl", "--out", "{tmp}/rep"], 0, "", id="ok"),
+    pytest.param(["report", "{tmp}/missing.jsonl", "--out", "{tmp}/rep"], 2,
+                 "config error: manifest not found", id="config-error"),
+])
+def test_python_m_speechmine_runs_the_cli(tmp_path, argv, code, err):
+    append_manifest(tmp_path / "m.jsonl", [make_segment()])
+    src = str(Path(speechmine.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-m", "speechmine", *(a.format(tmp=tmp_path) for a in argv)],
+                          env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code
+    assert proc.stderr.startswith(err)
+    assert (tmp_path / "rep" / "report.json").is_file() == (code == 0)
+
+
+# Rounds 0-2 over two manifests, with lines that are skipped and counted
+# (not JSON, a bad field, a second document, a bad UTF-8 byte, a JSON list)
+# and lines that are passed over (blank, whitespace only). Every record
+# holds a tie-breaking special: -0.0 and -5e-324 bin as "0", 100.00011 and
+# 100.00021 share the key "100" at --bin-width 1e-4.
+SPECIAL_RHO = [-0.0, -5e-324, 100.00011, 100.00021, -1.0e9]
+
+
+def _report_manifests(tmp_path):
+    rng = np.random.default_rng(16)
+
+    def records(rounds, count):
+        lines = []
+        for i in range(count):
+            rate = (48000, 16000, 44100)[i % 3]
+            flen = rate // (1, 2, 4)[i % 3]
+            rho = rng.uniform(-20.0, 105.0, 12).tolist()
+            rho[i % 12] = SPECIAL_RHO[i % len(SPECIAL_RHO)]
+            seg = make_segment(round_id=rounds[i % len(rounds)], sample_rate=rate,
+                               start_sample=i * 12 * flen, end_sample=(i + 1) * 12 * flen,
+                               frame_rho=rho, frame_fc=[rate / 2] * 12)
+            lines.append(seg.to_json().encode() + b"\n")
+        return lines
+
+    first = records([0, 1], 40)
+    first[3:3] = [b"not json\n", b"\n", b'{"source_uri": "x"}\n']
+    first[20:20] = [first[0][:-1] + b" {}\n", b"\x0c \n", b"\xff\xfe\n"]
+    second = records([2, 1], 30)
+    second[10:10] = [b"[1, 2]\n"]
+    paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    for path, lines in zip(paths, (first, second)):
+        path.write_bytes(b"".join(lines))
+    return paths
+
+
+# SHA-256 of the report files of _report_manifests, as written before the
+# manifests were streamed and binned with numpy
+REPORT_SHA256 = {
+    "5.0": {
+        "accepted_hours.csv": "15be86f7f6bed1e229dece7e07d465e36371ad60fc8ca1f1fa3e0935d82e57b8",
+        "report.json": "bb65915f22e4a452bfc9fd339cf1c080602e5fce49c7ef74d0b632a833738f9d",
+        "rho_histogram.csv": "0976983c62b9a9cc12a7bf34258e674b0b76a0b74238907ecdcba5a24bd61762",
+    },
+    "0.0001": {
+        "accepted_hours.csv": "15be86f7f6bed1e229dece7e07d465e36371ad60fc8ca1f1fa3e0935d82e57b8",
+        "report.json": "451652ff77547b806d346df1935a4c489a975319f8fb37a625cd63bb4ade939b",
+        "rho_histogram.csv": "87482f6b32c6dead6b44906a62a0b858c8e9e8b70ffe1b01ec9df7da2a5092ed",
+    },
+}
+
+
+@pytest.mark.parametrize("width", sorted(REPORT_SHA256))
+def test_report_files_are_unchanged(tmp_path, caplog, width):
+    paths = _report_manifests(tmp_path)
+    out = tmp_path / "rep"
+    with caplog.at_level("WARNING"):
+        assert main(["report", *map(str, paths), "--out", str(out), f"--bin-width={width}"]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+    assert got == REPORT_SHA256[width]
+    summaries = [r.getMessage() for r in caplog.records if "malformed record(s)" in r.getMessage()]
+    assert summaries == [f"{paths[0]}: skipped 4 malformed record(s)",
+                         f"{paths[1]}: skipped 1 malformed record(s)"]
+
+
+def _traced_peak(argv):
+    """Bytes the call allocated at its peak, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamingMemory:
+    """report and export-ab hold no list of the manifest's records: four
+    times the records keep the traced peak within 10%."""
+
+    N = 1500  # 750 records a round: each round's SNR buffer fills before the end
+
+    def _manifest(self, path, count):
+        """count records over rounds 0 and 1, none of which reach --min-rho 60."""
+        rng = np.random.default_rng(count)
+        segments = []
+        for i in range(count):
+            rho = rng.uniform(21.0, 99.0, 12)
+            rho[0] = 30.0
+            segments.append(make_segment(round_id=i % 2, start_sample=i * 12 * FS,
+                                         end_sample=(i + 1) * 12 * FS, frame_rho=rho.tolist()))
+        append_manifest(path, segments)
+        return path
+
+    def test_report_peak_does_not_grow_with_the_manifest(self, tmp_path):
+        peaks = []
+        for count in (50, self.N, 4 * self.N):  # the first run only warms up
+            manifest = self._manifest(tmp_path / f"m{count}.jsonl", count)
+            peaks.append(_traced_peak(["report", str(manifest), "--out", str(tmp_path / f"r{count}")]))
+        assert peaks[2] <= 1.1 * peaks[1]
+
+    def test_export_ab_peak_does_not_grow_with_the_manifest(self, tmp_path):
+        rate, flen = 1000, 100
+        src = tmp_path / "src.wav"
+        write_wav(src, AudioBuffer(np.sin(np.arange(3 * 12 * flen) / 7.0) * 0.5, rate), "float32")
+        peaks = []
+        for count in (50, self.N, 4 * self.N):
+            manifest = self._manifest(tmp_path / f"m{count}.jsonl", count)
+            append_manifest(manifest, [
+                make_segment(source_uri=str(src), sample_rate=rate, start_sample=k * 12 * flen,
+                             end_sample=(k + 1) * 12 * flen, frame_rho=[70.0] * 12,
+                             frame_fc=[rate / 2] * 12)
+                for k in range(3)
+            ])
+            out = tmp_path / f"ab{count}"
+            peaks.append(_traced_peak(["export-ab", "--manifest", str(manifest), "--out", str(out),
+                                       "--min-rho", "60"]))
+            assert len(list(out.glob("*.wav"))) == 6
+        assert peaks[2] <= 1.1 * peaks[1]
 
 
 # A round with a non-default STFT: a 12-s spectral-gate mix at 30 dB SNR

@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import brickwall_lowpass, make_segment, white_noise
+from helpers import brickwall_lowpass, make_segment, reference_rho_bin_counts, white_noise
 from speechmine import curation
 from speechmine.audio_io import AudioBuffer, read_wav, write_wav
 from speechmine.curation import (
+    RHO_BIN_CHUNK,
     ConfigError,
     CurationConfig,
     CuratedSegment,
@@ -652,8 +653,55 @@ class TestMetamorphic:
             np.testing.assert_allclose(g.frame_rho, w.frame_rho, rtol=0, atol=1e-9)
 
 
+def _rho_values(rng, width, n):
+    """n values in random order: ties, values on and beside bin edges, signed
+    zeros and subnormals, and pairs whose edges format to one ``:g`` key."""
+    edges = rng.integers(-40, 40, 64) * width
+    pool = np.concatenate([
+        rng.uniform(-30.0, 110.0, 64),
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [0.0, -0.0, 5e-324, -5e-324, -1.0e9, 100.00011, 100.00021, 1234567.5, 1234568.5],
+        rng.uniform(1.0e12, 1.0e12 + 1.0e7, 16),
+    ])
+    return rng.choice(pool, n).tolist()
+
+
 class TestRhoBinCounts:
     def test_binned_by_lower_edge(self):
         # -1e9, the unvoiced score stored by older versions, is an ordinary value
         counts = rho_bin_counts([22.0, 22.0, -1.0e9, -3.0])
         assert counts == {"20": 2, "-1e+09": 1, "-5": 1}
+
+    @pytest.mark.parametrize("width", [1e-4, 1e-9, 37.5, 1e6, 5.0])
+    @pytest.mark.parametrize("n", [0, 1, 50, 2 * RHO_BIN_CHUNK + 77])
+    def test_items_and_order_equal_the_reference_loop(self, width, n):
+        rng = np.random.default_rng([n, int(width * 1e9)])
+        values = _rho_values(rng, width, n)
+        want = reference_rho_bin_counts(values, width)
+        assert list(rho_bin_counts(values, width).items()) == list(want.items())
+        assert list(rho_bin_counts(iter(values), width).items()) == list(want.items())
+
+    @pytest.mark.parametrize("values, width, items", [
+        pytest.param([-5e-324, 3.0, -0.0, 0.0], 5.0, [("0", 4)], id="signed-zero"),
+        pytest.param([100.00021, 7.0, 100.00011, 100.0003], 1e-4, [("100", 3), ("7", 1)],
+                     id="colliding-edges"),
+    ])
+    def test_one_key_per_formatted_edge(self, values, width, items):
+        assert list(rho_bin_counts(values, width).items()) == items
+        assert list(reference_rho_bin_counts(values, width).items()) == items
+
+    def test_batches_of_any_size_give_the_counts_of_one_pass(self):
+        rng = np.random.default_rng(7)
+        values = _rho_values(rng, 1e-4, 3 * RHO_BIN_CHUNK)
+        bins = curation.RhoBins(1e-4)
+        start = 0
+        for size in [0, 1, 12, RHO_BIN_CHUNK - 5, 7, RHO_BIN_CHUNK + 3, len(values)]:
+            bins.add(values[start:start + size])
+            start += size
+        assert list(bins.counts().items()) == list(reference_rho_bin_counts(values, 1e-4).items())
+
+    def test_edge_beyond_the_float_range_fails_as_the_loop_does(self):
+        with pytest.raises(OverflowError):
+            reference_rho_bin_counts([50.0], 1e-310)
+        with pytest.raises(OverflowError):
+            rho_bin_counts([50.0], 1e-310)

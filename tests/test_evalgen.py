@@ -5,7 +5,7 @@ import pytest
 
 from helpers import make_segment, white_noise
 from speechmine.audio_io import AudioBuffer, frame_matrix
-from speechmine.curation import append_manifest
+from speechmine.curation import ManifestReader, append_manifest
 from speechmine.dsp import StftConfig, estimate_cutoff, rms_db
 from speechmine.evalgen import (
     EvalTriple,
@@ -14,7 +14,6 @@ from speechmine.evalgen import (
     delta_quality,
     draw_target_snr,
     inject_noise,
-    load_manifests,
     rho_histogram,
     segmental_snr,
     synth_clean,
@@ -194,7 +193,7 @@ class TestManifestReports:
     def test_single_segment_histogram(self, tmp_path):
         path = tmp_path / "m.jsonl"
         append_manifest(path, [make_segment(frame_rho=[22.0] * 12)])
-        hist = rho_histogram(load_manifests([path]))
+        hist = rho_histogram(ManifestReader(path))
         assert hist == {0: {"20": 12}}
 
     def test_two_rounds_labeled(self, tmp_path):
@@ -203,7 +202,7 @@ class TestManifestReports:
             make_segment(round_id=1, frame_rho=[31.0] * 12),
             make_segment(round_id=2, frame_rho=[52.0] * 12),
         ])
-        hist = rho_histogram(load_manifests([path]))
+        hist = rho_histogram(ManifestReader(path))
         assert set(hist) == {1, 2}
         assert hist[1] == {"30": 12}
         assert hist[2] == {"50": 12}
@@ -221,7 +220,7 @@ class TestManifestReports:
         ]
         path = tmp_path / "m.jsonl"
         append_manifest(path, segments)
-        hist = rho_histogram(load_manifests([path]))
+        hist = rho_histogram(ManifestReader(path))
         for rid in set(s.round_id for s in segments):
             values = [r for s in segments if s.round_id == rid for r in s.frame_rho]
             for key, count in hist[rid].items():
@@ -239,12 +238,12 @@ class TestManifestReports:
                 for i in range(300)
             ],
         )
-        assert accepted_hours(load_manifests([path])) == {0: 1.0}
+        assert accepted_hours(ManifestReader(path)) == {0: 1.0}
 
     def test_accepted_hours_empty(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text("")
-        assert accepted_hours(load_manifests([path])) == {}
+        assert accepted_hours(ManifestReader(path)) == {}
 
     def test_accepted_hours_mixed_rounds_matches_scan(self, tmp_path):
         rng = np.random.default_rng(19)
@@ -258,7 +257,7 @@ class TestManifestReports:
         ]
         path = tmp_path / "m.jsonl"
         append_manifest(path, segments)
-        got = accepted_hours(load_manifests([path]))
+        got = accepted_hours(ManifestReader(path))
         for rid, hours in got.items():
             want = sum(12.0 for s in segments if s.round_id == rid) / 3600.0
             assert hours == pytest.approx(want, abs=1e-12)
