@@ -195,14 +195,15 @@ def frame_len_samples(sample_rate: int, frame_seconds: float) -> int:
 
 
 def frame_matrix(samples: np.ndarray, frame_len: int) -> np.ndarray:
-    """Reshape a 1-D sequence into a (frame_len, frame_count) matrix.
+    """Reshape a 1-D sequence into a (frame_count, frame_len) matrix, a view
+    of the samples where possible.
 
-    Column ``l`` holds samples [l*frame_len, (l+1)*frame_len). The trailing
+    Row ``l`` holds samples [l*frame_len, (l+1)*frame_len). The trailing
     partial frame is discarded, never zero-padded, so the last frame's level
     statistics are not biased. Works for audio samples and for sample-wise
     mask sequences alike.
     """
     samples = np.asarray(samples)
     count = samples.size // frame_len
-    return samples[: count * frame_len].reshape(count, frame_len).T
+    return samples[: count * frame_len].reshape(count, frame_len)
 

@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands: curate, synth, eval, report, export-ab. All pipeline
-parameters come from the config file; flags only select paths and the
-subcommand, which keeps the config hash stamped into manifests
-meaningful. Set SECP_LOG to change the log level. Exit codes: 0 success,
+parameters come from the config file, which keeps the config hash stamped
+into manifests meaningful; flags select paths and the subcommand, with two
+exceptions on curate: --round replaces the config's round_id, which is part
+of the hashed config, and --jobs sets the number of worker threads, which
+changes no output. Set SECP_LOG to change the log level. Exit codes: 0 success,
 2 bad user input (a file, a flag or SECP_LOG; one line, no traceback),
 3 empty corpus, 1 unexpected failure.
 """
@@ -179,7 +181,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.bin_width) and args.bin_width > 0):
         raise ConfigError(f"--bin-width: must be a finite positive number, got {args.bin_width}")
     readers = [ManifestReader(path) for path in args.manifests]
-    hours, hist = evalgen.round_totals(itertools.chain.from_iterable(readers), args.bin_width)
+    try:
+        hours, hist = evalgen.round_totals(itertools.chain.from_iterable(readers), args.bin_width)
+    except OverflowError as exc:  # a width so small that some estimate has no bin edge
+        raise ConfigError(f"--bin-width: {exc}") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report = {

@@ -222,11 +222,11 @@ def bandwidth_gate(
     min_bandwidth_hz: float,
     cfg: StftConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Frame (column of the frame matrix) passes iff its estimated cutoff
+    """Frame (row of the frame matrix) passes iff its estimated cutoff
     reaches min_bandwidth_hz (inclusive). Returns (acceptance, cutoff_hz)
     so the cutoffs can be stored as segment metadata."""
     # looked up on dsp at each call, so a wrapper set on dsp.estimate_cutoff sees every call
-    cutoff_hz = np.array([dsp.estimate_cutoff(frame, sample_rate, cfg) for frame in xhat_frames.T])
+    cutoff_hz = np.array([dsp.estimate_cutoff(frame, sample_rate, cfg) for frame in xhat_frames])
     return (cutoff_hz >= min_bandwidth_hz).astype(np.uint8), cutoff_hz
 
 
@@ -377,13 +377,10 @@ def curate_file(buf: AudioBuffer, cfg: CurationConfig) -> list[CuratedSegment]:
     x = frame_matrix(buf.samples, flen)
     xhat = frame_matrix(enhanced.samples, flen)
     v = frame_matrix(mask, flen)
-    frame_count = x.shape[1]
-    if frame_count == 0:
+    if len(x) == 0:
         return []
 
-    rho = np.array(
-        [rho_hat(x[:, l], xhat[:, l], v[:, l], cfg.rho_max_db) for l in range(frame_count)]
-    )
+    rho = np.array([rho_hat(*frames, cfg.rho_max_db) for frames in zip(x, xhat, v)])
     s = snr_gate(rho, cfg.snr_threshold_db)
     b, cutoffs = bandwidth_gate(xhat, cfg.sample_rate, cfg.min_bandwidth_hz, cfg.stft)
     # both gates return equal-length 0/1 uint8 vectors

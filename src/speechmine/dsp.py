@@ -69,13 +69,13 @@ class StftConfig:
 
 
 def stft(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """Windowed short-time transform of a 1-D signal: complex coefficients
-    of shape (window_len/2 + 1, steps), steps = floor((n - w)/hop) + 1, no
-    padding.
+    """Windowed short-time transform of a 1-D signal: a C-contiguous complex
+    array of shape (steps, window_len/2 + 1), one row per frame, steps =
+    floor((n - w)/hop) + 1, no padding. Row t is the rfft of samples
+    [t*hop, t*hop + w) times the taper.
 
     Frames are a strided view of the samples (no gathered copy). They are
-    tapered and transformed _BLOCK_FRAMES at a time into one time-major
-    complex array, whose transpose is returned.
+    tapered and transformed _BLOCK_FRAMES rows at a time.
     """
     n = len(samples)
     w = cfg.window_len
@@ -88,7 +88,7 @@ def stft(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
     for b in range(0, steps, _BLOCK_FRAMES):
         block = slice(b, b + _BLOCK_FRAMES)
         np.fft.rfft(frames[block] * taper, axis=1, out=values[block])
-    return values.T
+    return values
 
 
 def _overlap_add(out: np.ndarray, frames: np.ndarray, first: int) -> None:
@@ -108,8 +108,8 @@ def _overlap_add(out: np.ndarray, frames: np.ndarray, first: int) -> None:
 
 
 def istft(values: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """Weighted overlap-add inverse of a (window_len/2 + 1, steps) complex
-    array; output length = (steps - 1) * hop + window_len samples.
+    """Weighted overlap-add inverse of a (steps, window_len/2 + 1) complex
+    array, one row per frame; output length (steps - 1) * hop + window_len.
 
     Samples are normalized by the summed squared window, so an unmodified
     round trip reconstructs the signal exactly wherever the window
@@ -129,16 +129,16 @@ def istft(values: np.ndarray, cfg: StftConfig) -> np.ndarray:
     """
     w = cfg.window_len
     hop = cfg.hop
-    if values.shape[0] != w // 2 + 1:
-        raise ValueError(f"expected {w // 2 + 1} bins, got {values.shape[0]}")
-    steps = values.shape[1]
+    steps, bins = values.shape
+    if bins != w // 2 + 1:
+        raise ValueError(f"expected {w // 2 + 1} bins, got {bins}")
     taper = cfg.taper()
     pieces = -(-w // hop)
     rows = steps - 1 + pieces
 
     out = np.zeros((rows, hop))
     for b in range(0, steps, _BLOCK_FRAMES):
-        block = np.fft.irfft(values[:, b : b + _BLOCK_FRAMES].T, n=w, axis=1)
+        block = np.fft.irfft(values[b : b + _BLOCK_FRAMES], n=w, axis=1)
         block *= taper
         _overlap_add(out, block, b)
 
@@ -175,7 +175,7 @@ def estimate_cutoff(frame: np.ndarray, sample_rate: int, cfg: StftConfig) -> flo
     mag = np.abs(stft(frame, cfg))
     np.maximum(mag, RMS_FLOOR, out=mag)
     np.log10(mag, out=mag)
-    avg_db = 20.0 * mag.mean(axis=1)
+    avg_db = 20.0 * mag.mean(axis=0)
     peak = float(avg_db.max())
     if peak <= FLOOR_DB + 1e-9:
         return 0.0

@@ -27,7 +27,7 @@ from typing import Any
 import numpy as np
 
 from .audio_io import AudioBuffer, read_wav, write_wav
-from .dsp import StftConfig, istft, stft
+from .dsp import _BLOCK_FRAMES, StftConfig, istft, stft
 from .schema import check_params, encode
 
 logger = logging.getLogger(__name__)
@@ -54,10 +54,8 @@ ENHANCER_PARAMS: dict[str, dict[str, type]] = {
 
 DEFAULT_TIMEOUT_S = 600.0
 
-# Frequency bins whose floor spectral_gate_enhance takes at once, and frames
-# it gates at once: each block's magnitudes stay small next to the spectrum.
+# Bins whose floor spectral_gate_enhance takes at once, small next to the spectrum.
 _GATE_BINS = 32
-_GATE_FRAMES = 64
 
 
 class EnhancerError(Exception):
@@ -100,17 +98,16 @@ def spectral_gate_enhance(
 
     The floor per bin is the 10th percentile of magnitude over time; cells
     below floor + gate_threshold_db are scaled down by attenuation_db. The
-    output is trimmed/zero-padded back to the input length (the overlap-add
-    never covers the final partial hop).
+    output is zero-padded back to the input length (the overlap-add never
+    covers the final partial hop).
 
-    Two passes over the one complex spectrum stft returns:
+    Two passes over the one (steps, bins) spectrum stft returns:
 
     1. Floor, _GATE_BINS bins at a time: the block's magnitudes go into one
        reused C-ordered (_GATE_BINS, steps) buffer, and _floor_10th takes
        the floor from it with a single-kth partition, bit for bit what
        np.percentile returns. One limit (floor times threshold) per bin.
-    2. Gate, _GATE_FRAMES frames at a time, in place, over the time-major
-       transpose of the spectrum, whose blocks are contiguous rows.
+    2. Gate, in place, in the _BLOCK_FRAMES-row blocks that istft inverts.
 
     Working set: the spectrum, one output signal, one magnitude buffer of
     _GATE_BINS bins and one block's magnitudes and mask; no full-size
@@ -129,25 +126,23 @@ def spectral_gate_enhance(
     y = istft(values, cfg)
     del values  # the only reference to the spectrum: freed before `out` exists
     out = np.zeros(len(buf))
-    n = min(len(buf), y.size)
-    out[:n] = y[:n]
+    out[: y.size] = y
     return AudioBuffer(out, buf.sample_rate, source=buf.source)
 
 
 def _gate(values: np.ndarray, threshold: float, gain: float) -> None:
-    """Scale by ``gain``, in place, the cells of ``values`` (bins, steps)
+    """Scale by ``gain``, in place, the cells of ``values`` (steps, bins)
     whose magnitude is below ``threshold`` times their bin's floor. A
     function of its own, so no view of the spectrum outlives the gate."""
-    bins, steps = values.shape
+    steps, bins = values.shape
     limit = np.empty(bins)
     mag = np.empty((_GATE_BINS, steps))
     for b in range(0, bins, _GATE_BINS):
         rows = mag[: min(_GATE_BINS, bins - b)]
-        np.abs(values[b : b + _GATE_BINS], out=rows)
+        np.abs(values[:, b : b + _GATE_BINS].T, out=rows)
         np.multiply(_floor_10th(rows), threshold, out=limit[b : b + _GATE_BINS])
-    frames = values.T
-    for t in range(0, steps, _GATE_FRAMES):
-        block = frames[t : t + _GATE_FRAMES]
+    for t in range(0, steps, _BLOCK_FRAMES):
+        block = values[t : t + _BLOCK_FRAMES]
         np.multiply(block, gain, out=block, where=np.abs(block) < limit)
 
 

@@ -75,7 +75,7 @@ class EvalTriple:
         flen = frame_len_samples(clean.sample_rate, 1.0)
         noise = frame_matrix(noisy.samples - clean.samples, flen)
         ref = frame_matrix(clean.samples, flen)
-        snr = rms_db(ref.T) - rms_db(noise.T)
+        snr = rms_db(ref) - rms_db(noise)
         return cls(clean=clean, noisy=noisy, enhanced=enhanced, true_snr_db=snr)
 
 
@@ -178,10 +178,10 @@ def segmental_snr(reference: AudioBuffer, degraded: AudioBuffer) -> float:
     flen = max(1, int(round(reference.sample_rate * SEGSNR_FRAME_MS / 1000.0)))
     ref = frame_matrix(reference.samples, flen)
     deg = frame_matrix(degraded.samples, flen)
-    if ref.shape[1] == 0:
+    if len(ref) == 0:
         raise ValueError("signal shorter than one metric frame")
-    ref_energy = np.sum(np.square(ref), axis=0)
-    err_energy = np.sum(np.square(ref - deg), axis=0)
+    ref_energy = np.sum(np.square(ref), axis=1)
+    err_energy = np.sum(np.square(ref - deg), axis=1)
     level_db = 10.0 * np.log10(np.maximum(ref_energy / flen, 1e-20))
     keep = level_db > SEGSNR_ENERGY_SCREEN_DB
     if not keep.any():

@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .audio_io import AudioBuffer
+from .audio_io import AudioBuffer, frame_matrix
 from .dsp import FLOOR_DB, rms_db
 from .enhance import EXTERNAL_PARAMS, check_external_command, run_exchange_command
 from .schema import check_params
@@ -57,7 +57,7 @@ def _window_rms_db(samples: np.ndarray, win: int) -> np.ndarray:
     """RMS level in dB of consecutive windows; the trailing partial window
     is evaluated over its own samples, and empty input is one floor level."""
     full = samples.size // win
-    levels = [rms_db(samples[: full * win].reshape(full, win))] if full else []
+    levels = [rms_db(frame_matrix(samples, win))] if full else []
     tail = samples[full * win :]
     if tail.size or not full:
         levels.append([rms_db(tail) if tail.size else FLOOR_DB])

@@ -340,6 +340,16 @@ def test_report_bin_width_must_be_finite_positive(tmp_path, capsys, width):
     assert not (tmp_path / "r").exists()
 
 
+def test_report_bin_width_too_small_for_an_estimate_exits_2(tmp_path, capsys):
+    # 50 dB over 1e-320 dB is beyond the float range, so no bin edge exists
+    manifest = tmp_path / "m.jsonl"
+    append_manifest(manifest, [make_segment()])
+    assert main(["report", str(manifest), "--out", str(tmp_path / "r"), "--bin-width", "1e-320"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --bin-width") and err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("flag", ["--min-rho", "--max-rho"])
 def test_export_ab_rho_bound_must_not_be_nan(tmp_path, capsys, flag):
     manifest = tmp_path / "m.jsonl"

@@ -94,23 +94,21 @@ class TestGates:
 
     def test_bandwidth_gate_full_band_accepts(self):
         rng = np.random.default_rng(1)
-        frames = rng.standard_normal((FS, 3)) * 0.1
+        frames = rng.standard_normal((3, FS)) * 0.1
         accept, cutoffs = bandwidth_gate(frames, FS, 20000.0, StftConfig())
         assert accept.all()
         assert (cutoffs >= 20000).all()
 
     def test_bandwidth_gate_lowpassed_rejects(self):
         rng = np.random.default_rng(2)
-        frames = np.stack(
-            [brickwall_lowpass(rng.standard_normal(FS), 4000, FS) for _ in range(3)], axis=1
-        )
+        frames = np.stack([brickwall_lowpass(rng.standard_normal(FS), 4000, FS) for _ in range(3)])
         accept, cutoffs = bandwidth_gate(frames, FS, 20000.0, StftConfig())
         assert not accept.any()
         assert (cutoffs < 5000).all()
 
     def test_bandwidth_gate_zero_threshold_accepts_nonsilent(self):
         rng = np.random.default_rng(3)
-        frames = rng.standard_normal((FS, 2))
+        frames = rng.standard_normal((2, FS))
         accept, _ = bandwidth_gate(frames, FS, 0.0, StftConfig())
         assert accept.all()
 

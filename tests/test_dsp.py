@@ -60,23 +60,34 @@ class TestStft:
         cfg = StftConfig()
         n = FS
         spec = stft(np.random.default_rng(0).standard_normal(n), cfg)
-        assert spec.shape == (cfg.window_len // 2 + 1, (n - cfg.window_len) // cfg.hop + 1)
+        assert spec.shape == ((n - cfg.window_len) // cfg.hop + 1, cfg.window_len // 2 + 1)
+
+    @pytest.mark.parametrize("window_len,hop", [(2048, 512), (1024, 300), (8, 3)])
+    def test_row_is_the_transform_of_one_tapered_frame(self, window_len, hop):
+        cfg = StftConfig(window_len=window_len, hop=hop)
+        x = np.random.default_rng(window_len + hop).standard_normal(window_len + 70 * hop + 1)
+        spec = stft(x, cfg)
+        assert spec.shape == (71, window_len // 2 + 1)
+        assert spec.flags.c_contiguous
+        for t in (0, 1, 63, 64, 70):
+            frame = x[t * hop : t * hop + window_len] * cfg.taper()
+            assert np.array_equal(spec[t], np.fft.rfft(frame))
 
     def test_dc_maps_to_bin_zero(self):
         cfg = StftConfig()
         mag = np.abs(stft(np.ones(4 * cfg.window_len), cfg))
         # DFT of a length-N periodic Hann window: N/2 at bin 0, -N/4 at bins +-1, 0 elsewhere
-        assert (mag.argmax(axis=0) == 0).all()
-        np.testing.assert_allclose(mag[0], cfg.window_len / 2, rtol=1e-12)
-        np.testing.assert_allclose(mag[1], mag[0] / 2, rtol=1e-12)
-        assert (mag[2:] < 1e-12 * mag[0]).all()
+        assert (mag.argmax(axis=1) == 0).all()
+        np.testing.assert_allclose(mag[:, 0], cfg.window_len / 2, rtol=1e-12)
+        np.testing.assert_allclose(mag[:, 1], mag[:, 0] / 2, rtol=1e-12)
+        assert (mag[:, 2:] < 1e-12 * mag[:, :1]).all()
 
     def test_tone_at_bin_center_dominates_that_bin(self):
         cfg = StftConfig()
         k = 100
         x = np.sin(2 * np.pi * (k * FS / cfg.window_len) * np.arange(FS) / FS)
         mag = np.abs(stft(x, cfg))
-        assert (mag.argmax(axis=0) == k).all()
+        assert (mag.argmax(axis=1) == k).all()
 
     def test_shorter_than_window_rejected(self):
         with pytest.raises(ValueError, match="shorter"):
@@ -102,12 +113,12 @@ class TestIstft:
 
     def test_zero_spectrogram_gives_zeros(self):
         cfg = StftConfig()
-        assert not istft(np.zeros((1025, 8), dtype=complex), cfg).any()
+        assert not istft(np.zeros((8, 1025), dtype=complex), cfg).any()
 
     def test_config_mismatch_rejected(self):
         # 1025 bins come from a 2048-sample window, not from 1024
         with pytest.raises(ValueError, match="expected 513 bins, got 1025"):
-            istft(np.zeros((1025, 8), dtype=complex), StftConfig(window_len=1024))
+            istft(np.zeros((8, 1025), dtype=complex), StftConfig(window_len=1024))
 
     def test_pure_tone_round_trip(self):
         cfg = StftConfig()
@@ -122,7 +133,7 @@ class TestIstft:
         # window built over a few frames only: no second signal-long array.
         cfg = StftConfig(window_len=2048, hop=hop)
         values = stft(np.random.default_rng(4).standard_normal(20 * FS), cfg)
-        out_bytes = ((values.shape[1] - 1) * hop + cfg.window_len) * 8
+        out_bytes = ((len(values) - 1) * hop + cfg.window_len) * 8
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

@@ -38,7 +38,7 @@ class TestSynthClean:
     def test_voiced_frame_is_full_band(self):
         buf = synth_clean(6.0, FS, seed=2)
         frames = frame_matrix(buf.samples, FS)
-        cutoffs = [estimate_cutoff(frames[:, l], FS, StftConfig()) for l in range(frames.shape[1])]
+        cutoffs = [estimate_cutoff(frame, FS, StftConfig()) for frame in frames]
         assert min(cutoffs) >= 0.9 * FS / 2
 
     def test_contains_silent_gaps(self):
@@ -185,7 +185,7 @@ class TestDeltaQuality:
         triple = EvalTriple.from_components(clean, noisy, noisy)
         frames = frame_matrix(clean.samples, FS)
         nframes = frame_matrix(noise, FS)
-        want = [rms_db(frames[:, l]) - rms_db(nframes[:, l]) for l in range(frames.shape[1])]
+        want = [rms_db(frame) - rms_db(nframe) for frame, nframe in zip(frames, nframes)]
         assert np.array_equal(triple.true_snr_db, want)
 
 

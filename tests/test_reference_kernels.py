@@ -59,8 +59,8 @@ class TestMatchesReference:
         cfg = StftConfig(window_len=window_len, hop=hop)
         x = signal(window_len, hop, steps).samples
         got = stft(x, cfg)
-        want = reference_stft(x, cfg)
-        assert got.shape == want.shape == (window_len // 2 + 1, steps)
+        want = reference_stft(x, cfg).T
+        assert got.shape == want.shape == (steps, window_len // 2 + 1)
         assert np.array_equal(got, want)
 
     def test_istft(self, window_len, hop, steps):
@@ -68,9 +68,10 @@ class TestMatchesReference:
         spec = reference_stft(signal(window_len, hop, steps).samples, cfg)
         rng = np.random.default_rng(steps)
         # a modified spectrogram (random per-cell gains), C-contiguous as
-        # (bins, steps) rather than the transposed layout stft returns
+        # (bins, steps), so istft reads a transposed view rather than the
+        # C-contiguous rows stft returns
         modified = np.ascontiguousarray(spec * rng.uniform(0.0, 1.0, spec.shape))
-        got = istft(modified, cfg)
+        got = istft(modified.T, cfg)
         want = reference_istft(modified, cfg)
         assert got.shape == want.shape == ((steps - 1) * hop + window_len,)
         assert np.array_equal(got, want)
