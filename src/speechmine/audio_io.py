@@ -130,11 +130,12 @@ def read_wav(path: str | Path) -> AudioBuffer:
     else:
         dtype = "<f4" if code == WAVE_FORMAT_IEEE_FLOAT else "<i2"
         values = np.frombuffer(raw, dtype, count, data)
-    x = values.astype(np.float64)
-    if scale != 1.0:
-        x /= scale
-    if channels == 2:
-        x = x.reshape(-1, 2).mean(axis=1)
+    with np.errstate(invalid="ignore"):  # a NaN or an inf - inf is rejected below as non-finite
+        x = values.astype(np.float64)
+        if scale != 1.0:
+            x /= scale
+        if channels == 2:
+            x = x.reshape(-1, 2).mean(axis=1)
     try:
         return AudioBuffer(samples=x, sample_rate=int(rate), source=str(p))
     except ValueError as exc:  # non-finite samples, zero sample rate

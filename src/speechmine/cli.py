@@ -2,10 +2,9 @@
 
 Subcommands: curate, synth, eval, report, export-ab. All pipeline
 parameters come from the config file, which keeps the config hash stamped
-into manifests meaningful; flags select paths and the subcommand, with two
-exceptions on curate: --round replaces the config's round_id, which is part
-of the hashed config, and --jobs sets the number of worker threads, which
-changes no output. Set SECP_LOG to change the log level. Exit codes: 0 success,
+into manifests meaningful; flags select paths and the subcommand, with one
+exception: curate's --jobs sets the number of worker threads, which changes
+no output. Set SECP_LOG to change the log level. Exit codes: 0 success,
 2 bad user input (a file, a flag or SECP_LOG; one line, no traceback),
 3 empty corpus, 1 unexpected failure.
 """
@@ -35,10 +34,11 @@ from .curation import (
     filter_manifest,
     load_config,
     load_round_configs,
+    round_totals,
     run_round,
 )
 from .enhance import EnhancerError, EnhancerSpec, enhance
-from .evalgen import EvalTriple, NoiseSpec, delta_quality, inject_noise, synth_clean
+from .evalgen import NOISE_KINDS, EvalTriple, NoiseSpec, delta_quality, inject_noise, synth_clean
 from .schema import decode, encode, load_json
 
 logger = logging.getLogger(__name__)
@@ -60,8 +60,6 @@ def _enhancement_from_file(path: str) -> CurationConfig:
 
 def cmd_curate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    if args.round is not None:
-        cfg = dataclasses.replace(cfg, round_id=args.round)
     if args.jobs < 1:
         raise ConfigError(f"--jobs: must be at least 1, got {args.jobs}")
     files = sorted(p for p in glob.glob(args.corpus, recursive=True) if Path(p).is_file())
@@ -182,9 +180,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise ConfigError(f"--bin-width: must be a finite positive number, got {args.bin_width}")
     readers = [ManifestReader(path) for path in args.manifests]
     try:
-        hours, hist = evalgen.round_totals(itertools.chain.from_iterable(readers), args.bin_width)
+        seconds, hist = round_totals(itertools.chain.from_iterable(readers), args.bin_width)
     except OverflowError as exc:  # a width so small that some estimate has no bin edge
         raise ConfigError(f"--bin-width: {exc}") from exc
+    hours = {rid: s / 3600.0 for rid, s in seconds.items()}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report = {
@@ -239,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="pipeline config (JSON)")
     p.add_argument("--corpus", required=True, help="glob pattern of input WAV files")
     p.add_argument("--manifest", required=True, help="JSONL manifest to append to")
-    p.add_argument("--round", type=int, default=None, help="override the config round_id")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="parallel file workers (default: logical CPUs)")
     p.set_defaults(func=cmd_curate)
@@ -248,12 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--count", type=int, required=True, help="number of pairs")
     p.add_argument("--duration", type=float, default=20.0, help="seconds per file")
-    p.add_argument("--sample-rate", type=int, default=48000)
+    p.add_argument("--sample-rate", type=int, default=CurationConfig.sample_rate)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise-kind", choices=["white", "pink", "babble_proxy"], default="white")
-    p.add_argument("--rayleigh-sigma", type=float, default=15.0)
-    p.add_argument("--snr-min", type=float, default=0.0)
-    p.add_argument("--snr-max", type=float, default=60.0)
+    p.add_argument("--noise-kind", choices=NOISE_KINDS, default=NoiseSpec.noise_kind)
+    p.add_argument("--rayleigh-sigma", type=float, default=NoiseSpec.rayleigh_sigma)
+    p.add_argument("--snr-min", type=float, default=NoiseSpec.snr_clip[0])
+    p.add_argument("--snr-max", type=float, default=NoiseSpec.snr_clip[1])
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("eval", help="score an enhancer on a clean/noisy pair corpus")

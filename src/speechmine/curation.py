@@ -32,7 +32,7 @@ from .audio_io import AudioBuffer, frame_len_samples, frame_matrix, read_wav, wh
 from . import dsp
 from .dsp import StftConfig, rms_db
 from .enhance import EnhancerSpec, enhance
-from .schema import ConfigError, decode, encode, load_json
+from .schema import ConfigError, canonical_json, decode, encode, load_json
 from .vad import VadSpec, detect
 
 logger = logging.getLogger(__name__)
@@ -47,7 +47,9 @@ _DECODER = json.JSONDecoder()
 @dataclass(frozen=True)
 class CurationConfig:
     """Every pipeline parameter, checked when built. The config file is the
-    single source of truth; its hash is stamped onto every manifest record."""
+    single source of truth; its hash is stamped onto every manifest record.
+    A field added later must default to the old behaviour, so that an old
+    round report decodes to the config its records ran under."""
 
     sample_rate: int = 48000
     segment_seconds: float = 12.0
@@ -96,7 +98,7 @@ class CurationConfig:
         return encode(self)
 
     def canonical_text(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_dict())
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
@@ -285,27 +287,33 @@ def _write_text_atomic(path: Path, text: str) -> None:
 
 def load_round_configs(manifest: str | Path, round_ids: Iterable[int]) -> dict[str, CurationConfig]:
     """``{config_hash: config}`` from the report files of the given rounds of
-    a manifest. A missing report file is passed over; one that does not
-    decode is logged and passed over."""
-    configs = (_report_config(round_report_path(manifest, r)) for r in sorted(set(round_ids)))
-    return {cfg.config_hash(): cfg for cfg in configs if cfg is not None}
-
-
-def _report_config(path: Path) -> CurationConfig | None:
-    """The config in a round report file, or None when there is no such file
-    or it does not decode (logged)."""
-    if not path.is_file():
-        return None
-    try:
-        return CurationConfig.from_dict(load_json(path, "round report")["config"])
-    except (ConfigError, KeyError, TypeError) as exc:
-        logger.warning("%s: no round config: %s", path, exc)
-        return None
+    a manifest, keyed by the hash each report stores, which its records
+    carry. A missing report file is passed over; one that does not decode,
+    or whose hash is not the SHA-256 of its config's canonical text, is
+    logged and passed over."""
+    configs: dict[str, CurationConfig] = {}
+    for path in (round_report_path(manifest, r) for r in sorted(set(round_ids))):
+        if not path.is_file():
+            continue
+        try:
+            report = load_json(path, "round report")
+            stored, data = report["config_hash"], report["config"]
+            if stored != hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest():
+                raise ConfigError(f"config_hash {stored!r} is not the hash of the stored config")
+            configs[stored] = CurationConfig.from_dict(data)
+        except (ConfigError, KeyError, TypeError) as exc:
+            logger.warning("%s: no round config: %s", path, exc)
+    return configs
 
 
 class RhoBins:
-    """Counts of SNR estimates by lower bin edge, fed in batches of any size;
-    ``counts()`` is ``rho_bin_counts`` of every value added so far, in order.
+    """Counts of SNR estimates by lower bin edge, fed in batches of any size.
+
+    Value v counts under ``floor(v / w) * w`` formatted with ``:g``, ``-0``
+    written ``0``. Keys appear in the order their first value was added.
+    Edges that format to the same key share it and their counts add up: at
+    w = 1e-4, 100.00011 and 100.00021 both count under ``"100"``, placed
+    where the first of them was added.
 
     Values are binned RHO_BIN_CHUNK at a time, so at most that many wait in
     the buffer whatever the total.
@@ -346,21 +354,25 @@ class RhoBins:
             self._counts[key] = self._counts.get(key, 0) + n
 
 
-def rho_bin_counts(
-    values: Iterable[float],
+def round_totals(
+    segments: Iterable[CuratedSegment],
     bin_width_db: float = DEFAULT_RHO_BIN_WIDTH_DB,
-) -> dict[str, int]:
-    """Bin SNR estimates by lower edge: ``floor(v / w) * w`` formatted with
-    ``:g``, ``-0`` written ``0``.
+) -> tuple[dict[int, float], dict[int, dict[str, int]]]:
+    """Curated seconds and binned per-frame SNR estimates, each keyed by
+    round in ascending order, from one pass over the records.
 
-    Keys appear in the order their first value appears. Edges that format
-    to the same key share it and their counts add up: at w = 1e-4, 100.00011
-    and 100.00021 both count under ``"100"``, placed where the first of them
-    appeared.
+    Only the per-round sums and bin counts are held, so the records can be a
+    stream of any length. Each round's seconds are summed in record order.
     """
-    bins = RhoBins(bin_width_db)
-    bins.add(values)
-    return bins.counts()
+    seconds: dict[int, float] = {}
+    bins: dict[int, RhoBins] = {}
+    for seg in segments:
+        rid = seg.round_id
+        seconds[rid] = seconds.get(rid, 0.0) + seg.duration_seconds
+        if rid not in bins:
+            bins[rid] = RhoBins(bin_width_db)
+        bins[rid].add(seg.frame_rho)
+    return dict(sorted(seconds.items())), {rid: bins[rid].counts() for rid in sorted(bins)}
 
 
 def curate_file(buf: AudioBuffer, cfg: CurationConfig) -> list[CuratedSegment]:
@@ -482,11 +494,11 @@ def run_round(
     export could no longer find the config of the first run's records.
     """
     report_path = round_report_path(manifest_out, cfg.round_id)
-    previous = _report_config(report_path)
-    if previous is not None and previous.config_hash() != cfg.config_hash():
+    previous = list(load_round_configs(manifest_out, [cfg.round_id]))
+    if previous and previous[0] != cfg.config_hash():
         raise ConfigError(
             f"{report_path}: round {cfg.round_id} already ran under config "
-            f"{previous.config_hash()[:12]}, not {cfg.config_hash()[:12]}; "
+            f"{previous[0][:12]}, not {cfg.config_hash()[:12]}; "
             "give the round another round_id or manifest"
         )
     sources = [str(p) for p in corpus]
@@ -500,6 +512,7 @@ def run_round(
             failures.append({"source": source, "error": error})
         all_segments.extend(segments)
 
+    seconds, hist = round_totals(all_segments)
     report = RoundReport(
         round_id=cfg.round_id,
         config_hash=cfg.config_hash(),
@@ -507,8 +520,8 @@ def run_round(
         files_processed=len(sources),
         failures=failures,
         segment_count=len(all_segments),
-        curated_seconds=float(sum(seg.duration_seconds for seg in all_segments)),
-        rho_histogram=rho_bin_counts(r for seg in all_segments for r in seg.frame_rho),
+        curated_seconds=seconds.get(cfg.round_id, 0.0),
+        rho_histogram=hist.get(cfg.round_id, {}),
         generated_at=datetime.now(timezone.utc).isoformat(),
     )
     # the report goes first, so every appended record's config_hash is in one
@@ -599,8 +612,9 @@ def export_ab_pairs(
                 continue
             key = (cfg.enhancer.identifier(), cfg.stft)
             by_enhancer.setdefault(key, (cfg, []))[1].append(seg)
-        enhancers_at = Counter(key for _, same in by_enhancer.values()
-                               for key in {(seg.round_id, seg.start_sample) for seg in same})
+        slots = {(seg.round_id, seg.start_sample, eid)
+                 for (eid, _), (_, same) in by_enhancer.items() for seg in same}
+        enhancers_at = Counter((rid, start) for rid, start, _ in slots)
         written: set[str] = set()
         for (eid, _), (cfg, same) in by_enhancer.items():
             try:

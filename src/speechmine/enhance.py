@@ -13,7 +13,6 @@ Backends:
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import shlex
@@ -28,7 +27,7 @@ import numpy as np
 
 from .audio_io import AudioBuffer, read_wav, write_wav
 from .dsp import _BLOCK_FRAMES, StftConfig, istft, stft
-from .schema import check_params, encode
+from .schema import canonical_json, check_params, encode
 
 logger = logging.getLogger(__name__)
 
@@ -85,7 +84,7 @@ class EnhancerSpec:
 
     def identifier(self) -> str:
         """Canonical serialized form, stable enough to re-run from a manifest."""
-        return json.dumps(encode(self), sort_keys=True, separators=(",", ":"))
+        return canonical_json(encode(self))
 
 
 def spectral_gate_enhance(
@@ -211,7 +210,10 @@ def run_exchange_command(
     try:
         for name, buf in inputs.items():
             write_wav(paths[name], buf, "float32")
-        proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout_s)
+        try:
+            proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout_s)
+        except OSError as exc:  # no such program, or not executable
+            raise EnhancerError(f"external {what} could not start: {exc}") from exc
         if proc.returncode != 0:
             raise EnhancerError(
                 f"external {what} exited {proc.returncode}: {argv} "

@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .audio_io import AudioBuffer, frame_len_samples, frame_matrix
-from .curation import DEFAULT_RHO_BIN_WIDTH_DB, CuratedSegment, RhoBins
+from .curation import DEFAULT_RHO_BIN_WIDTH_DB, CuratedSegment, round_totals
 from .curation import load_manifest  # noqa: F401  (bench/tracing.py wraps this name)
 from .dsp import rms_db
 from .enhance import check_external_command, run_exchange_command
@@ -222,28 +222,6 @@ def delta_quality(triple: EvalTriple, metric_id: str = "segmental_snr") -> float
     return float(q_enhanced - q_noisy)
 
 
-def round_totals(
-    segments: Iterable[CuratedSegment],
-    bin_width_db: float = DEFAULT_RHO_BIN_WIDTH_DB,
-) -> tuple[dict[int, float], dict[int, dict[str, int]]]:
-    """Curated hours and binned per-frame SNR estimates, each keyed by round
-    in ascending order, from one pass over the records.
-
-    Only the per-round sums and bin counts are held, so the records can be a
-    stream of any length. Each round's seconds are summed in record order.
-    """
-    seconds: dict[int, float] = {}
-    bins: dict[int, RhoBins] = {}
-    for seg in segments:
-        rid = seg.round_id
-        seconds[rid] = seconds.get(rid, 0.0) + seg.duration_seconds
-        if rid not in bins:
-            bins[rid] = RhoBins(bin_width_db)
-        bins[rid].add(seg.frame_rho)
-    hours = {rid: s / 3600.0 for rid, s in sorted(seconds.items())}
-    return hours, {rid: bins[rid].counts() for rid in sorted(bins)}
-
-
 def rho_histogram(
     segments: Iterable[CuratedSegment],
     bin_width_db: float = DEFAULT_RHO_BIN_WIDTH_DB,
@@ -254,4 +232,4 @@ def rho_histogram(
 
 def accepted_hours(segments: Iterable[CuratedSegment]) -> dict[int, float]:
     """Total curated duration in hours, keyed by round."""
-    return round_totals(segments)[0]
+    return {rid: s / 3600.0 for rid, s in round_totals(segments)[0].items()}

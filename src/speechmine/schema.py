@@ -116,6 +116,12 @@ def decode(cls: type, data: Any, where: str) -> Any:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def canonical_json(data: Any) -> str:
+    """A JSON value's one text, keys sorted and no whitespace, over which
+    config hashes and enhancer identifiers are taken."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
 def load_json(path: str | Path, what: str = "config file") -> Any:
     """Parse a JSON file; a missing, unreadable or unparsable file is a
     ConfigError."""

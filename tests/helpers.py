@@ -113,7 +113,7 @@ def make_segment(**overrides):
 
 def reference_rho_bin_counts(values, bin_width_db: float = 5.0) -> dict[str, int]:
     """The per-value loop that binned SNR estimates before the numpy
-    binning; ``rho_bin_counts`` must match its items, order included."""
+    binning; ``RhoBins`` must match its items, order included."""
     counts: dict[str, int] = {}
     for v in values:
         key = f"{math.floor(v / bin_width_db) * bin_width_db:g}"

@@ -13,11 +13,11 @@ import pytest
 import speechmine
 from helpers import make_segment
 from speechmine.audio_io import AudioBuffer, read_wav, write_wav
-from speechmine.cli import main
+from speechmine.cli import build_parser, main
 from speechmine.curation import CurationConfig, append_manifest, load_manifest
 from speechmine.dsp import StftConfig
 from speechmine.enhance import EnhancerSpec, enhance
-from speechmine.evalgen import EvalTriple, NoiseSpec, delta_quality, inject_noise, synth_clean
+from speechmine.evalgen import NOISE_KINDS, EvalTriple, NoiseSpec, delta_quality, inject_noise, synth_clean
 from speechmine.schema import encode
 from speechmine.vad import VadSpec
 
@@ -61,6 +61,19 @@ class TestSynth:
         out = tmp_path / "pairs"
         main(["synth", "--out", str(out), "--count", "1", "--duration", "4"])
         assert len(read_wav(out / "clean_000.wav")) == 4 * FS
+
+    def test_defaults_are_the_library_defaults(self, capsys):
+        parse = build_parser().parse_args
+        args = parse(["synth", "--out", "x", "--count", "1"])
+        noise = NoiseSpec()
+        assert (args.noise_kind, args.rayleigh_sigma, (args.snr_min, args.snr_max)) == (
+            noise.noise_kind, noise.rayleigh_sigma, noise.snr_clip)
+        assert args.sample_rate == CurationConfig().sample_rate
+        for kind in NOISE_KINDS:
+            assert parse(["synth", "--out", "x", "--count", "1", "--noise-kind", kind]).noise_kind == kind
+        with pytest.raises(SystemExit):
+            parse(["synth", "--out", "x", "--count", "1", "--noise-kind", "brown"])
+        assert "invalid choice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, named", [
         pytest.param(["--count=-2"], "--count", id="count-negative"),
@@ -119,15 +132,6 @@ class TestCurate:
         code = main(["curate", "--config", str(cfg), "--corpus", str(tmp_path / "nothing/*.wav"),
                      "--manifest", str(tmp_path / "m.jsonl")])
         assert code == 3
-
-    def test_round_override_tags_records(self, tmp_path):
-        cfg = write_config(tmp_path)
-        corpus = write_corpus(tmp_path, count=1)
-        manifest = tmp_path / "m.jsonl"
-        main(["curate", "--config", str(cfg), "--corpus", str(corpus / "*.wav"),
-              "--manifest", str(manifest), "--round", "4"])
-        segments, _ = load_manifest(manifest)
-        assert all(s.round_id == 4 for s in segments)
 
     def test_second_config_in_one_round_exits_2_and_writes_nothing(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path, count=1)
@@ -273,6 +277,42 @@ def test_eval_skips_a_bad_pair_and_scores_the_rest(tmp_path, capsys, caplog, spo
     assert (report["files_evaluated"], report["files_skipped"]) == (1, 1)
     assert [f["noisy"] for f in report["per_file"]] == ["noisy_001.wav"]
     assert "skipping entry noisy_000.wav" in caplog.text
+
+
+def _commands_that_cannot_start(tmp_path):
+    """A missing program and a program file without the execute bit."""
+    script = tmp_path / "not_executable.sh"
+    script.write_text("#!/bin/sh\nexit 0\n")
+    script.chmod(0o644)
+    return [str(tmp_path / "nonexistent" / "prog"), str(script)]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["missing", "not-executable"])
+@pytest.mark.parametrize("side", ["enhancer", "metric"])
+def test_eval_skips_every_entry_whose_external_command_cannot_start(
+        tmp_path, capsys, caplog, monkeypatch, side, which):
+    pairs = tmp_path / "pairs"
+    main(["synth", "--out", str(pairs), "--count", "2", "--duration", "1"])
+    exchange = tmp_path / "exchange"
+    exchange.mkdir()
+    monkeypatch.setattr("tempfile.tempdir", str(exchange))  # the metric's exchange directory
+    prog = _commands_that_cannot_start(tmp_path)[which]
+    enh = tmp_path / "enh.json"
+    metric = "segmental_snr"
+    if side == "enhancer":
+        enh.write_text(json.dumps({"kind": "external", "command": f"{prog} {{input}} {{output}}",
+                                   "exchange_dir": str(exchange)}))
+    else:
+        enh.write_text('{"kind": "identity"}')
+        metric = f"external:{prog} {{reference}} {{degraded}}"
+    capsys.readouterr()
+    with caplog.at_level("WARNING"):
+        assert main(["eval", "--pairs", str(pairs), "--enhancer-config", str(enh),
+                     "--metric", metric]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["files_evaluated"], report["files_skipped"]) == (0, 2)
+    assert caplog.text.count(f"external {side} could not start") == 2
+    assert list(exchange.iterdir()) == []
 
 
 def test_eval_unknown_metric_fails_the_run(tmp_path, capsys):

@@ -4,6 +4,7 @@ manifests and A/B export."""
 import dataclasses
 import hashlib
 import json
+import shutil
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +14,9 @@ import pytest
 from helpers import brickwall_lowpass, make_segment, reference_rho_bin_counts, white_noise
 from speechmine import curation
 from speechmine.audio_io import AudioBuffer, read_wav, write_wav
+from speechmine.cli import main
 from speechmine.curation import (
+    DEFAULT_RHO_BIN_WIDTH_DB,
     RHO_BIN_CHUNK,
     ConfigError,
     CurationConfig,
@@ -27,8 +30,8 @@ from speechmine.curation import (
     load_config,
     load_manifest,
     load_round_configs,
-    rho_bin_counts,
     rho_hat,
+    round_totals,
     run_round,
     snr_gate,
 )
@@ -39,6 +42,7 @@ from speechmine.schema import decode
 from speechmine.vad import VadSpec
 
 FS = 48000
+DATA = Path(__file__).parent / "data"
 
 
 # every field set to a value other than its default
@@ -367,6 +371,25 @@ class TestRunRound:
         assert sum(report.rho_histogram.values()) == 36
         assert (tmp_path / "m.jsonl.round0.report.json").is_file()
 
+    def test_report_totals_are_round_totals_of_its_records(self, tmp_path):
+        corpus = []
+        for seed in (0, 3):
+            noisy, _ = inject_noise(synth_clean(13.0, FS, seed=seed),
+                                    NoiseSpec(snr_clip=(40.0, 40.5), seed=1))
+            corpus.append(tmp_path / f"f{seed}.wav")
+            write_wav(corpus[-1], noisy, "float32")
+        corpus.insert(1, tmp_path / "missing.wav")
+        manifest = tmp_path / "m.jsonl"
+        append_manifest(manifest, [make_segment(round_id=5)])  # another round's record
+        cfg = CurationConfig(segment_seconds=4.0, round_id=2)
+        report = run_round(corpus, cfg, manifest)
+        assert len(report.failures) == 1 and report.segment_count > 1
+        seconds, hist = round_totals(load_manifest(manifest)[0])
+        assert list(seconds) == list(hist) == [2, 5]
+        assert report.curated_seconds.hex() == seconds[2].hex()
+        assert list(report.rho_histogram.items()) == list(hist[2].items())
+        assert len(hist[2]) > 1  # the estimates span more than one bin
+
     def test_unreadable_file_recorded_not_fatal(self, tmp_path):
         corpus = self._write_corpus(tmp_path, count=2)
         corpus.insert(1, tmp_path / "missing.wav")
@@ -583,6 +606,19 @@ class TestExportAbPairs:
         assert names == sorted(f"x_r0_0_{tag}_{side}.wav" for tag in tags
                                for side in ("enhanced", "unprocessed"))
 
+    def test_one_enhancer_under_two_stfts_writes_one_untagged_pair(self, tmp_path, caplog):
+        src = tmp_path / "x.wav"
+        write_wav(src, synth_clean(13.0, FS, seed=68), "float32")
+        a = CurationConfig(enhancer=EnhancerSpec("spectral_gate"))
+        b = dataclasses.replace(a, stft=StftConfig(window_len=1024, hop=256))
+        segments = [make_segment(source_uri=str(src), config_hash=c.config_hash()) for c in (a, b)]
+        out = tmp_path / "ab"
+        with caplog.at_level("WARNING"):
+            pairs = export_ab_pairs(segments, out, {c.config_hash(): c for c in (a, b)})
+        assert pairs == 1
+        assert sorted(p.name for p in out.glob("*.wav")) == ["x_r0_0_enhanced.wav", "x_r0_0_unprocessed.wav"]
+        assert "pair x_r0_0 already written" in caplog.text
+
     def test_duplicate_record_written_once_and_counted(self, tmp_path, caplog):
         src = tmp_path / "x.wav"
         write_wav(src, synth_clean(13.0, FS, seed=67), "float32")
@@ -616,6 +652,62 @@ class TestExportAbPairs:
                 tracemalloc.stop()
 
         assert peak(4) - peak(1) < 0.5 * n * 8
+
+
+@dataclasses.dataclass(frozen=True)
+class GrownConfig(CurationConfig):
+    """The config with one field added later, defaulting to the old behaviour."""
+
+    later_field: int = 0
+
+
+class TestOldRoundReports:
+    """A manifest and round report written before GrownConfig's field existed
+    (tests/data), over audio regenerated here from its seed."""
+
+    def _old_round(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the records name their source "old.wav"
+        noisy, _ = inject_noise(synth_clean(8.0, 16000, seed=5), NoiseSpec(snr_clip=(30.0, 30.5), seed=5))
+        write_wav(tmp_path / "old.wav", noisy, "float32")
+        for name in ("old.jsonl", "old.jsonl.round1.report.json"):
+            shutil.copy(DATA / name, tmp_path / name)
+        return tmp_path / "old.jsonl"
+
+    def test_records_keep_their_config_when_the_schema_grows(self, tmp_path, monkeypatch):
+        manifest = self._old_round(tmp_path, monkeypatch)
+        hashes = {seg.config_hash for seg in load_manifest(manifest)[0]}
+        assert main(["export-ab", "--manifest", str(manifest), "--out", "today"]) == 0
+        monkeypatch.setattr(curation, "CurationConfig", GrownConfig)
+        configs = load_round_configs(manifest, {1})
+        assert set(configs) == hashes
+        assert [(type(c), c.stft) for c in configs.values()] == [(GrownConfig, StftConfig(1024, 256))]
+        assert main(["export-ab", "--manifest", str(manifest), "--out", "grown"]) == 0
+        today = sorted((tmp_path / "today").iterdir())
+        assert len(today) == 6
+        assert [p.name for p in today] == sorted(p.name for p in (tmp_path / "grown").iterdir())
+        for p in today:
+            assert p.read_bytes() == (tmp_path / "grown" / p.name).read_bytes()
+
+    def test_rerun_under_a_grown_schema_is_another_config(self, tmp_path, monkeypatch):
+        manifest = self._old_round(tmp_path, monkeypatch)
+        report = tmp_path / "old.jsonl.round1.report.json"
+        before = manifest.read_bytes(), report.read_bytes()
+        monkeypatch.setattr(curation, "CurationConfig", GrownConfig)
+        grown = GrownConfig.from_dict(json.loads(report.read_text())["config"])
+        with pytest.raises(ConfigError, match="already ran under config b1ef72ffc8eb"):
+            run_round(["old.wav"], grown, manifest)
+        assert (manifest.read_bytes(), report.read_bytes()) == before
+
+    def test_report_whose_config_was_edited_but_not_its_hash_is_passed_over(
+            self, tmp_path, monkeypatch, caplog):
+        manifest = self._old_round(tmp_path, monkeypatch)
+        report = tmp_path / "old.jsonl.round1.report.json"
+        data = json.loads(report.read_text())
+        data["config"]["snr_threshold_db"] = 15.0
+        report.write_text(json.dumps(data))
+        with caplog.at_level("WARNING"):
+            assert load_round_configs(manifest, {1}) == {}
+        assert "is not the hash of the stored config" in caplog.text
 
 
 class TestMetamorphic:
@@ -662,6 +754,13 @@ def _rho_values(rng, width, n):
         rng.uniform(1.0e12, 1.0e12 + 1.0e7, 16),
     ])
     return rng.choice(pool, n).tolist()
+
+
+def rho_bin_counts(values, width=DEFAULT_RHO_BIN_WIDTH_DB):
+    """The counts of one RhoBins fed every value in one batch."""
+    bins = curation.RhoBins(width)
+    bins.add(values)
+    return bins.counts()
 
 
 class TestRhoBinCounts:

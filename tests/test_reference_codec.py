@@ -117,6 +117,22 @@ def test_encodes_as_reference(tmp_path, fmt):
     assert (tmp_path / "new.wav").read_bytes() == (tmp_path / "ref.wav").read_bytes()
 
 
+@pytest.mark.parametrize("channels, first", [
+    pytest.param(1, struct.pack("<I", 0x7F800001), id="signalling-nan"),
+    pytest.param(2, struct.pack("<ff", np.inf, -np.inf), id="inf-minus-inf"),
+])
+def test_non_finite_float_samples_raise_wav_error_and_nothing_else(tmp_path, channels, first):
+    # under the suite's warnings-as-errors, a RuntimeWarning from the cast or
+    # the downmix would escape as itself instead of the WavError
+    raw = bytearray(wav_file("float32", channels, "plain"))
+    data = raw.index(b"data") + 8
+    raw[data : data + len(first)] = first
+    p = tmp_path / "x.wav"
+    p.write_bytes(bytes(raw))
+    with pytest.raises(WavError, match="non-finite"):
+        read_wav(p)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     base=st.sampled_from([(c, ch, lay) for c in READ_CODECS for ch in (1, 2) for lay in LAYOUTS]),
