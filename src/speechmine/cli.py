@@ -2,11 +2,17 @@
 
 Subcommands: curate, synth, eval, report, export-ab. All pipeline
 parameters come from the config file, which keeps the config hash stamped
-into manifests meaningful; flags select paths and the subcommand, with one
-exception: curate's --jobs sets the number of worker threads, which changes
-no output. Set SECP_LOG to change the log level. Exit codes: 0 success,
-2 bad user input (a file, a flag or SECP_LOG; one line, no traceback),
-3 empty corpus, 1 unexpected failure.
+into manifests meaningful: curate's flags select paths, and --jobs sets the
+number of worker threads, which changes no output. Other subcommands' flags
+may change their own outputs, never a manifest: synth's flags set the
+corpus it writes, eval's --metric the score, report's --bin-width the
+histogram bins, export-ab's --min-rho and --max-rho the segments it
+exports, and --enhancer-config the enhancer and STFT of eval and export-ab.
+Each command makes its output location (--out, curate's --manifest) before
+it does any work; report makes it once every manifest has been read.
+Set SECP_LOG to change the log level. Exit codes: 0 success, 2 bad user
+input (a file, a flag, an output location or SECP_LOG; one line, no
+traceback), 3 empty corpus, 1 unexpected failure.
 """
 
 from __future__ import annotations
@@ -50,12 +56,32 @@ EXIT_EMPTY_CORPUS = 3
 
 
 def _enhancement_from_file(path: str) -> CurationConfig:
-    """A pipeline config (one with an ``enhancer`` key), checked whole, or a
-    bare enhancer spec under the default config, so with the default STFT."""
+    """A bare enhancer spec (an object with a top-level ``kind``) under the
+    default config, so with the default STFT, or else a pipeline config,
+    checked whole."""
     data = load_json(path)
-    if isinstance(data, dict) and "enhancer" in data:
-        return CurationConfig.from_dict(data)
-    return CurationConfig(enhancer=decode(EnhancerSpec, data, f"{path}: enhancer"))
+    if isinstance(data, dict) and "kind" in data:
+        return CurationConfig(enhancer=decode(EnhancerSpec, data, f"{path}: enhancer"))
+    return CurationConfig.from_dict(data)
+
+
+def _make_dir(path: str | Path, flag: str) -> Path:
+    """Make an output directory and its parents; one that cannot be made is
+    a ConfigError."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{flag}: cannot make directory {out}: {exc}") from exc
+    return out
+
+
+def _make_parent(path: str | Path, flag: str) -> None:
+    """Make an output file's directory; a path that is a directory, or whose
+    directory cannot be made, is a ConfigError."""
+    if Path(path).is_dir():
+        raise ConfigError(f"{flag}: {path} is a directory")
+    _make_dir(Path(path).parent, flag)
 
 
 def cmd_curate(args: argparse.Namespace) -> int:
@@ -66,6 +92,7 @@ def cmd_curate(args: argparse.Namespace) -> int:
     if not files:
         print(f"no files matched corpus pattern {args.corpus!r}", file=sys.stderr)
         return EXIT_EMPTY_CORPUS
+    _make_parent(args.manifest, "--manifest")
     report = run_round(files, cfg, args.manifest, jobs=args.jobs)
     print(
         f"round {report.round_id}: {report.files_processed} file(s), "
@@ -90,8 +117,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         snr_clip=(args.snr_min, args.snr_max),
         seed=args.seed + 100_000,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_dir(args.out, "--out")
     entries = []
     for i in range(args.count):
         clean = synth_clean(args.duration, args.sample_rate, seed=args.seed + i)
@@ -131,6 +157,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError(f"{meta_path}: expected an object holding a files list")
     cfg = _enhancement_from_file(args.enhancer_config)
     evalgen.resolve_metric(args.metric)  # an unknown metric fails the run, not every entry
+    if args.out:
+        _make_parent(args.out, "--out")
 
     per_file = []
     skipped = 0
@@ -184,8 +212,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     except OverflowError as exc:  # a width so small that some estimate has no bin edge
         raise ConfigError(f"--bin-width: {exc}") from exc
     hours = {rid: s / 3600.0 for rid, s in seconds.items()}
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_dir(args.out, "--out")
     report = {
         "accepted_hours": {str(r): h for r, h in hours.items()},
         "rho_histogram": {str(r): counts for r, counts in hist.items()},
@@ -213,12 +240,12 @@ def cmd_export_ab(args: argparse.Namespace) -> int:
     if args.min_rho is not None and args.max_rho is not None and args.min_rho > args.max_rho:
         raise ConfigError(f"--min-rho {args.min_rho} is above --max-rho {args.max_rho}; "
                           "no segment could be selected")
+    reader = ManifestReader(args.manifest)
+    override = _enhancement_from_file(args.enhancer_config) if args.enhancer_config else None
+    _make_dir(args.out, "--out")
     # filtered as it is read: only the selected records are held
-    segments = filter_manifest(
-        ManifestReader(args.manifest), min_rho=args.min_rho, max_rho=args.max_rho
-    )
-    if args.enhancer_config:
-        override = _enhancement_from_file(args.enhancer_config)
+    segments = filter_manifest(reader, min_rho=args.min_rho, max_rho=args.max_rho)
+    if override is not None:
         configs = {seg.config_hash: override for seg in segments}
     else:
         configs = load_round_configs(args.manifest, {seg.round_id for seg in segments})

@@ -40,9 +40,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_RHO_BIN_WIDTH_DB = 5.0
 RHO_BIN_CHUNK = 8192  # values binned per numpy pass: bounds the buffer, never changes the counts
 
-_JSON_WS = " \t\n\r"  # what json.loads skips around a document
-_DECODER = json.JSONDecoder()
-
 
 @dataclass(frozen=True)
 class CurationConfig:
@@ -176,13 +173,8 @@ class CuratedSegment:
 
     @classmethod
     def from_json(cls, line: str) -> "CuratedSegment":
-        """The record of one manifest line, parsed as ``json.loads`` parses it:
-        JSON whitespace around one document, nothing else."""
-        text = line.strip(_JSON_WS)
-        obj, end = _DECODER.raw_decode(text)
-        if end != len(text):
-            raise json.JSONDecodeError("Extra data", text, end)
-        return decode(cls, obj, "record")
+        """The record of one manifest line, parsed by ``json.loads``."""
+        return decode(cls, json.loads(line), "record")
 
 
 def rho_hat(

@@ -16,9 +16,9 @@ from __future__ import annotations
 import logging
 import math
 import shlex
+import string
 import subprocess
 import tempfile
-import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -27,7 +27,7 @@ import numpy as np
 
 from .audio_io import AudioBuffer, read_wav, write_wav
 from .dsp import _BLOCK_FRAMES, StftConfig, istft, stft
-from .schema import canonical_json, check_params, encode
+from .schema import ConfigError, canonical_json, check_params, encode
 
 logger = logging.getLogger(__name__)
 
@@ -37,10 +37,38 @@ EXTERNAL_PARAMS = {"command": str, "exchange_dir": str, "timeout_s": float}
 
 
 def check_external_command(command: str, names: tuple[str, str], what: str) -> None:
-    """Reject an external command without a ``{name}`` placeholder for each of names."""
-    if not all(f"{{{name}}}" in command for name in names):
-        a, b = names
-        raise ValueError(f"external {what} command must contain {{{a}}} and {{{b}}}")
+    """Reject, with a ConfigError, a command template that
+    run_exchange_command could not fill.
+
+    The template is split as shlex.split splits it, and each token is read
+    by the parser str.format runs. The placeholders must be ``{name}`` for
+    each of names, plus, optionally, ``{output}``; a literal brace is
+    written ``{{`` or ``}}``.
+    """
+    try:
+        fields = _placeholders(command)
+    except ValueError as exc:  # an unclosed quote or brace, or a lone }
+        raise ConfigError(f"external {what} command {command!r}: {exc}") from exc
+    a, b = names
+    if not {a, b} <= fields:
+        raise ConfigError(f"external {what} command must contain {{{a}}} and {{{b}}}")
+    unknown = sorted(fields - {a, b, "output"})
+    if unknown:
+        raise ConfigError(f"external {what} command has unknown placeholder(s) {unknown}; "
+                          "write a literal brace as {{ or }}")
+
+
+def _placeholders(command: str) -> set[str]:
+    """The field names of a command template's tokens; ValueError for a
+    template str.format cannot parse or a field that is not a plain name."""
+    fields = set()
+    for tok in shlex.split(command):
+        for _, name, spec, conversion in string.Formatter().parse(tok):
+            if spec or conversion:
+                raise ValueError(f"placeholder {{{name}}} takes no format spec or conversion")
+            if name is not None:
+                fields.add(name)
+    return fields
 
 
 # Every enhancer kind with the name and type of each parameter it takes.
@@ -194,41 +222,39 @@ def run_exchange_command(
 ) -> tuple[str, AudioBuffer | None]:
     """Run an external command on buffers exchanged as float-32 WAVs.
 
-    Each input is written to a file substituted for its ``{name}``
-    placeholder, per token of the command template. Exchange filenames
-    carry a unique prefix so concurrent invocations never collide. Exit
-    code 0 is required. Returns the command's stdout and, when the
-    template has an ``{output}`` placeholder, the buffer it wrote there,
-    which must have the length and rate of every input; otherwise None.
+    Each call runs in a temporary directory of its own, under
+    ``exchange_dir`` (made if missing) or the system temporary directory,
+    removed with all it holds on return. Each input is written there as
+    ``{name}.wav`` and substituted for its ``{name}`` placeholder, per token
+    of the command template. Exit code 0 is required. Returns the command's
+    stdout and, when the template has an ``{output}`` placeholder, the
+    buffer it wrote there, which must have the length and rate of every
+    input; otherwise None. Every failure, an exchange directory that cannot
+    be made or a program that cannot start included, is an EnhancerError.
     """
-    exdir = Path(exchange_dir) if exchange_dir else Path(tempfile.gettempdir())
-    exdir.mkdir(parents=True, exist_ok=True)
-    tag = uuid.uuid4().hex[:12]
-    paths = {name: exdir / f"{tag}_{name}.wav" for name in [*inputs, "output"]}
-    subs = {name: str(path) for name, path in paths.items()}
-    argv = [tok.format(**subs) for tok in shlex.split(command)]
     try:
-        for name, buf in inputs.items():
-            write_wav(paths[name], buf, "float32")
-        try:
+        if exchange_dir:
+            Path(exchange_dir).mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=exchange_dir or None, ignore_cleanup_errors=True) as tmp:
+            paths = {name: Path(tmp, f"{name}.wav") for name in [*inputs, "output"]}
+            argv = [tok.format(**paths) for tok in shlex.split(command)]
+            for name, buf in inputs.items():
+                write_wav(paths[name], buf, "float32")
             proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout_s)
-        except OSError as exc:  # no such program, or not executable
-            raise EnhancerError(f"external {what} could not start: {exc}") from exc
-        if proc.returncode != 0:
-            raise EnhancerError(
-                f"external {what} exited {proc.returncode}: {argv} "
-                f"stdout={proc.stdout.strip()!r} stderr={proc.stderr.strip()!r}"
-            )
-        if "{output}" not in command:
-            return proc.stdout, None
-        if not paths["output"].is_file():
-            raise EnhancerError(f"external {what} produced no output file {paths['output']}")
-        result = read_wav(paths["output"])
+            if proc.returncode != 0:
+                raise EnhancerError(
+                    f"external {what} exited {proc.returncode}: {argv} "
+                    f"stdout={proc.stdout.strip()!r} stderr={proc.stderr.strip()!r}"
+                )
+            if "output" not in _placeholders(command):
+                return proc.stdout, None
+            if not paths["output"].is_file():
+                raise EnhancerError(f"external {what} produced no output file: {argv}")
+            result = read_wav(paths["output"])
+    except OSError as exc:  # no exchange directory, no such program, or not executable
+        raise EnhancerError(f"external {what} could not start: {exc}") from exc
     except subprocess.TimeoutExpired as exc:
-        raise EnhancerError(f"external {what} timed out after {timeout_s} s: {argv}") from exc
-    finally:
-        for path in paths.values():
-            path.unlink(missing_ok=True)
+        raise EnhancerError(f"external {what} timed out after {timeout_s} s: {exc.cmd}") from exc
     for buf in inputs.values():
         if len(result) != len(buf):
             raise EnhancerError(

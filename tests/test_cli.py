@@ -315,6 +315,35 @@ def test_eval_skips_every_entry_whose_external_command_cannot_start(
     assert list(exchange.iterdir()) == []
 
 
+def test_eval_skips_every_entry_whose_exchange_dir_cannot_be_made(tmp_path, capsys, caplog):
+    pairs = tmp_path / "pairs"
+    main(["synth", "--out", str(pairs), "--count", "2", "--duration", "1"])
+    (tmp_path / "afile").write_text("")
+    enh = tmp_path / "enh.json"
+    enh.write_text(json.dumps({"kind": "external", "command": "cp {input} {output}",
+                               "exchange_dir": str(tmp_path / "afile" / "sub")}))
+    capsys.readouterr()
+    with caplog.at_level("WARNING"):
+        assert main(["eval", "--pairs", str(pairs), "--enhancer-config", str(enh)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["files_evaluated"], report["files_skipped"]) == (0, 2)
+    assert caplog.text.count("external enhancer could not start") == 2
+
+
+# an enhancer command template that no call could fill
+UNFILLABLE_ENHANCER = {"kind": "external", "command": 'sh -c "cp $0 $1; : ${HOME}" {input} {output}'}
+
+
+def test_curate_with_an_enhancer_command_no_call_could_fill_fails_at_load(tmp_path, capsys):
+    cfg = write_config(tmp_path, enhancer=UNFILLABLE_ENHANCER)
+    corpus = write_corpus(tmp_path, count=1)
+    assert main(["curate", "--config", str(cfg), "--corpus", str(corpus / "*.wav"),
+                 "--manifest", str(tmp_path / "m.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("m.jsonl*"))
+
+
 def test_eval_unknown_metric_fails_the_run(tmp_path, capsys):
     pairs = tmp_path / "pairs"
     main(["synth", "--out", str(pairs), "--count", "1", "--duration", "1"])
@@ -344,6 +373,16 @@ def test_unexpected_failure_exits_1(tmp_path, monkeypatch):
 USER_ERRORS = [
     pytest.param(["eval", "--pairs", "{tmp}/pairs", "--enhancer-config", "{tmp}/enh.json",
                   "--metric", "nope"], {}, id="unknown-metric"),
+    pytest.param(["eval", "--pairs", "{tmp}/pairs", "--enhancer-config", "{tmp}/enh.json",
+                  "--metric", 'external:awk "{{print 1}}" {{reference}} {{degraded}}'], {},
+                 id="metric-braces-no-placeholder"),
+    pytest.param(["eval", "--pairs", "{tmp}/pairs", "--enhancer-config", "{tmp}/enh.json",
+                  "--metric", "external:cp"], {}, id="metric-without-placeholders"),
+    pytest.param(["eval", "--pairs", "{tmp}/pairs", "--enhancer-config", "{tmp}/enh.json",
+                  "--metric", 'external:python3 -c "x {{reference}} {{degraded}}'], {},
+                 id="metric-unclosed-quote"),
+    pytest.param(["eval", "--pairs", "{tmp}/pairs", "--enhancer-config", "{tmp}/unfillable.json"],
+                 {}, id="enhancer-shell-variable"),
     pytest.param(["report", "{tmp}/missing.jsonl", "--out", "{tmp}/report"], {},
                  id="report-missing-manifest"),
     pytest.param(["export-ab", "--manifest", "{tmp}/missing.jsonl", "--out", "{tmp}/ab"], {},
@@ -359,6 +398,7 @@ USER_ERRORS = [
 def test_user_error_exits_2_with_one_line(tmp_path, capsys, caplog, monkeypatch, argv, env):
     main(["synth", "--out", str(tmp_path / "pairs"), "--count", "1", "--duration", "1"])
     (tmp_path / "enh.json").write_text('{"kind": "identity"}')
+    (tmp_path / "unfillable.json").write_text(json.dumps(UNFILLABLE_ENHANCER))
     write_config(tmp_path)
     write_corpus(tmp_path, count=1)
     for name, value in env.items():
@@ -421,6 +461,52 @@ def test_report_with_a_missing_manifest_exits_2_and_writes_nothing(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("config error: manifest not found") and err.count("\n") == 1
     assert not out.exists()
+
+
+# argv ({tmp} is the test directory) naming an output location that cannot
+# be made: afile is a regular file, adir a directory
+OUTPUT_LOCATION_ERRORS = [
+    pytest.param(["report", "{tmp}/m.jsonl", "--out", "{tmp}/afile"], id="report-out-a-file"),
+    pytest.param(["export-ab", "--manifest", "{tmp}/m.jsonl", "--out", "{tmp}/afile"],
+                 id="export-ab-out-a-file"),
+    pytest.param(["synth", "--out", "{tmp}/afile", "--count", "1", "--duration", "1"],
+                 id="synth-out-a-file"),
+    pytest.param(["curate", "--config", "{tmp}/config.json", "--corpus", "{tmp}/corpus/*.wav",
+                  "--manifest", "{tmp}/afile/m.jsonl"], id="curate-manifest-under-a-file"),
+    pytest.param(["curate", "--config", "{tmp}/config.json", "--corpus", "{tmp}/corpus/*.wav",
+                  "--manifest", "{tmp}/adir"], id="curate-manifest-a-directory"),
+    pytest.param(["eval", "--pairs", "{tmp}/pairs", "--enhancer-config", "{tmp}/enh.json",
+                  "--out", "{tmp}/afile/eval.json"], id="eval-out-under-a-file"),
+    pytest.param(["eval", "--pairs", "{tmp}/pairs", "--enhancer-config", "{tmp}/enh.json",
+                  "--out", "{tmp}/adir"], id="eval-out-a-directory"),
+]
+
+
+@pytest.mark.parametrize("argv", OUTPUT_LOCATION_ERRORS)
+def test_output_location_that_cannot_be_made_exits_2_and_writes_nothing(tmp_path, capsys, argv):
+    main(["synth", "--out", str(tmp_path / "pairs"), "--count", "1", "--duration", "1"])
+    (tmp_path / "enh.json").write_text('{"kind": "identity"}')
+    write_config(tmp_path)
+    write_corpus(tmp_path, count=1)
+    append_manifest(tmp_path / "m.jsonl", [make_segment(source_uri=str(tmp_path / "corpus" / "f0.wav"))])
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "adir").mkdir()
+    before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+    capsys.readouterr()
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
+
+
+def test_eval_makes_the_directory_of_its_out(tmp_path):
+    main(["synth", "--out", str(tmp_path / "pairs"), "--count", "1", "--duration", "1"])
+    (tmp_path / "enh.json").write_text('{"kind": "identity"}')
+    out = tmp_path / "new" / "eval.json"
+    assert main(["eval", "--pairs", str(tmp_path / "pairs"), "--enhancer-config",
+                 str(tmp_path / "enh.json"), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["files_evaluated"] == 1
 
 
 @pytest.mark.parametrize("argv, code, err", [
@@ -627,6 +713,8 @@ class TestEvalConfig:
     @pytest.mark.parametrize("data, used, unused", [
         pytest.param(STFT_1024.to_dict(), STFT_1024.stft, StftConfig(), id="config-1024"),
         pytest.param({"kind": "spectral_gate"}, StftConfig(), STFT_1024.stft, id="bare-spec"),
+        pytest.param({"stft": {"window_len": 1024}}, StftConfig(window_len=1024), StftConfig(),
+                     id="config-without-enhancer"),
     ])
     def test_config_stft_is_used(self, tmp_path, capsys, data, used, unused):
         pairs = tmp_path / "pairs"

@@ -629,6 +629,19 @@ class TestExportAbPairs:
         assert "skipped 1" in caplog.text
         assert sorted(p.name for p in out.glob("*.wav")) == ["x_r0_0_enhanced.wav", "x_r0_0_unprocessed.wav"]
 
+    def test_source_whose_enhancement_fails_skipped_others_exported(self, tmp_path, caplog):
+        x, y = tmp_path / "x.wav", tmp_path / "y.wav"
+        for seed, src in enumerate((x, y), start=69):
+            write_wav(src, synth_clean(13.0, FS, seed=seed), "float32")
+        oracle = json.dumps({"kind": "oracle", "reference_dir": str(tmp_path / "no_refs")})
+        segments = [make_segment(source_uri=str(x), enhancer_id=oracle), make_segment(source_uri=str(y))]
+        out = tmp_path / "ab"
+        with caplog.at_level("WARNING"):
+            assert export_ab_pairs(segments, out, {}) == 1
+        assert "enhancement failed: oracle reference not found" in caplog.text
+        assert "skipped 1" in caplog.text
+        assert sorted(p.name for p in out.glob("*.wav")) == ["y_r0_0_enhanced.wav", "y_r0_0_unprocessed.wav"]
+
     def test_peak_memory_holds_one_source(self, tmp_path):
         # Each source's buffer and enhancement are freed before the next
         # source is read, so three more sources of the same length add less

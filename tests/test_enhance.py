@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from speechmine.enhance import (
     enhance,
     spectral_gate_enhance,
 )
-from speechmine.schema import decode
+from speechmine.schema import ConfigError, decode
 
 FS = 48000
 
@@ -40,6 +41,21 @@ class TestEnhancerSpec:
     def test_external_requires_placeholders(self):
         with pytest.raises(ValueError, match="placeholder|{input}"):
             EnhancerSpec("external", {"command": "denoise in out"})
+
+    @pytest.mark.parametrize("command", [
+        pytest.param('sh -c "cp $0 $1; : ${HOME}" {input} {output}', id="shell-variable"),
+        pytest.param('awk "{print 1}" {input} {output}', id="awk-program"),
+        pytest.param("denoise {input} {output} {input.real}", id="attribute"),
+        pytest.param("denoise {} {input} {output}", id="positional"),
+        pytest.param("denoise {input!r} {output}", id="conversion"),
+        pytest.param("denoise {input:>40} {output}", id="format-spec"),
+        pytest.param('denoise "{input} {output}', id="unclosed-quote"),
+        pytest.param("denoise {input} {output", id="unclosed-brace"),
+        pytest.param("denoise {input} {output} }", id="lone-brace"),
+    ])
+    def test_external_command_no_call_could_fill_rejected(self, command):
+        with pytest.raises(ConfigError, match="external enhancer command"):
+            EnhancerSpec("external", {"command": command})
 
     def test_identifier_round_trip(self):
         spec = EnhancerSpec("spectral_gate", {"gate_threshold_db": 12.0, "attenuation_db": 30.0})
@@ -187,6 +203,13 @@ class TestOracle:
         with pytest.raises(EnhancerError, match="reference not found"):
             enhance(buf, EnhancerSpec("oracle", {"reference_dir": str(tmp_path / "ref")}), StftConfig())
 
+    def test_reference_at_another_rate_reported(self, tmp_path):
+        (tmp_path / "ref").mkdir()
+        write_wav(tmp_path / "ref" / "a.wav", AudioBuffer(np.zeros(100), FS // 2), "float32")
+        buf = AudioBuffer(np.zeros(100), FS, source=str(tmp_path / "a.wav"))
+        with pytest.raises(EnhancerError, match="rate 24000 != input rate 48000"):
+            enhance(buf, EnhancerSpec("oracle", {"reference_dir": str(tmp_path / "ref")}), StftConfig())
+
     def test_sourceless_buffer_rejected(self, tmp_path):
         buf = AudioBuffer(np.zeros(100), FS)
         with pytest.raises(EnhancerError, match="source"):
@@ -206,6 +229,67 @@ class TestExternal:
         )
         out = enhance(AudioBuffer(x, FS), spec, StftConfig())
         assert np.array_equal(out.samples, x)
+
+    def test_literal_braces_reach_the_program(self, tmp_path):
+        x = np.linspace(-0.5, 0.5, 1000).astype(np.float32).astype(np.float64)
+        spec = EnhancerSpec(
+            "external",
+            {"command": 'python3 -c "import shutil,sys; assert {{}} == {{}}; '
+                        'shutil.copy(sys.argv[1], sys.argv[2])" {input} {output}',
+             "exchange_dir": str(tmp_path)},
+        )
+        assert np.array_equal(enhance(AudioBuffer(x, FS), spec, StftConfig()).samples, x)
+
+    def test_files_left_beside_the_output_go_with_the_call(self, tmp_path):
+        exchange = tmp_path / "exchange"
+        spec = EnhancerSpec(
+            "external",
+            {"command": 'python3 -c "import shutil,sys; shutil.copy(sys.argv[1], sys.argv[2]); '
+                        "open(sys.argv[2] + '.log', 'w').write('done')\" {input} {output}",
+             "exchange_dir": str(exchange)},
+        )
+        enhance(AudioBuffer(np.zeros(1000), FS), spec, StftConfig())
+        assert list(exchange.iterdir()) == []
+
+    def test_concurrent_calls_into_one_exchange_dir_get_their_own_outputs(self, tmp_path):
+        # each child sleeps before it copies, so every input is written before any is read
+        exchange = tmp_path / "exchange"
+        spec = EnhancerSpec(
+            "external",
+            {"command": 'python3 -c "import shutil,sys,time; time.sleep(0.5); '
+                        'shutil.copy(sys.argv[1], sys.argv[2])" {input} {output}',
+             "exchange_dir": str(exchange)},
+        )
+        bufs = [AudioBuffer(np.full(1000, (k + 1) / 8), FS) for k in range(4)]
+        with ThreadPoolExecutor(max_workers=len(bufs)) as pool:
+            futures = [pool.submit(enhance, buf, spec, StftConfig()) for buf in bufs]
+            outs = [f.result(timeout=60) for f in futures]
+        for buf, out in zip(bufs, outs):
+            assert np.array_equal(out.samples, buf.samples)
+        assert list(exchange.iterdir()) == []
+
+    def test_no_output_file_reported(self, tmp_path):
+        spec = EnhancerSpec(
+            "external",
+            {"command": 'python3 -c "pass" {input} {output}', "exchange_dir": str(tmp_path)},
+        )
+        with pytest.raises(EnhancerError, match="produced no output file"):
+            enhance(AudioBuffer(np.zeros(1000), FS), spec, StftConfig())
+
+    def test_output_at_another_rate_names_both_rates(self, tmp_path):
+        script = tmp_path / "half_rate.py"
+        script.write_text(
+            SCRIPT_PREAMBLE +
+            "from speechmine.audio_io import AudioBuffer, read_wav, write_wav\n"
+            "buf = read_wav(sys.argv[1])\n"
+            "write_wav(sys.argv[2], AudioBuffer(buf.samples, buf.sample_rate // 2), 'float32')\n"
+        )
+        spec = EnhancerSpec(
+            "external",
+            {"command": f"python3 {script} {{input}} {{output}}", "exchange_dir": str(tmp_path)},
+        )
+        with pytest.raises(EnhancerError, match="expected 48000 Hz, got 24000"):
+            enhance(AudioBuffer(np.zeros(1000), FS), spec, StftConfig())
 
     def test_nonzero_exit_reported_with_code(self, tmp_path):
         spec = EnhancerSpec(

@@ -166,6 +166,13 @@ class TestDeltaQuality:
         metric = 'external:python3 -c "print(4.5)" {reference} {degraded}'
         assert delta_quality(triple, metric) == 0.0
 
+    def test_external_metric_literal_braces_are_no_placeholder(self):
+        # the program gets the text {output}, so no output file is looked for
+        clean, noisy = self._triple()
+        triple = EvalTriple.from_components(clean, noisy, clean)
+        metric = """external:python3 -c "print(4.5) or '{{output}}'" {reference} {degraded}"""
+        assert delta_quality(triple, metric) == 0.0
+
     def test_external_metric_without_score_names_it(self):
         clean, noisy = self._triple()
         triple = EvalTriple.from_components(clean, noisy, clean)
