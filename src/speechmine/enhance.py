@@ -124,9 +124,16 @@ def spectral_gate_enhance(
     """Attenuate time-frequency cells close to the per-bin noise floor.
 
     The floor per bin is the 10th percentile of magnitude over time; cells
-    below floor + gate_threshold_db are scaled down by attenuation_db. The
-    output is zero-padded back to the input length (the overlap-add never
-    covers the final partial hop).
+    below floor + gate_threshold_db are scaled down by attenuation_db.
+
+    The signal is zero-padded by P = hop * ceil((w - hop) / hop) samples at
+    the start, and by P plus what makes the last frame end on the padded
+    signal's last sample at the end. Every input sample is then covered by
+    as many frames as an interior one, so the weighted overlap-add
+    normalisation (Griffin & Lim 1984) is the same at the edges as inside,
+    and the output is the slice [P, P + n) of the inverse transform. The
+    floor is taken over the frames of the unpadded signal only, so it is
+    the floor of the signal itself; every frame is gated.
 
     Two passes over the one (steps, bins) spectrum stft returns:
 
@@ -138,35 +145,41 @@ def spectral_gate_enhance(
 
     Working set: the spectrum, one output signal, one magnitude buffer of
     _GATE_BINS bins and one block's magnitudes and mask; no full-size
-    magnitude or mask exists. The spectrum is freed before the zero-padded
-    output is allocated.
+    magnitude or mask exists. The padded copy of the input is freed once
+    the spectrum exists, and the output is a view of the inverse
+    transform's signal, not a second copy of it.
     """
-    if len(buf) < cfg.window_len:
+    n = len(buf)
+    w, hop = cfg.window_len, cfg.hop
+    if n < w:
         logger.warning(
-            "buffer of %d samples is shorter than one window (%d); returning unchanged",
-            len(buf), cfg.window_len,
+            "buffer of %d samples is shorter than one window (%d); returning unchanged", n, w,
         )
         return AudioBuffer(buf.samples.copy(), buf.sample_rate, source=buf.source)
 
-    values = stft(buf.samples, cfg)
-    _gate(values, 10.0 ** (gate_threshold_db / 20.0), 10.0 ** (-attenuation_db / 20.0))
+    lead = hop * -(-(w - hop) // hop)
+    padded = np.zeros(lead + n + lead + (w - n) % hop)
+    padded[lead : lead + n] = buf.samples
+    values = stft(padded, cfg)
+    del padded  # the spectrum holds the signal from here on
+    scored = slice(lead // hop, lead // hop + (n - w) // hop + 1)  # the unpadded signal's frames
+    _gate(values, scored, 10.0 ** (gate_threshold_db / 20.0), 10.0 ** (-attenuation_db / 20.0))
     y = istft(values, cfg)
-    del values  # the only reference to the spectrum: freed before `out` exists
-    out = np.zeros(len(buf))
-    out[: y.size] = y
-    return AudioBuffer(out, buf.sample_rate, source=buf.source)
+    return AudioBuffer(y[lead : lead + n], buf.sample_rate, source=buf.source)
 
 
-def _gate(values: np.ndarray, threshold: float, gain: float) -> None:
+def _gate(values: np.ndarray, scored: slice, threshold: float, gain: float) -> None:
     """Scale by ``gain``, in place, the cells of ``values`` (steps, bins)
-    whose magnitude is below ``threshold`` times their bin's floor. A
-    function of its own, so no view of the spectrum outlives the gate."""
+    whose magnitude is below ``threshold`` times their bin's floor, the
+    floor taken over the rows ``scored``. A function of its own, so no view
+    of the spectrum outlives the gate."""
     steps, bins = values.shape
+    floor_rows = values[scored]
     limit = np.empty(bins)
-    mag = np.empty((_GATE_BINS, steps))
+    mag = np.empty((_GATE_BINS, floor_rows.shape[0]))
     for b in range(0, bins, _GATE_BINS):
         rows = mag[: min(_GATE_BINS, bins - b)]
-        np.abs(values[:, b : b + _GATE_BINS].T, out=rows)
+        np.abs(floor_rows[:, b : b + _GATE_BINS].T, out=rows)
         np.multiply(_floor_10th(rows), threshold, out=limit[b : b + _GATE_BINS])
     for t in range(0, steps, _BLOCK_FRAMES):
         block = values[t : t + _BLOCK_FRAMES]

@@ -97,8 +97,9 @@ def synth_clean(duration_seconds: float, sample_rate: int = 48000, seed: int = 0
     f0 = rng.uniform(110.0, 220.0)
     while start < n:
         v_end = min(n, start + int(rng.uniform(1.2, 2.2) * sample_rate))
-        # first pulse lands a few ms into the run, never on the exact first
-        # sample (an overlap-add enhancer cannot reconstruct sample 0)
+        # first pulse lands a few ms into the run; kept so that the audio of
+        # committed manifests can be regenerated, not because an enhancer
+        # needs it (the spectral gate reconstructs sample 0)
         pos = start + rng.uniform(0.002, 0.006) * sample_rate
         while pos < v_end:
             idx = int(round(pos))

@@ -160,18 +160,24 @@ def reference_istft(values: np.ndarray, cfg: StftConfig) -> np.ndarray:
 
 def reference_spectral_gate_enhance(buf: AudioBuffer, gate_threshold_db: float,
                                     attenuation_db: float, cfg: StftConfig) -> AudioBuffer:
-    values = reference_stft(buf.samples, cfg)
+    """The gate on the signal zero-padded by P = hop * ceil((w - hop) / hop)
+    at the start and P plus what ends the last frame on the last sample at
+    the end, with the floor over the unpadded signal's frames, trimmed back
+    to [P, P + n)."""
+    n, w, hop = len(buf), cfg.window_len, cfg.hop
+    lead = hop * -(-(w - hop) // hop)
+    padded = np.concatenate([np.zeros(lead), buf.samples, np.zeros(lead + (w - n) % hop)])
+    values = reference_stft(padded, cfg)
     mag = np.abs(values)
-    floor = np.percentile(mag, 10, axis=1, keepdims=True)
+    first = lead // hop
+    own = mag[:, first : first + (n - w) // hop + 1]
+    floor = np.percentile(own, 10, axis=1, keepdims=True)
     gate = mag < floor * 10.0 ** (gate_threshold_db / 20.0)
     gain = 10.0 ** (-attenuation_db / 20.0)
     values = np.where(gate, values * gain, values)
 
     y = reference_istft(values, cfg)
-    out = np.zeros(len(buf))
-    n = min(len(buf), y.size)
-    out[:n] = y[:n]
-    return AudioBuffer(out, buf.sample_rate, source=buf.source)
+    return AudioBuffer(y[lead : lead + n], buf.sample_rate, source=buf.source)
 
 
 def reference_window_rms_db(samples: np.ndarray, win: int) -> np.ndarray:

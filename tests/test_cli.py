@@ -645,7 +645,7 @@ class TestStreamingMemory:
 
 
 # A round with a non-default STFT: a 12-s spectral-gate mix at 30 dB SNR
-# curates 2 four-second segments under a 1024-sample window.
+# curates 3 four-second segments, the whole file, under a 1024-sample window.
 STFT_1024 = CurationConfig(segment_seconds=4.0, stft=StftConfig(window_len=1024))
 
 
@@ -661,7 +661,7 @@ class TestExportRoundConfig:
         assert main(["curate", "--config", str(cfg_path), "--corpus", str(src),
                      "--manifest", str(manifest)]) == 0
         segments, _ = load_manifest(manifest)
-        assert len(segments) == 2
+        assert len(segments) == 3
         return manifest, segments, read_wav(src)
 
     def _exported(self, out, segments, buf, stft_cfg):
@@ -694,7 +694,7 @@ class TestExportRoundConfig:
             assert main(["export-ab", "--manifest", str(manifest), "--out", str(out)]) == 0
         assert self._exported(out, segments, buf, StftConfig())
         fallback = [r.getMessage() for r in caplog.records if "no round config;" in r.getMessage()]
-        assert fallback == ["2 segment(s) have no round config; their enhancer_id and the "
+        assert fallback == ["3 segment(s) have no round config; their enhancer_id and the "
                             "default STFT were used"]
 
     def test_override_config_replaces_enhancer_and_stft(self, tmp_path):

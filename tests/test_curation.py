@@ -11,9 +11,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import brickwall_lowpass, make_segment, reference_rho_bin_counts, white_noise
+from helpers import (
+    brickwall_lowpass,
+    make_segment,
+    reference_istft,
+    reference_rho_bin_counts,
+    reference_stft,
+    white_noise,
+)
 from speechmine import curation
-from speechmine.audio_io import AudioBuffer, read_wav, write_wav
+from speechmine.audio_io import AudioBuffer, frame_matrix, read_wav, write_wav
 from speechmine.cli import main
 from speechmine.curation import (
     DEFAULT_RHO_BIN_WIDTH_DB,
@@ -35,11 +42,11 @@ from speechmine.curation import (
     run_round,
     snr_gate,
 )
-from speechmine.dsp import StftConfig
-from speechmine.enhance import EnhancerSpec
+from speechmine.dsp import StftConfig, estimate_cutoff
+from speechmine.enhance import EnhancerSpec, enhance
 from speechmine.evalgen import NoiseSpec, inject_noise, synth_clean
 from speechmine.schema import decode
-from speechmine.vad import VadSpec
+from speechmine.vad import VadSpec, detect
 
 FS = 48000
 DATA = Path(__file__).parent / "data"
@@ -344,6 +351,63 @@ class TestCurateFile:
         cfg = CurationConfig(enhancer=EnhancerSpec("identity"), vad=VadSpec(kind="always_on"))
         segments = curate_file(synth_clean(11.0, FS, seed=22), cfg)
         assert segments == []
+
+
+def frame_scores(buf, enhanced, cfg):
+    """Per-frame SNR estimate and cutoff of every whole frame, scored on
+    ``enhanced`` as curate_file scores them."""
+    mask = detect(enhanced, cfg.vad)
+    x, xhat, v = (frame_matrix(a, cfg.frame_len) for a in (buf.samples, enhanced.samples, mask))
+    rho = np.array([rho_hat(*frames, cfg.rho_max_db) for frames in zip(x, xhat, v)])
+    fc = np.array([estimate_cutoff(f, cfg.sample_rate, cfg.stft) for f in xhat])
+    return rho, fc
+
+
+def unpadded_gate(buf, cfg):
+    """The spectral gate as it was before edge padding: floor over the
+    frames of the signal itself, the overlap-add normalised where the first
+    and last frames alone cover the edges, and the uncovered tail zero."""
+    values = reference_stft(buf.samples, cfg)
+    mag = np.abs(values)
+    gate = mag < np.percentile(mag, 10, axis=1, keepdims=True) * 10.0  # default 20 dB
+    values = np.where(gate, values * 0.01, values)  # default 40 dB
+    y = reference_istft(values, cfg)
+    return AudioBuffer(np.concatenate([y, np.zeros(len(buf) - y.size)]), buf.sample_rate)
+
+
+class TestEdgeFrames:
+    """A frame's decision does not depend on where it sits in the file: the
+    spectral gate pads the signal so its edges are reconstructed like its
+    interior."""
+
+    CFG = CurationConfig()
+
+    def test_speech_at_sample_zero_scores_like_the_interior(self):
+        clean = synth_clean(8.0, FS, seed=0).samples
+        onset = int(np.argmax(np.abs(clean) > 0.1 * np.abs(clean).max()))  # the first pulse
+        noisy, _ = inject_noise(AudioBuffer(clean[onset:], FS), NoiseSpec(snr_clip=(30.0, 30.5), seed=3))
+        enhanced = enhance(noisy, self.CFG.enhancer, self.CFG.stft)
+        rho, _ = frame_scores(noisy, enhanced, self.CFG)
+        assert abs(rho[0] - np.median(rho[1:])) < 3.0  # was 0 dB against about 24
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    @pytest.mark.parametrize("copies", [2, 3, 6])
+    def test_tiled_block_accepted_on_every_frame(self, seed, copies):
+        # 0.6 s of speech, 0.4 s of pause, noise 40 dB below the speech
+        block = np.concatenate([synth_clean(0.6, FS, seed=seed).samples, np.zeros(int(0.4 * FS))])
+        block += white_noise(FS, 10 ** (-40 / 20) * np.sqrt(np.mean(block**2)), np.random.default_rng(seed))
+        buf = AudioBuffer(np.tile(block, copies), FS)
+        rho, fc = frame_scores(buf, enhance(buf, self.CFG.enhancer, self.CFG.stft), self.CFG)
+        accept = (rho > self.CFG.snr_threshold_db) & (fc >= self.CFG.min_bandwidth_hz)
+        assert accept.all(), rho
+
+    @pytest.mark.parametrize("seconds", [6.0, 9.5])
+    def test_only_the_edge_frames_score_differently(self, seconds):
+        noisy, _ = inject_noise(synth_clean(seconds, FS, seed=5), NoiseSpec(snr_clip=(25.0, 25.5), seed=6))
+        rho, fc = frame_scores(noisy, enhance(noisy, self.CFG.enhancer, self.CFG.stft), self.CFG)
+        old_rho, old_fc = frame_scores(noisy, unpadded_gate(noisy, self.CFG.stft), self.CFG)
+        assert np.array_equal(rho[1:-1], old_rho[1:-1])
+        assert np.array_equal(fc[1:-1], old_fc[1:-1])
 
 
 class TestRunRound:
