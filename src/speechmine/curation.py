@@ -5,7 +5,9 @@ Each file is enhanced, the VAD runs on the enhanced signal, and all three
 sequences are cut into fixed frames. A frame's SNR estimate is the
 enhanced level minus the residual (input minus enhanced) level, on the
 assumption that the enhancer removed only noise. Frames must clear both
-the SNR gate and the bandwidth gate; runs of accepted frames are tiled
+the SNR gate and the bandwidth gate, in that order: the bandwidth is
+scored only on runs of SNR-passing frames long enough for a segment, the
+only frames that can still be curated. Runs of accepted frames are tiled
 into fixed-duration segments whose metadata is appended to a JSONL
 manifest, one round at a time.
 """
@@ -218,10 +220,22 @@ def bandwidth_gate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frame (row of the frame matrix) passes iff its estimated cutoff
     reaches min_bandwidth_hz (inclusive). Returns (acceptance, cutoff_hz)
-    so the cutoffs can be stored as segment metadata."""
+    so the cutoffs can be stored as segment metadata.
+
+    curate_file calls it last, once per run of SNR-passing frames long
+    enough for a segment, so only frames that can still be curated are
+    scored."""
     # looked up on dsp at each call, so a wrapper set on dsp.estimate_cutoff sees every call
     cutoff_hz = np.array([dsp.estimate_cutoff(frame, sample_rate, cfg) for frame in xhat_frames])
     return (cutoff_hz >= min_bandwidth_hz).astype(np.uint8), cutoff_hz
+
+
+def _accepted_runs(accept: np.ndarray, k: int) -> list[tuple[int, int]]:
+    """The ``(start, end)`` frame spans of every maximal run of accepted
+    frames at least k frames long, in order."""
+    flags = np.concatenate(([False], np.asarray(accept).astype(bool), [False]))
+    edges = np.flatnonzero(flags[1:] != flags[:-1])
+    return [(a, e) for a, e in zip(edges[::2].tolist(), edges[1::2].tolist()) if e - a >= k]
 
 
 def extract_segments(accept: np.ndarray, k: int) -> list[tuple[int, int]]:
@@ -229,17 +243,7 @@ def extract_segments(accept: np.ndarray, k: int) -> list[tuple[int, int]]:
     blocks of k frames, left-aligned to the run's first frame. Leftover
     frames shorter than a block are unused.
     """
-    accept = np.asarray(accept).astype(bool)
-    blocks: list[tuple[int, int]] = []
-    run_start: int | None = None
-    for i, flag in enumerate(accept.tolist() + [False]):  # sentinel closes the last run
-        if flag and run_start is None:
-            run_start = i
-        elif not flag and run_start is not None:
-            for s in range(run_start, i - k + 1, k):
-                blocks.append((s, s + k))
-            run_start = None
-    return blocks
+    return [(s, s + k) for a, e in _accepted_runs(accept, k) for s in range(a, e - k + 1, k)]
 
 
 @dataclass
@@ -368,7 +372,21 @@ def round_totals(
 
 
 def curate_file(buf: AudioBuffer, cfg: CurationConfig) -> list[CuratedSegment]:
-    """Run the full per-file pipeline; returns the accepted segments."""
+    """Run the full per-file pipeline; returns the accepted segments.
+
+    The file is enhanced, the VAD runs on the enhanced signal, and the
+    whole frames then pass a funnel, in this order:
+
+    1. SNR estimate (rho_hat) of every frame, -inf where the frame is less
+       than half speech, and the SNR gate on it.
+    2. The maximal runs of SNR-passing frames at least one segment long.
+    3. The bandwidth gate, once per such run: only these frames are scored.
+    4. Runs of frames that pass both gates, tiled into segments.
+
+    A frame that fails step 1 or 2 can never be in a segment, so scoring
+    only the survivors gives the segments and cutoffs that scoring every
+    frame gives.
+    """
     if buf.sample_rate != cfg.sample_rate:
         raise ValueError(
             f"sample rate {buf.sample_rate} does not match configured "
@@ -386,9 +404,13 @@ def curate_file(buf: AudioBuffer, cfg: CurationConfig) -> list[CuratedSegment]:
 
     rho = np.array([rho_hat(*frames, cfg.rho_max_db) for frames in zip(x, xhat, v)])
     s = snr_gate(rho, cfg.snr_threshold_db)
-    b, cutoffs = bandwidth_gate(xhat, cfg.sample_rate, cfg.min_bandwidth_hz, cfg.stft)
-    # both gates return equal-length 0/1 uint8 vectors
-    blocks = extract_segments(s & b, cfg.frames_per_segment)
+    k = cfg.frames_per_segment
+    # a frame outside every SNR run of k frames is not scored and reads 0 in b
+    b = np.zeros_like(s)
+    cutoffs = np.zeros(len(s))
+    for a, e in _accepted_runs(s, k):
+        b[a:e], cutoffs[a:e] = bandwidth_gate(xhat[a:e], cfg.sample_rate, cfg.min_bandwidth_hz, cfg.stft)
+    blocks = extract_segments(s & b, k)
 
     config_hash = cfg.config_hash()
     enhancer_id = cfg.enhancer.identifier()

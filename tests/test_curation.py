@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     brickwall_lowpass,
@@ -19,7 +21,7 @@ from helpers import (
     reference_stft,
     white_noise,
 )
-from speechmine import curation
+from speechmine import curation, dsp
 from speechmine.audio_io import AudioBuffer, frame_matrix, read_wav, write_wav
 from speechmine.cli import main
 from speechmine.curation import (
@@ -408,6 +410,84 @@ class TestEdgeFrames:
         old_rho, old_fc = frame_scores(noisy, unpadded_gate(noisy, self.CFG.stft), self.CFG)
         assert np.array_equal(rho[1:-1], old_rho[1:-1])
         assert np.array_equal(fc[1:-1], old_fc[1:-1])
+
+
+class TestFunnel:
+    """curate_file scores the bandwidth only on runs of SNR-passing frames
+    at least one segment long, and curates what scoring every frame would."""
+
+    CFG = CurationConfig(segment_seconds=4.0)
+
+    @staticmethod
+    def noisy_file(seconds, silent_frames):
+        """Speech over noise 35 dB below it, with the speech cut out of the
+        frames ``silent_frames``, so the VAD fails them."""
+        clean = synth_clean(seconds, FS, seed=8).samples
+        noise = white_noise(clean.size, 10 ** (-35 / 20) * np.sqrt(np.mean(clean**2)),
+                            np.random.default_rng(9))
+        for f in silent_frames:
+            clean[f * FS : (f + 1) * FS] = 0.0
+        return AudioBuffer(clean + noise, FS)
+
+    @staticmethod
+    def frames_in_long_runs(passing, k):
+        """How many frames lie in a run of passing frames at least k long."""
+        total = run = 0
+        for flag in [*passing, False]:
+            if flag:
+                run += 1
+            else:
+                total += run if run >= k else 0
+                run = 0
+        return total
+
+    def scored_calls(self, monkeypatch, buf, cfg):
+        calls = []
+        estimate = dsp.estimate_cutoff
+        monkeypatch.setattr(dsp, "estimate_cutoff", lambda *a: calls.append(1) or estimate(*a))
+        segments = curate_file(buf, cfg)
+        return len(calls), segments
+
+    def test_cutoff_scored_only_in_runs_a_segment_long(self, monkeypatch):
+        # SNR runs of 3, 2, 4 and 8 frames; with 4-frame segments the first two are too short
+        buf = self.noisy_file(20.0, [3, 6, 11])
+        rho, _ = frame_scores(buf, enhance(buf, self.CFG.enhancer, self.CFG.stft), self.CFG)
+        passing = rho > self.CFG.snr_threshold_db
+        expected = self.frames_in_long_runs(passing, self.CFG.frames_per_segment)
+        assert 0 < expected < passing.sum()
+        calls, segments = self.scored_calls(monkeypatch, buf, self.CFG)
+        assert calls == expected
+        assert len(segments) == 3
+
+    def test_no_run_a_segment_long_scores_nothing(self, monkeypatch):
+        buf = self.noisy_file(20.0, [3, 6, 13])
+        cfg = dataclasses.replace(self.CFG, segment_seconds=7.0)
+        rho, _ = frame_scores(buf, enhance(buf, cfg.enhancer, cfg.stft), cfg)
+        assert (rho > cfg.snr_threshold_db).sum() > 0
+        assert self.scored_calls(monkeypatch, buf, cfg) == (0, [])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_blocks_and_cutoffs_equal_scoring_every_frame(self, data):
+        k = data.draw(st.integers(1, 5), label="k")
+        n = data.draw(st.integers(0, 30), label="frames")
+        s = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="s"), bool)
+        b = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="b"), bool)
+        rate = 8000
+        cfg = CurationConfig(sample_rate=rate, segment_seconds=float(k), min_bandwidth_hz=2000.0,
+                             enhancer=EnhancerSpec("identity"), vad=VadSpec("always_on"))
+        rho = np.where(s, 20.0 + np.arange(1, n + 1), np.where(np.arange(n) % 2, -np.inf, 20.0))
+        fc = np.where(b, 2000.0 + np.arange(n), 1999.0 - np.arange(n))
+        # frame i holds the value i + 1 throughout, so a frame names its own row
+        buf = AudioBuffer(np.repeat(np.arange(1.0, n + 1), rate), rate)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(curation, "rho_hat", lambda x, xhat, v, rho_max: rho[int(x[0]) - 1])
+            mp.setattr(dsp, "estimate_cutoff", lambda frame, sr, stft_cfg: fc[int(frame[0]) - 1])
+            got = curate_file(buf, cfg)
+        want = extract_segments(s & b, k)
+        assert [(g.start_sample // rate, g.end_sample // rate) for g in got] == want
+        assert [g.frame_fc for g in got] == [fc[a:e].tolist() for a, e in want]
+        assert [g.frame_rho for g in got] == [rho[a:e].tolist() for a, e in want]
 
 
 class TestRunRound:
