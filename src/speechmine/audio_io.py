@@ -93,12 +93,16 @@ def read_wav(path: str | Path) -> AudioBuffer:
     """Decode a WAV file to a mono float64 AudioBuffer in [-1, 1].
 
     Integer PCM is scaled by 2^(bits-1); stereo is downmixed by
-    averaging the two channels. Every malformed file raises WavError.
+    averaging the two channels. Every file that cannot be read or decoded
+    raises WavError naming its path.
     """
     p = Path(path)
     if not p.is_file():
         raise WavError(f"{p}: file not found")
-    raw = p.read_bytes()
+    try:
+        raw = p.read_bytes()
+    except OSError as exc:
+        raise WavError(f"{p}: read failed: {exc}") from exc
     spans = _chunk_spans(raw, str(p))
     if b"fmt " not in spans:
         raise WavError(f"{p}: missing fmt chunk")

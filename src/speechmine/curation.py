@@ -24,7 +24,6 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import islice
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -40,7 +39,6 @@ from .vad import VadSpec, detect
 logger = logging.getLogger(__name__)
 
 DEFAULT_RHO_BIN_WIDTH_DB = 5.0
-RHO_BIN_CHUNK = 8192  # values binned per numpy pass: bounds the buffer, never changes the counts
 
 
 @dataclass(frozen=True)
@@ -302,54 +300,6 @@ def load_round_configs(manifest: str | Path, round_ids: Iterable[int]) -> dict[s
     return configs
 
 
-class RhoBins:
-    """Counts of SNR estimates by lower bin edge, fed in batches of any size.
-
-    Value v counts under ``floor(v / w) * w`` formatted with ``:g``, ``-0``
-    written ``0``. Keys appear in the order their first value was added.
-    Edges that format to the same key share it and their counts add up: at
-    w = 1e-4, 100.00011 and 100.00021 both count under ``"100"``, placed
-    where the first of them was added.
-
-    Values are binned RHO_BIN_CHUNK at a time, so at most that many wait in
-    the buffer whatever the total.
-    """
-
-    def __init__(self, bin_width_db: float = DEFAULT_RHO_BIN_WIDTH_DB) -> None:
-        self.bin_width_db = bin_width_db
-        self._counts: dict[str, int] = {}
-        self._pending: list[float] = []
-
-    def add(self, values: Iterable[float]) -> None:
-        it = iter(values)
-        while True:
-            self._pending.extend(islice(it, RHO_BIN_CHUNK - len(self._pending)))
-            if len(self._pending) < RHO_BIN_CHUNK:
-                return
-            self._flush()
-
-    def counts(self) -> dict[str, int]:
-        self._flush()
-        return self._counts
-
-    def _flush(self) -> None:
-        if not self._pending:
-            return
-        w = self.bin_width_db
-        with np.errstate(over="ignore"):  # float arithmetic, as in Python
-            q = np.floor(np.array(self._pending, dtype=np.float64) / w)
-            # + 0.0 makes the edge of -0.0, or of a v / w that rounds to -0.0, the edge 0.0
-            edges = q * w + 0.0
-        self._pending.clear()
-        if np.isinf(q).any():  # v / w overflowed: no bin edge exists
-            raise OverflowError(f"an SNR estimate over bin width {w} is beyond the float range")
-        edges, first, count = np.unique(edges, return_index=True, return_counts=True)
-        order = np.argsort(first)
-        for edge, n in zip(edges[order].tolist(), count[order].tolist()):
-            key = f"{edge:g}"
-            self._counts[key] = self._counts.get(key, 0) + n
-
-
 def round_totals(
     segments: Iterable[CuratedSegment],
     bin_width_db: float = DEFAULT_RHO_BIN_WIDTH_DB,
@@ -357,18 +307,37 @@ def round_totals(
     """Curated seconds and binned per-frame SNR estimates, each keyed by
     round in ascending order, from one pass over the records.
 
-    Only the per-round sums and bin counts are held, so the records can be a
-    stream of any length. Each round's seconds are summed in record order.
+    An estimate v counts under its lower bin edge ``floor(v / w) * w``,
+    formatted with ``:g`` and ``-0`` written ``0``. Keys appear in the order
+    their first value was seen. Edges that format to the same key share it
+    and their counts add up: at w = 1e-4, 100.00011 and 100.00021 both count
+    under ``"100"``, placed where the first of them was seen.
+
+    Only the per-round sums and one count per distinct bin are held, so the
+    records can be a stream of any length. Each round's seconds are summed
+    in record order.
     """
+    w = bin_width_db
     seconds: dict[int, float] = {}
-    bins: dict[int, RhoBins] = {}
+    counts: dict[int, dict[int, int]] = {}  # round -> bin index -> count
     for seg in segments:
         rid = seg.round_id
         seconds[rid] = seconds.get(rid, 0.0) + seg.duration_seconds
-        if rid not in bins:
-            bins[rid] = RhoBins(bin_width_db)
-        bins[rid].add(seg.frame_rho)
-    return dict(sorted(seconds.items())), {rid: bins[rid].counts() for rid in sorted(bins)}
+        by_bin = counts.setdefault(rid, {})
+        try:
+            for v in seg.frame_rho:
+                q = math.floor(v / w)
+                by_bin[q] = by_bin.get(q, 0) + 1
+        except OverflowError:  # v / w is infinite: no bin edge exists
+            raise OverflowError(
+                f"an SNR estimate over bin width {w} is beyond the float range") from None
+    hist: dict[int, dict[str, int]] = {}
+    for rid in sorted(counts):
+        keyed = hist[rid] = {}
+        for q, n in counts[rid].items():
+            key = f"{q * w + 0.0:g}"  # + 0.0: at a negative width, zero's edge q * w is -0.0
+            keyed[key] = keyed.get(key, 0) + n
+    return dict(sorted(seconds.items())), hist
 
 
 def curate_file(buf: AudioBuffer, cfg: CurationConfig) -> list[CuratedSegment]:
@@ -577,9 +546,10 @@ def export_ab_pairs(
     second path are counted and logged once. Segments are grouped by source:
     each source is read once and enhanced once per distinct enhancer and
     STFT, and only the current source's buffers are held. A segment whose
-    source is unreadable, that ends past its source, whose enhancer
-    identifier does not decode, whose enhancement fails or whose pair is
-    already written is skipped and counted.
+    source is unreadable, whose sample rate is not its source's, that ends
+    past its source, whose enhancer identifier does not decode, whose
+    enhancement fails or whose pair is already written is skipped and
+    counted.
 
     Files are named ``{stem}_r{round}_{start}_{side}.wav``. Sources that
     share a stem use ``{stem}_{tag}``, and different enhancers that share
@@ -612,6 +582,9 @@ def export_ab_pairs(
         by_enhancer: dict[tuple[str, StftConfig], tuple[CurationConfig, list[CuratedSegment]]] = {}
         for seg in group:
             try:
+                if seg.sample_rate != buf.sample_rate:
+                    raise ValueError(f"recorded at {seg.sample_rate} Hz, but its source is at "
+                                     f"{buf.sample_rate} Hz")
                 if seg.end_sample > len(buf):
                     raise ValueError(f"ends at sample {seg.end_sample}, past the source's {len(buf)}")
                 cfg = configs.get(seg.config_hash)

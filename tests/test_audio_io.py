@@ -1,6 +1,7 @@
 """WAV codec and framing tests."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +63,17 @@ class TestReadWav:
     def test_missing_file_names_path(self, tmp_path):
         with pytest.raises(WavError, match="nope.wav"):
             read_wav(tmp_path / "nope.wav")
+
+    def test_read_failure_is_wav_error_naming_path(self, tmp_path, monkeypatch):
+        p = tmp_path / "locked.wav"
+        write_wav(p, AudioBuffer(np.zeros(10), 8000))
+
+        def refuse(self):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_bytes", refuse)
+        with pytest.raises(WavError, match="locked.wav: read failed: .*Permission denied"):
+            read_wav(p)
 
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "bad.wav"

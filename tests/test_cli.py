@@ -252,22 +252,34 @@ def test_eval_bad_metadata(tmp_path, capsys, text, code, skipped):
         assert (report["files_evaluated"], report["files_skipped"]) == (0, skipped)
 
 
-def _garbage_noisy(pairs):
+def _garbage_noisy(pairs, monkeypatch):
     (pairs / "noisy_000.wav").write_bytes(b"garbage")
 
 
-def _short_clean(pairs):
+def _short_clean(pairs, monkeypatch):
     write_wav(pairs / "clean_000.wav", synth_clean(1.0, FS, seed=9), "float32")
+
+
+def _noisy_read_fails(pairs, monkeypatch):
+    read_bytes = Path.read_bytes
+
+    def refuse_noisy_000(self):  # chmod cannot block a read by root
+        if self == pairs / "noisy_000.wav":
+            raise PermissionError(13, "Permission denied", str(self))
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", refuse_noisy_000)
 
 
 @pytest.mark.parametrize("spoil", [
     pytest.param(_garbage_noisy, id="unreadable-noisy"),
     pytest.param(_short_clean, id="length-mismatch"),
+    pytest.param(_noisy_read_fails, id="noisy-read-fails"),
 ])
-def test_eval_skips_a_bad_pair_and_scores_the_rest(tmp_path, capsys, caplog, spoil):
+def test_eval_skips_a_bad_pair_and_scores_the_rest(tmp_path, capsys, caplog, monkeypatch, spoil):
     pairs = tmp_path / "pairs"
     main(["synth", "--out", str(pairs), "--count", "2", "--duration", "2"])
-    spoil(pairs)
+    spoil(pairs, monkeypatch)
     enh = tmp_path / "enh.json"
     enh.write_text('{"kind": "identity"}')
     capsys.readouterr()

@@ -26,7 +26,6 @@ from speechmine.audio_io import AudioBuffer, frame_matrix, read_wav, write_wav
 from speechmine.cli import main
 from speechmine.curation import (
     DEFAULT_RHO_BIN_WIDTH_DB,
-    RHO_BIN_CHUNK,
     ConfigError,
     CurationConfig,
     CuratedSegment,
@@ -710,6 +709,9 @@ class TestExportAbPairs:
         pytest.param({"enhancer_id": '{"kind":"wiener"}'}, id="unknown-kind"),
         pytest.param({"enhancer_id": "{nope"}, id="not-json"),
         pytest.param({"start_sample": 12 * FS, "end_sample": 24 * FS}, id="past-source-end"),
+        # another round, so that no check but the rate's can skip it
+        pytest.param({"round_id": 1, "sample_rate": 16000, "end_sample": 12 * 16000,
+                      "frame_fc": [8000.0] * 12}, id="other-sample-rate"),
     ])
     def test_bad_segment_skipped_others_exported(self, tmp_path, caplog, bad):
         src = tmp_path / "short.wav"
@@ -913,11 +915,16 @@ def _rho_values(rng, width, n):
     return rng.choice(pool, n).tolist()
 
 
-def rho_bin_counts(values, width=DEFAULT_RHO_BIN_WIDTH_DB):
-    """The counts of one RhoBins fed every value in one batch."""
-    bins = curation.RhoBins(width)
-    bins.add(values)
-    return bins.counts()
+def rho_bin_counts(values, width=DEFAULT_RHO_BIN_WIDTH_DB, sizes=None):
+    """Round 0's counts from round_totals fed the values in order, streamed
+    as records of the given sizes; by default one record holds them all."""
+    if sizes is None:
+        sizes = [len(values)] if values else []
+    assert sum(sizes) == len(values)
+    ends = np.cumsum(sizes, dtype=int).tolist()
+    records = (make_segment(end_sample=1000 * (e - a), frame_rho=values[a:e], frame_fc=[0.0] * (e - a))
+               for a, e in zip([0, *ends], ends))
+    return round_totals(records, width)[1].get(0, {})
 
 
 class TestRhoBinCounts:
@@ -927,13 +934,13 @@ class TestRhoBinCounts:
         assert counts == {"20": 2, "-1e+09": 1, "-5": 1}
 
     @pytest.mark.parametrize("width", [1e-4, 1e-9, 37.5, 1e6, 5.0])
-    @pytest.mark.parametrize("n", [0, 1, 50, 2 * RHO_BIN_CHUNK + 77])
+    @pytest.mark.parametrize("n", [0, 1, 50, 16461])
     def test_items_and_order_equal_the_reference_loop(self, width, n):
         rng = np.random.default_rng([n, int(width * 1e9)])
         values = _rho_values(rng, width, n)
         want = reference_rho_bin_counts(values, width)
         assert list(rho_bin_counts(values, width).items()) == list(want.items())
-        assert list(rho_bin_counts(iter(values), width).items()) == list(want.items())
+        assert list(rho_bin_counts(values, width, [1] * n).items()) == list(want.items())
 
     @pytest.mark.parametrize("values, width, items", [
         pytest.param([-5e-324, 3.0, -0.0, 0.0], 5.0, [("0", 4)], id="signed-zero"),
@@ -944,15 +951,16 @@ class TestRhoBinCounts:
         assert list(rho_bin_counts(values, width).items()) == items
         assert list(reference_rho_bin_counts(values, width).items()) == items
 
-    def test_batches_of_any_size_give_the_counts_of_one_pass(self):
+    def test_zero_edge_is_written_0_at_a_negative_width(self):
+        # the CLI rejects such a width; the function still writes no "-0" key
+        assert list(rho_bin_counts([3.0, -3.0, -0.0], -5.0).items()) == [("5", 1), ("0", 2)]
+
+    def test_records_of_any_size_give_the_counts_of_one_record(self):
         rng = np.random.default_rng(7)
-        values = _rho_values(rng, 1e-4, 3 * RHO_BIN_CHUNK)
-        bins = curation.RhoBins(1e-4)
-        start = 0
-        for size in [0, 1, 12, RHO_BIN_CHUNK - 5, 7, RHO_BIN_CHUNK + 3, len(values)]:
-            bins.add(values[start:start + size])
-            start += size
-        assert list(bins.counts().items()) == list(reference_rho_bin_counts(values, 1e-4).items())
+        values = _rho_values(rng, 1e-4, 24576)
+        got = rho_bin_counts(values, 1e-4, [1, 12, 8187, 7, 8195, 8174])
+        assert list(got.items()) == list(rho_bin_counts(values, 1e-4).items())
+        assert list(got.items()) == list(reference_rho_bin_counts(values, 1e-4).items())
 
     def test_edge_beyond_the_float_range_fails_as_the_loop_does(self):
         with pytest.raises(OverflowError):
