@@ -1,10 +1,10 @@
 """WAV file I/O and frame reshaping.
 
-Readers return mono float64 buffers scaled to [-1, 1]. Supported codecs:
-PCM 16-bit, PCM 24-bit and IEEE float-32, mono or stereo (stereo is
-downmixed by channel averaging). Sample-rate conversion is deliberately
-not offered; the curation gates measure bandwidth content, which
-resampling would alter.
+The reader returns mono float64 buffers scaled to [-1, 1]. It reads PCM
+16-bit, PCM 24-bit and IEEE float-32, mono or stereo (stereo is downmixed
+by channel averaging). The writer writes mono IEEE float-32 only.
+Sample-rate conversion is deliberately not offered; the curation gates
+measure bandwidth content, which resampling would alter.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ WAVE_FORMAT_PCM = 0x0001
 WAVE_FORMAT_IEEE_FLOAT = 0x0003
 WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 
-# Write format -> (format code, bits per sample, full scale). Integer PCM
-# is scaled by 2^(bits-1); float samples are stored as they are.
+# Codecs read_wav decodes: (format code, bits per sample) -> full scale.
+# Integer PCM is scaled by 2^(bits-1); float samples are taken as they are.
 CODECS = {
-    "pcm16": (WAVE_FORMAT_PCM, 16, 2.0**15),
-    "pcm24": (WAVE_FORMAT_PCM, 24, 2.0**23),
-    "float32": (WAVE_FORMAT_IEEE_FLOAT, 32, 1.0),
+    (WAVE_FORMAT_PCM, 16): 2.0**15,
+    (WAVE_FORMAT_PCM, 24): 2.0**23,
+    (WAVE_FORMAT_IEEE_FLOAT, 32): 1.0,
 }
 
 
@@ -118,7 +118,7 @@ def read_wav(path: str | Path) -> AudioBuffer:
         (code,) = struct.unpack_from("<H", raw, fmt + 24)  # first 2 bytes of the subformat GUID
     if channels not in (1, 2):
         raise WavError(f"{p}: unsupported channel count {channels} (mono/stereo only)")
-    scale = next((s for c, b, s in CODECS.values() if (c, b) == (code, bits)), None)
+    scale = CODECS.get((code, bits))
     if scale is None:
         raise WavError(f"{p}: unsupported codec (format code {code}, {bits}-bit)")
     if block_align and block_align != channels * bits // 8:
@@ -146,14 +146,11 @@ def read_wav(path: str | Path) -> AudioBuffer:
         raise WavError(f"{p}: {exc}") from exc
 
 
-def write_wav(path: str | Path, buf: AudioBuffer, fmt: str = "float32") -> None:
-    """Encode an AudioBuffer as a mono WAV file in one of the CODECS.
+def write_wav(path: str | Path, buf: AudioBuffer) -> None:
+    """Encode an AudioBuffer as a mono IEEE float-32 WAV file.
 
     Samples outside [-1, 1] are clipped; the clip count is logged.
     """
-    if fmt not in CODECS:
-        raise ValueError(f"unsupported write format {fmt!r}; expected one of {tuple(CODECS)}")
-    code, bits, scale = CODECS[fmt]
     p = Path(path)
     x = buf.samples
     n_clipped = int(np.count_nonzero((x < -1.0) | (x > 1.0)))
@@ -161,20 +158,15 @@ def write_wav(path: str | Path, buf: AudioBuffer, fmt: str = "float32") -> None:
         logger.warning("%s: clipping %d sample(s) outside [-1, 1]", p, n_clipped)
         x = np.clip(x, -1.0, 1.0)
 
-    block_align = bits // 8
-    if code == WAVE_FORMAT_IEEE_FLOAT:
-        payload = x.astype("<f4").tobytes()
-    else:  # the low bytes of a little-endian int32 are the two's-complement sample
-        q = np.clip(np.round(x * scale), -scale, scale - 1).astype("<i4")
-        payload = q.view(np.uint8).reshape(-1, 4)[:, :block_align].tobytes()
+    payload = x.astype("<f4").tobytes()
     header = b"".join(
         [
             b"RIFF",
             struct.pack("<I", 36 + len(payload)),
             b"WAVE",
             b"fmt ",
-            struct.pack("<IHHIIHH", 16, code, 1, buf.sample_rate,
-                        buf.sample_rate * block_align, block_align, bits),
+            struct.pack("<IHHIIHH", 16, WAVE_FORMAT_IEEE_FLOAT, 1, buf.sample_rate,
+                        buf.sample_rate * 4, 4, 32),
             b"data",
             struct.pack("<I", len(payload)),
         ]

@@ -111,6 +111,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise ConfigError(f"--sample-rate: must be positive, got {args.sample_rate}")
     if not (math.isfinite(args.duration) and round(args.duration * args.sample_rate) >= 1):
         raise ConfigError(f"--duration: must be at least one sample long, got {args.duration}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed: must be non-negative, got {args.seed}")
     noise = NoiseSpec(
         noise_kind=args.noise_kind,
         rayleigh_sigma=args.rayleigh_sigma,
@@ -124,8 +126,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         noisy, target = inject_noise(clean, dataclasses.replace(noise, seed=noise.seed + i))
         clean_name = f"clean_{i:03d}.wav"
         noisy_name = f"noisy_{i:03d}.wav"
-        write_wav(out / clean_name, clean, "float32")
-        write_wav(out / noisy_name, noisy, "float32")
+        write_wav(out / clean_name, clean)
+        write_wav(out / noisy_name, noisy)
         entries.append(
             {
                 "clean": clean_name,

@@ -368,8 +368,6 @@ def curate_file(buf: AudioBuffer, cfg: CurationConfig) -> list[CuratedSegment]:
     x = frame_matrix(buf.samples, flen)
     xhat = frame_matrix(enhanced.samples, flen)
     v = frame_matrix(mask, flen)
-    if len(x) == 0:
-        return []
 
     rho = np.array([rho_hat(*frames, cfg.rho_max_db) for frames in zip(x, xhat, v)])
     s = snr_gate(rho, cfg.snr_threshold_db)
@@ -622,9 +620,9 @@ def export_ab_pairs(
                 written.add(name)
                 sl = slice(seg.start_sample, seg.end_sample)
                 write_wav(out / f"{name}_unprocessed.wav",
-                          AudioBuffer(buf.samples[sl], buf.sample_rate), "float32")
+                          AudioBuffer(buf.samples[sl], buf.sample_rate))
                 write_wav(out / f"{name}_enhanced.wav",
-                          AudioBuffer(enhanced.samples[sl], buf.sample_rate), "float32")
+                          AudioBuffer(enhanced.samples[sl], buf.sample_rate))
                 pairs += 1
             del enhanced  # before the next enhancement of this source is made
         del buf  # before the next source is read

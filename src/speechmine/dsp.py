@@ -142,18 +142,18 @@ def istft(values: np.ndarray, cfg: StftConfig) -> np.ndarray:
         block *= taper
         _overlap_add(out, block, b)
 
-    # rows [0, edge) and the last `edge` rows miss some frame; the rows
-    # between are covered by every frame, each equal to norm[edge]
+    # the normaliser of `out` is `norm` with row `edge` repeated
+    # steps - frames more times: rows [0, edge) and the last `edge` rows
+    # miss some frame, and every row between is covered by every frame
+    # (a slice, not an index, so that zero frames give an empty row)
     frames = min(steps, pieces)
     norm = np.zeros((frames - 1 + pieces, hop))
     _overlap_add(norm, np.broadcast_to(taper * taper, (frames, w)), 0)
     edge = pieces - 1
-    if steps > pieces:
-        _normalise(out[:edge], norm[:edge])
-        _normalise(out[edge:steps], norm[edge])
-        _normalise(out[steps:], norm[pieces:])
-    else:
-        _normalise(out, norm)
+    mid = edge + 1 + steps - frames
+    _normalise(out[:edge], norm[:edge])
+    _normalise(out[edge:mid], norm[edge : edge + 1])
+    _normalise(out[mid:], norm[edge + 1 :])
     return out.reshape(-1)[: (steps - 1) * hop + w]
 
 

@@ -252,7 +252,7 @@ def run_exchange_command(
             paths = {name: Path(tmp, f"{name}.wav") for name in [*inputs, "output"]}
             argv = [tok.format(**paths) for tok in shlex.split(command)]
             for name, buf in inputs.items():
-                write_wav(paths[name], buf, "float32")
+                write_wav(paths[name], buf)
             proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout_s)
             if proc.returncode != 0:
                 raise EnhancerError(

@@ -11,6 +11,7 @@ clean), with a built-in segmental SNR and room for external metrics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -199,7 +200,10 @@ def _external_metric(command: str) -> Callable[[AudioBuffer, AudioBuffer], float
         lines = stdout.strip().splitlines()
         if not lines:
             raise ValueError(f"external metric printed no score on stdout: {command}")
-        return float(lines[-1])
+        score = float(lines[-1])
+        if not math.isfinite(score):
+            raise ValueError(f"external metric printed a non-finite score ({score}): {command}")
+        return score
 
     return run
 

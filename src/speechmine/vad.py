@@ -57,7 +57,7 @@ def _window_rms_db(samples: np.ndarray, win: int) -> np.ndarray:
     """RMS level in dB of consecutive windows; the trailing partial window
     is evaluated over its own samples, and empty input is one floor level."""
     full = samples.size // win
-    levels = [rms_db(frame_matrix(samples, win))] if full else []
+    levels = [rms_db(frame_matrix(samples, win))]
     tail = samples[full * win :]
     if tail.size or not full:
         levels.append([rms_db(tail) if tail.size else FLOOR_DB])
@@ -84,8 +84,6 @@ def detect(buf: AudioBuffer, spec: VadSpec) -> np.ndarray:
         _, out = run_exchange_command(inputs={"input": buf}, what="VAD", **spec.params)
         return (out.samples >= 0.5).astype(np.uint8)
 
-    if n == 0:
-        return np.zeros(0, dtype=np.uint8)
     win = spec.window_samples(buf.sample_rate)
     decisions = energy_vad_windows(buf, spec)
     # one decision per window covers ceil(n / win) windows, so the repeat

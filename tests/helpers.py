@@ -200,7 +200,8 @@ def reference_window_rms_db(samples: np.ndarray, win: int) -> np.ndarray:
 # Reference WAV codec: the chunk-copying reader with one decode branch per
 # codec and the writer with one encode branch per codec, kept as they were
 # before the single CODECS table. The production codec must decode the same
-# samples and write the same bytes.
+# samples and write the same float-32 bytes; the writer keeps PCM16 and
+# PCM24 to build input files for the production reader.
 
 _logger = logging.getLogger(__name__)
 

@@ -24,6 +24,7 @@ SIGNATURES = {
                  "manifest_out: 'str | Path', jobs: 'int' = 1) -> 'RoundReport'",
     "spectral_gate_enhance": "(buf: 'AudioBuffer', cfg: 'StftConfig', gate_threshold_db: 'float' = 20.0, "
                              "attenuation_db: 'float' = 40.0) -> 'AudioBuffer'",
+    "write_wav": "(path: 'str | Path', buf: 'AudioBuffer') -> 'None'",
 }
 
 

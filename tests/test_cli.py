@@ -37,7 +37,7 @@ def write_corpus(tmp_path, count=3, seconds=13.0):
     d = tmp_path / "corpus"
     d.mkdir(exist_ok=True)
     for i in range(count):
-        write_wav(d / f"f{i}.wav", synth_clean(seconds, FS, seed=60 + i), "float32")
+        write_wav(d / f"f{i}.wav", synth_clean(seconds, FS, seed=60 + i))
     return d
 
 
@@ -85,6 +85,7 @@ class TestSynth:
         pytest.param(["--snr-min=10", "--snr-max=5"], "snr_clip", id="snr-min-above-max"),
         pytest.param(["--rayleigh-sigma=0"], "rayleigh_sigma", id="sigma-zero"),
         pytest.param(["--rayleigh-sigma=nan"], "rayleigh_sigma", id="sigma-nan"),
+        pytest.param(["--seed=-1"], "--seed", id="seed-negative"),
     ])
     def test_bad_flag_exits_2_with_one_line_and_writes_nothing(self, tmp_path, capsys, flags, named):
         out = tmp_path / "pairs"
@@ -257,7 +258,7 @@ def _garbage_noisy(pairs, monkeypatch):
 
 
 def _short_clean(pairs, monkeypatch):
-    write_wav(pairs / "clean_000.wav", synth_clean(1.0, FS, seed=9), "float32")
+    write_wav(pairs / "clean_000.wav", synth_clean(1.0, FS, seed=9))
 
 
 def _noisy_read_fails(pairs, monkeypatch):
@@ -340,6 +341,25 @@ def test_eval_skips_every_entry_whose_exchange_dir_cannot_be_made(tmp_path, caps
     report = json.loads(capsys.readouterr().out)
     assert (report["files_evaluated"], report["files_skipped"]) == (0, 2)
     assert caplog.text.count("external enhancer could not start") == 2
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("score", ["nan", "inf"])
+def test_eval_skips_every_entry_whose_external_metric_is_not_finite(tmp_path, caplog, score):
+    pairs = tmp_path / "pairs"
+    main(["synth", "--out", str(pairs), "--count", "2", "--duration", "1"])
+    enh = tmp_path / "enh.json"
+    enh.write_text('{"kind": "identity"}')
+    out = tmp_path / "eval.json"
+    with caplog.at_level("WARNING"):
+        assert main(["eval", "--pairs", str(pairs), "--enhancer-config", str(enh), "--out", str(out),
+                     "--metric", f'external:sh -c "echo {score}" {{reference}} {{degraded}}']) == 0
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert (report["files_evaluated"], report["files_skipped"], report["mean_delta"]) == (0, 2, None)
+    assert caplog.text.count("non-finite score") == 2
 
 
 # an enhancer command template that no call could fill
@@ -639,7 +659,7 @@ class TestStreamingMemory:
     def test_export_ab_peak_does_not_grow_with_the_manifest(self, tmp_path):
         rate, flen = 1000, 100
         src = tmp_path / "src.wav"
-        write_wav(src, AudioBuffer(np.sin(np.arange(3 * 12 * flen) / 7.0) * 0.5, rate), "float32")
+        write_wav(src, AudioBuffer(np.sin(np.arange(3 * 12 * flen) / 7.0) * 0.5, rate))
         peaks = []
         for count in (50, self.N, 4 * self.N):
             manifest = self._manifest(tmp_path / f"m{count}.jsonl", count)
@@ -666,7 +686,7 @@ class TestExportRoundConfig:
         noisy, _ = inject_noise(synth_clean(12.0, FS, seed=0), NoiseSpec(snr_clip=(30.0, 30.5), seed=1))
         src = tmp_path / "corpus" / "mix.wav"
         src.parent.mkdir()
-        write_wav(src, noisy, "float32")
+        write_wav(src, noisy)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(STFT_1024.to_dict()))
         manifest = tmp_path / "m.jsonl"

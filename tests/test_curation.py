@@ -494,7 +494,7 @@ class TestRunRound:
         paths = []
         for i in range(count):
             p = tmp_path / f"f{i}.wav"
-            write_wav(p, synth_clean(seconds, FS, seed=30 + i), "float32")
+            write_wav(p, synth_clean(seconds, FS, seed=30 + i))
             paths.append(p)
         return paths
 
@@ -520,7 +520,7 @@ class TestRunRound:
             noisy, _ = inject_noise(synth_clean(13.0, FS, seed=seed),
                                     NoiseSpec(snr_clip=(40.0, 40.5), seed=1))
             corpus.append(tmp_path / f"f{seed}.wav")
-            write_wav(corpus[-1], noisy, "float32")
+            write_wav(corpus[-1], noisy)
         corpus.insert(1, tmp_path / "missing.wav")
         manifest = tmp_path / "m.jsonl"
         append_manifest(manifest, [make_segment(round_id=5)])  # another round's record
@@ -567,7 +567,7 @@ class TestRunRound:
             noisy, _ = inject_noise(synth_clean(13.0, cfg.sample_rate, seed=seed),
                                     NoiseSpec(snr_clip=(40.0, 40.5), seed=1))
             corpus.append(tmp_path / f"f{seed}.wav")
-            write_wav(corpus[-1], noisy, "float32")
+            write_wav(corpus[-1], noisy)
         manifest = tmp_path / "m.jsonl"
         run_round(corpus, cfg, manifest)
         records, _ = load_manifest(manifest)
@@ -613,7 +613,7 @@ class TestExportAbPairs:
         corpus = []
         for i in range(count):
             p = tmp_path / f"s{i}.wav"
-            write_wav(p, synth_clean(13.0, FS, seed=40 + i), "float32")
+            write_wav(p, synth_clean(13.0, FS, seed=40 + i))
             corpus.append(p)
         manifest = tmp_path / "m.jsonl"
         run_round(corpus, cfg, manifest)
@@ -643,8 +643,8 @@ class TestExportAbPairs:
         noisy = AudioBuffer(
             clean.samples + white_noise(len(clean), 1e-4, np.random.default_rng(51)), FS
         )
-        write_wav(tmp_path / "mix.wav", noisy, "float32")
-        write_wav(ref_dir / "mix.wav", clean, "float32")
+        write_wav(tmp_path / "mix.wav", noisy)
+        write_wav(ref_dir / "mix.wav", clean)
         cfg = CurationConfig(
             enhancer=EnhancerSpec("oracle", {"reference_dir": str(ref_dir)}),
             vad=VadSpec(kind="always_on"),
@@ -659,7 +659,7 @@ class TestExportAbPairs:
 
     def test_each_source_read_once(self, tmp_path, monkeypatch):
         src = tmp_path / "long.wav"
-        write_wav(src, synth_clean(37.0, FS, seed=60), "float32")
+        write_wav(src, synth_clean(37.0, FS, seed=60))
         manifest = tmp_path / "m.jsonl"
         append_manifest(manifest, [
             make_segment(source_uri=str(src), start_sample=k * 12 * FS,
@@ -679,7 +679,7 @@ class TestExportAbPairs:
 
     def test_same_enhancer_in_any_key_order_enhanced_once(self, tmp_path, monkeypatch):
         src = tmp_path / "long.wav"
-        write_wav(src, synth_clean(25.0, FS, seed=61), "float32")
+        write_wav(src, synth_clean(25.0, FS, seed=61))
         ids = ['{"kind":"spectral_gate","attenuation_db":12.0,"gate_threshold_db":6.0}',
                '{"gate_threshold_db":6.0,"kind":"spectral_gate","attenuation_db":12.0}']
         manifest = tmp_path / "m.jsonl"
@@ -715,7 +715,7 @@ class TestExportAbPairs:
     ])
     def test_bad_segment_skipped_others_exported(self, tmp_path, caplog, bad):
         src = tmp_path / "short.wav"
-        write_wav(src, synth_clean(13.0, FS, seed=62), "float32")
+        write_wav(src, synth_clean(13.0, FS, seed=62))
         segments = [make_segment(source_uri=str(src)), make_segment(source_uri=str(src), **bad)]
         with caplog.at_level("WARNING"):
             assert export_ab_pairs(segments, tmp_path / "ab", {}) == 1
@@ -726,7 +726,7 @@ class TestExportAbPairs:
         sources = [tmp_path / "a" / "x.wav", tmp_path / "b" / "x.wav", tmp_path / "c" / "y.wav"]
         for seed, src in enumerate(sources, start=63):
             src.parent.mkdir()
-            write_wav(src, synth_clean(13.0, FS, seed=seed), "float32")
+            write_wav(src, synth_clean(13.0, FS, seed=seed))
         out = tmp_path / "ab"
         pairs = export_ab_pairs([make_segment(source_uri=str(src)) for src in sources], out, {})
         names = sorted(p.name for p in out.glob("*.wav"))
@@ -741,7 +741,7 @@ class TestExportAbPairs:
 
     def test_one_segment_under_two_enhancers_keeps_both_pairs(self, tmp_path):
         src = tmp_path / "x.wav"
-        write_wav(src, synth_clean(13.0, FS, seed=66), "float32")
+        write_wav(src, synth_clean(13.0, FS, seed=66))
         ids = ['{"kind":"identity"}', '{"kind":"spectral_gate"}']
         out = tmp_path / "ab"
         pairs = export_ab_pairs([make_segment(source_uri=str(src), enhancer_id=i) for i in ids], out, {})
@@ -754,7 +754,7 @@ class TestExportAbPairs:
 
     def test_one_enhancer_under_two_stfts_writes_one_untagged_pair(self, tmp_path, caplog):
         src = tmp_path / "x.wav"
-        write_wav(src, synth_clean(13.0, FS, seed=68), "float32")
+        write_wav(src, synth_clean(13.0, FS, seed=68))
         a = CurationConfig(enhancer=EnhancerSpec("spectral_gate"))
         b = dataclasses.replace(a, stft=StftConfig(window_len=1024, hop=256))
         segments = [make_segment(source_uri=str(src), config_hash=c.config_hash()) for c in (a, b)]
@@ -767,7 +767,7 @@ class TestExportAbPairs:
 
     def test_duplicate_record_written_once_and_counted(self, tmp_path, caplog):
         src = tmp_path / "x.wav"
-        write_wav(src, synth_clean(13.0, FS, seed=67), "float32")
+        write_wav(src, synth_clean(13.0, FS, seed=67))
         seg = make_segment(source_uri=str(src))
         out = tmp_path / "ab"
         with caplog.at_level("WARNING"):
@@ -778,7 +778,7 @@ class TestExportAbPairs:
     def test_source_whose_enhancement_fails_skipped_others_exported(self, tmp_path, caplog):
         x, y = tmp_path / "x.wav", tmp_path / "y.wav"
         for seed, src in enumerate((x, y), start=69):
-            write_wav(src, synth_clean(13.0, FS, seed=seed), "float32")
+            write_wav(src, synth_clean(13.0, FS, seed=seed))
         oracle = json.dumps({"kind": "oracle", "reference_dir": str(tmp_path / "no_refs")})
         segments = [make_segment(source_uri=str(x), enhancer_id=oracle), make_segment(source_uri=str(y))]
         out = tmp_path / "ab"
@@ -796,8 +796,7 @@ class TestExportAbPairs:
         sources = []
         for i in range(4):
             sources.append(tmp_path / f"s{i}.wav")
-            write_wav(sources[-1], AudioBuffer(white_noise(n, 0.1, np.random.default_rng(70 + i)), FS),
-                      "float32")
+            write_wav(sources[-1], AudioBuffer(white_noise(n, 0.1, np.random.default_rng(70 + i)), FS))
         segments = [make_segment(source_uri=str(src), enhancer_id='{"kind":"spectral_gate"}')
                     for src in sources]
 
@@ -827,7 +826,7 @@ class TestOldRoundReports:
     def _old_round(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # the records name their source "old.wav"
         noisy, _ = inject_noise(synth_clean(8.0, 16000, seed=5), NoiseSpec(snr_clip=(30.0, 30.5), seed=5))
-        write_wav(tmp_path / "old.wav", noisy, "float32")
+        write_wav(tmp_path / "old.wav", noisy)
         for name in ("old.jsonl", "old.jsonl.round1.report.json"):
             shutil.copy(DATA / name, tmp_path / name)
         return tmp_path / "old.jsonl"

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import brickwall_lowpass
+from helpers import brickwall_lowpass, reference_istft
 from speechmine.dsp import (
     StftConfig,
     estimate_cutoff,
@@ -114,6 +114,12 @@ class TestIstft:
     def test_zero_spectrogram_gives_zeros(self):
         cfg = StftConfig()
         assert not istft(np.zeros((8, 1025), dtype=complex), cfg).any()
+
+    @pytest.mark.parametrize("window_len, hop", [(8, 3), (8, 8)])
+    def test_no_frames_equal_the_reference(self, window_len, hop):
+        cfg = StftConfig(window_len=window_len, hop=hop)
+        values = np.zeros((0, window_len // 2 + 1), dtype=complex)
+        assert np.array_equal(istft(values, cfg), reference_istft(values.T, cfg))
 
     def test_config_mismatch_rejected(self):
         # 1025 bins come from a 2048-sample window, not from 1024

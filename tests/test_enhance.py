@@ -190,8 +190,8 @@ class TestOracle:
         clean = rng.uniform(-0.4, 0.4, FS).astype(np.float32).astype(np.float64)
         noisy = clean + rng.standard_normal(FS).astype(np.float32) * 0.01
         (tmp_path / "ref").mkdir()
-        write_wav(tmp_path / "ref" / "a.wav", AudioBuffer(clean, FS), "float32")
-        write_wav(tmp_path / "a.wav", AudioBuffer(noisy, FS), "float32")
+        write_wav(tmp_path / "ref" / "a.wav", AudioBuffer(clean, FS))
+        write_wav(tmp_path / "a.wav", AudioBuffer(noisy, FS))
         buf = read_wav(tmp_path / "a.wav")
         out = enhance(buf, EnhancerSpec("oracle", {"reference_dir": str(tmp_path / "ref")}), StftConfig())
         assert np.array_equal(out.samples, clean)
@@ -204,7 +204,7 @@ class TestOracle:
 
     def test_reference_at_another_rate_reported(self, tmp_path):
         (tmp_path / "ref").mkdir()
-        write_wav(tmp_path / "ref" / "a.wav", AudioBuffer(np.zeros(100), FS // 2), "float32")
+        write_wav(tmp_path / "ref" / "a.wav", AudioBuffer(np.zeros(100), FS // 2))
         buf = AudioBuffer(np.zeros(100), FS, source=str(tmp_path / "a.wav"))
         with pytest.raises(EnhancerError, match="rate 24000 != input rate 48000"):
             enhance(buf, EnhancerSpec("oracle", {"reference_dir": str(tmp_path / "ref")}), StftConfig())
@@ -281,7 +281,7 @@ class TestExternal:
             SCRIPT_PREAMBLE +
             "from speechmine.audio_io import AudioBuffer, read_wav, write_wav\n"
             "buf = read_wav(sys.argv[1])\n"
-            "write_wav(sys.argv[2], AudioBuffer(buf.samples, buf.sample_rate // 2), 'float32')\n"
+            "write_wav(sys.argv[2], AudioBuffer(buf.samples, buf.sample_rate // 2))\n"
         )
         spec = EnhancerSpec(
             "external",
@@ -305,7 +305,7 @@ class TestExternal:
             SCRIPT_PREAMBLE +
             "from speechmine.audio_io import AudioBuffer, read_wav, write_wav\n"
             "buf = read_wav(sys.argv[1])\n"
-            "write_wav(sys.argv[2], AudioBuffer(buf.samples[: len(buf) // 2], buf.sample_rate), 'float32')\n"
+            "write_wav(sys.argv[2], AudioBuffer(buf.samples[: len(buf) // 2], buf.sample_rate))\n"
         )
         spec = EnhancerSpec(
             "external",
@@ -329,9 +329,9 @@ class TestLengthContract:
     def test_all_in_process_backends_preserve_length(self, n, tmp_path):
         rng = np.random.default_rng(n)
         x = rng.uniform(-0.3, 0.3, n).astype(np.float32).astype(np.float64)
-        write_wav(tmp_path / "src.wav", AudioBuffer(x, FS), "float32")
+        write_wav(tmp_path / "src.wav", AudioBuffer(x, FS))
         (tmp_path / "ref").mkdir()
-        write_wav(tmp_path / "ref" / "src.wav", AudioBuffer(x, FS), "float32")
+        write_wav(tmp_path / "ref" / "src.wav", AudioBuffer(x, FS))
         buf = read_wav(tmp_path / "src.wav")
         specs = [
             EnhancerSpec("identity"),

@@ -69,6 +69,12 @@ class TestDetect:
         mask = detect(short, spec)
         assert len(mask) == 100
 
+    @pytest.mark.parametrize("kind", ["energy", "always_on"])
+    def test_empty_buffer_gives_empty_mask(self, kind):
+        mask = detect(AudioBuffer(np.zeros(0), FS), VadSpec(kind=kind))
+        assert mask.shape == (0,)
+        assert mask.dtype == np.uint8
+
     def test_external_kind(self, tmp_path):
         # graded outputs are thresholded at 0.5
         script = tmp_path / "graded.py"
@@ -78,7 +84,7 @@ class TestDetect:
             "from speechmine.audio_io import AudioBuffer, read_wav, write_wav\n"
             "buf = read_wav(sys.argv[1])\n"
             "levels = np.resize([0.0, 0.3, 0.5, 0.7, 1.0], len(buf))\n"
-            "write_wav(sys.argv[2], AudioBuffer(levels, buf.sample_rate), 'float32')\n"
+            "write_wav(sys.argv[2], AudioBuffer(levels, buf.sample_rate))\n"
         )
         spec = VadSpec(kind="external", params={
             "command": f"python3 {script} {{input}} {{output}}",
