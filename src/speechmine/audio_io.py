@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -23,13 +25,20 @@ WAVE_FORMAT_PCM = 0x0001
 WAVE_FORMAT_IEEE_FLOAT = 0x0003
 WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 
-# Codecs read_wav decodes: (format code, bits per sample) -> full scale.
-# Integer PCM is scaled by 2^(bits-1); float samples are taken as they are.
+# Codecs read_wav decodes: (format code, bits per sample) -> (container
+# dtype, full scale). Each sample is placed in the top bytes of a 4-byte
+# little-endian container, so an integer PCM sample reads as an int32 equal to
+# the sample times 2^(32 - bits), and a float sample as itself.
 CODECS = {
-    (WAVE_FORMAT_PCM, 16): 2.0**15,
-    (WAVE_FORMAT_PCM, 24): 2.0**23,
-    (WAVE_FORMAT_IEEE_FLOAT, 32): 1.0,
+    (WAVE_FORMAT_PCM, 16): ("<i4", 2.0**31),
+    (WAVE_FORMAT_PCM, 24): ("<i4", 2.0**31),
+    (WAVE_FORMAT_IEEE_FLOAT, 32): ("<f4", 1.0),
 }
+
+# Frames read_wav reads and decodes at a time. Its two block buffers take at
+# most 16 bytes a frame, so they stay in cache, and a read call is amortised
+# over many frames.
+READ_BLOCK_FRAMES = 32768
 
 
 class WavError(Exception):
@@ -43,6 +52,9 @@ class AudioBuffer:
     ``samples`` is a 1-D float64 array. Ingested audio lies in [-1, 1];
     processed audio (e.g. enhancer output) may overshoot slightly and is
     clipped again on write.
+
+    Validation allocates nothing the size of the samples: finiteness is
+    checked with a min and a max reduction, through which a NaN propagates.
     """
 
     samples: np.ndarray
@@ -55,7 +67,7 @@ class AudioBuffer:
             raise ValueError(f"AudioBuffer must be mono (1-D), got shape {self.samples.shape}")
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        if self.samples.size and not np.isfinite(self.samples).all():
+        if self.samples.size and not (np.isfinite(self.samples.min()) and np.isfinite(self.samples.max())):
             raise ValueError("AudioBuffer contains non-finite samples")
 
     def __len__(self) -> int:
@@ -67,26 +79,101 @@ class AudioBuffer:
         return self.samples.size / self.sample_rate
 
 
-def _chunk_spans(raw: bytes, path: str) -> dict[bytes, tuple[int, int]]:
-    """Offset and available size of each chunk body of a RIFF/WAVE payload
-    (first occurrence wins)."""
-    if len(raw) < 12:
+def _read_exact(fh: BinaryIO, n: int, path: str) -> bytes:
+    """The next n bytes of the file; a file that ends first is a WavError."""
+    chunk = fh.read(n)
+    if len(chunk) < n:
+        raise WavError(f"{path}: read failed: file ended early")
+    return chunk
+
+
+def _chunk_spans(fh: BinaryIO, path: str) -> dict[bytes, tuple[int, int]]:
+    """Offset and available size of each chunk body of an open RIFF/WAVE
+    file (first occurrence wins), read one 8-byte chunk header at a time."""
+    size = os.fstat(fh.fileno()).st_size
+    if size < 12:
         raise WavError(f"{path}: file too short for a RIFF header")
-    if raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
+    head = _read_exact(fh, 12, path)
+    if head[0:4] != b"RIFF" or head[8:12] != b"WAVE":
         raise WavError(f"{path}: not a RIFF/WAVE file")
     spans: dict[bytes, tuple[int, int]] = {}
     pos = 12
-    while pos + 8 <= len(raw):
-        cid = raw[pos : pos + 4]
-        (size,) = struct.unpack_from("<I", raw, pos + 4)
-        available = min(size, len(raw) - pos - 8)
+    while pos + 8 <= size:
+        fh.seek(pos)
+        cid, body = struct.unpack("<4sI", _read_exact(fh, 8, path))
+        available = min(body, size - pos - 8)
         # data chunk sizes in the wild are sometimes optimistic; a short
         # non-data chunk is a genuine header problem
-        if available < size and cid != b"data":
+        if available < body and cid != b"data":
             raise WavError(f"{path}: truncated {cid!r} chunk")
         spans.setdefault(cid, (pos + 8, available))
-        pos += 8 + size + (size & 1)  # chunks are word-aligned
+        pos += 8 + body + (body & 1)  # chunks are word-aligned
     return spans
+
+
+def _decode(fh: BinaryIO, path: str) -> tuple[np.ndarray, int]:
+    """The mono float64 samples and the sample rate of an open WAV file.
+
+    The data chunk is read READ_BLOCK_FRAMES frames at a time into one
+    reused byte buffer and widened into 4-byte containers. Each frame's
+    channels are summed in float64 and divided by the full scale times the
+    channel count: every codec and channel count takes the same steps.
+
+    This equals scaling each sample and then averaging the channels bit for
+    bit: an integer sample and a sum of two are exact in float64, and the
+    full scale and the channel count are powers of two, which divide
+    exactly, so only the sum of two float samples rounds, and it rounds the
+    same way in both orders.
+    """
+    spans = _chunk_spans(fh, path)
+    if b"fmt " not in spans:
+        raise WavError(f"{path}: missing fmt chunk")
+    if b"data" not in spans:
+        raise WavError(f"{path}: missing data chunk")
+    fmt, fmt_size = spans[b"fmt "]
+    if fmt_size < 16:
+        raise WavError(f"{path}: fmt chunk too short")
+    fh.seek(fmt)
+    header = _read_exact(fh, min(fmt_size, 40), path)
+    code, channels, rate, _byte_rate, block_align, bits = struct.unpack_from("<HHIIHH", header)
+    if code == WAVE_FORMAT_EXTENSIBLE:
+        if fmt_size < 40:
+            raise WavError(f"{path}: extensible fmt chunk too short")
+        (code,) = struct.unpack_from("<H", header, 24)  # first 2 bytes of the subformat GUID
+    if channels not in (1, 2):
+        raise WavError(f"{path}: unsupported channel count {channels} (mono/stereo only)")
+    codec = CODECS.get((code, bits))
+    if codec is None:
+        raise WavError(f"{path}: unsupported codec (format code {code}, {bits}-bit)")
+    container, scale = codec
+    width = bits // 8
+    frame_bytes = channels * width
+    if block_align and block_align != frame_bytes:
+        raise WavError(f"{path}: block alignment {block_align} inconsistent with format")
+
+    data, size = spans[b"data"]
+    frames = size // frame_bytes
+    out = np.empty(frames)
+    rows = min(frames, READ_BLOCK_FRAMES)
+    raw = np.empty(rows * frame_bytes, dtype=np.uint8)
+    wide = np.zeros((rows * channels, 4), dtype=np.uint8)
+    # each sample's bytes move as one item, into the top of its container
+    packed, tops = raw.view(f"V{width}"), wide[:, 4 - width :].view(f"V{width}")[:, 0]
+    values = wide.view(container)[:, 0].reshape(rows, channels)
+    step = 1.0 / (scale * channels)  # a power of two, so multiplying by it divides exactly
+    fh.seek(data)
+    with np.errstate(invalid="ignore"):  # a NaN or an inf - inf is rejected as non-finite
+        for start in range(0, frames, READ_BLOCK_FRAMES):
+            m = min(rows, frames - start)
+            if fh.readinto(raw[: m * frame_bytes]) < m * frame_bytes:
+                raise WavError(f"{path}: read failed: file ended early")
+            tops[: m * channels] = packed[: m * channels]
+            block = out[start : start + m]
+            np.copyto(block, values[:m, 0])
+            for c in range(1, channels):
+                block += values[:m, c]
+            block *= step
+    return out, int(rate)
 
 
 def read_wav(path: str | Path) -> AudioBuffer:
@@ -95,53 +182,20 @@ def read_wav(path: str | Path) -> AudioBuffer:
     Integer PCM is scaled by 2^(bits-1); stereo is downmixed by
     averaging the two channels. Every file that cannot be read or decoded
     raises WavError naming its path.
+
+    Working set: the float64 output plus one block of READ_BLOCK_FRAMES
+    frames; never the file's bytes.
     """
     p = Path(path)
     if not p.is_file():
         raise WavError(f"{p}: file not found")
     try:
-        raw = p.read_bytes()
+        with p.open("rb") as fh:
+            samples, rate = _decode(fh, str(p))
     except OSError as exc:
         raise WavError(f"{p}: read failed: {exc}") from exc
-    spans = _chunk_spans(raw, str(p))
-    if b"fmt " not in spans:
-        raise WavError(f"{p}: missing fmt chunk")
-    if b"data" not in spans:
-        raise WavError(f"{p}: missing data chunk")
-    fmt, fmt_size = spans[b"fmt "]
-    if fmt_size < 16:
-        raise WavError(f"{p}: fmt chunk too short")
-    code, channels, rate, _byte_rate, block_align, bits = struct.unpack_from("<HHIIHH", raw, fmt)
-    if code == WAVE_FORMAT_EXTENSIBLE:
-        if fmt_size < 40:
-            raise WavError(f"{p}: extensible fmt chunk too short")
-        (code,) = struct.unpack_from("<H", raw, fmt + 24)  # first 2 bytes of the subformat GUID
-    if channels not in (1, 2):
-        raise WavError(f"{p}: unsupported channel count {channels} (mono/stereo only)")
-    scale = CODECS.get((code, bits))
-    if scale is None:
-        raise WavError(f"{p}: unsupported codec (format code {code}, {bits}-bit)")
-    if block_align and block_align != channels * bits // 8:
-        raise WavError(f"{p}: block alignment {block_align} inconsistent with format")
-
-    data, size = spans[b"data"]
-    width = bits // 8
-    count = size // (width * channels) * channels
-    if width == 3:  # widen to 4 bytes, sample in the top three; >> 8 sign-extends
-        wide = np.zeros((count, 4), dtype=np.uint8)
-        wide[:, 1:] = np.frombuffer(raw, np.uint8, 3 * count, data).reshape(count, 3)
-        values = wide.view("<i4")[:, 0] >> 8
-    else:
-        dtype = "<f4" if code == WAVE_FORMAT_IEEE_FLOAT else "<i2"
-        values = np.frombuffer(raw, dtype, count, data)
-    with np.errstate(invalid="ignore"):  # a NaN or an inf - inf is rejected below as non-finite
-        x = values.astype(np.float64)
-        if scale != 1.0:
-            x /= scale
-        if channels == 2:
-            x = x.reshape(-1, 2).mean(axis=1)
     try:
-        return AudioBuffer(samples=x, sample_rate=int(rate), source=str(p))
+        return AudioBuffer(samples=samples, sample_rate=rate, source=str(p))
     except ValueError as exc:  # non-finite samples, zero sample rate
         raise WavError(f"{p}: {exc}") from exc
 
@@ -149,30 +203,33 @@ def read_wav(path: str | Path) -> AudioBuffer:
 def write_wav(path: str | Path, buf: AudioBuffer) -> None:
     """Encode an AudioBuffer as a mono IEEE float-32 WAV file.
 
-    Samples outside [-1, 1] are clipped; the clip count is logged.
+    Samples outside [-1, 1] are clipped; the clip count is logged. The
+    samples are copied once, into the float-32 payload.
     """
     p = Path(path)
     x = buf.samples
-    n_clipped = int(np.count_nonzero((x < -1.0) | (x > 1.0)))
-    if n_clipped:
+    if x.size and (x.min() < -1.0 or x.max() > 1.0):
+        n_clipped = int(np.count_nonzero((x < -1.0) | (x > 1.0)))
         logger.warning("%s: clipping %d sample(s) outside [-1, 1]", p, n_clipped)
         x = np.clip(x, -1.0, 1.0)
 
-    payload = x.astype("<f4").tobytes()
+    payload = x.astype("<f4")
     header = b"".join(
         [
             b"RIFF",
-            struct.pack("<I", 36 + len(payload)),
+            struct.pack("<I", 36 + payload.nbytes),
             b"WAVE",
             b"fmt ",
             struct.pack("<IHHIIHH", 16, WAVE_FORMAT_IEEE_FLOAT, 1, buf.sample_rate,
                         buf.sample_rate * 4, 4, 32),
             b"data",
-            struct.pack("<I", len(payload)),
+            struct.pack("<I", payload.nbytes),
         ]
     )
     try:
-        p.write_bytes(header + payload)
+        with p.open("wb") as fh:
+            fh.write(header)
+            fh.write(payload)
     except OSError as exc:
         raise WavError(f"{p}: write failed: {exc}") from exc
 

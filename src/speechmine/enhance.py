@@ -138,7 +138,8 @@ def spectral_gate_enhance(
     Two passes over the one (steps, bins) spectrum stft returns:
 
     1. Floor, _GATE_BINS bins at a time: the block's magnitudes go into one
-       reused C-ordered (_GATE_BINS, steps) buffer, and _floor_10th takes
+       reused C-ordered (_GATE_BINS, steps) buffer, written through its
+       transpose in the spectrum's memory order, and _floor_10th takes
        the floor from it with a single-kth partition, bit for bit what
        np.percentile returns. One limit (floor times threshold) per bin.
     2. Gate, in place, in the _BLOCK_FRAMES-row blocks that istft inverts.
@@ -179,7 +180,7 @@ def _gate(values: np.ndarray, scored: slice, threshold: float, gain: float) -> N
     mag = np.empty((_GATE_BINS, floor_rows.shape[0]))
     for b in range(0, bins, _GATE_BINS):
         rows = mag[: min(_GATE_BINS, bins - b)]
-        np.abs(floor_rows[:, b : b + _GATE_BINS].T, out=rows)
+        np.abs(floor_rows[:, b : b + _GATE_BINS], out=rows.T)
         np.multiply(_floor_10th(rows), threshold, out=limit[b : b + _GATE_BINS])
     for t in range(0, steps, _BLOCK_FRAMES):
         block = values[t : t + _BLOCK_FRAMES]
@@ -223,7 +224,8 @@ def _oracle_enhance(buf: AudioBuffer, reference_dir: str) -> AudioBuffer:
         raise EnhancerError(
             f"oracle reference {ref_path} rate {ref.sample_rate} != input rate {buf.sample_rate}"
         )
-    return AudioBuffer(ref.samples, buf.sample_rate, source=buf.source)
+    ref.source = buf.source
+    return ref
 
 
 def run_exchange_command(

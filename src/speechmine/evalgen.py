@@ -45,9 +45,11 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.noise_kind not in NOISE_KINDS:
             raise ConfigError(f"unknown noise_kind {self.noise_kind!r}; expected one of {NOISE_KINDS}")
-        if not self.rayleigh_sigma > 0:
-            raise ConfigError(f"rayleigh_sigma: must be positive, got {self.rayleigh_sigma}")
+        if not 0 < self.rayleigh_sigma < math.inf:
+            raise ConfigError(f"rayleigh_sigma: must be positive and finite, got {self.rayleigh_sigma}")
         lo, hi = self.snr_clip
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigError(f"snr_clip: bounds must be finite, got {self.snr_clip}")
         if not lo < hi:
             raise ConfigError(f"snr_clip: must satisfy min < max, got {self.snr_clip}")
 

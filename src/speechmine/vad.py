@@ -29,6 +29,11 @@ VAD_PARAMS: dict[str, dict[str, type]] = {
 }
 
 
+# Samples whose window levels _window_rms_db takes at once: their squares
+# stay small next to the signal.
+_LEVEL_BLOCK_SAMPLES = 1 << 15
+
+
 @dataclass(frozen=True)
 class VadSpec:
     """Detector kind, its windowing and threshold fields, and per-kind
@@ -55,13 +60,23 @@ class VadSpec:
 
 def _window_rms_db(samples: np.ndarray, win: int) -> np.ndarray:
     """RMS level in dB of consecutive windows; the trailing partial window
-    is evaluated over its own samples, and empty input is one floor level."""
+    is evaluated over its own samples, and empty input is one floor level.
+
+    Working set: the levels plus the squares of one block of whole windows,
+    about _LEVEL_BLOCK_SAMPLES samples. Each level is a reduction over its
+    own row, so the blocks give the levels of one call over all windows.
+    """
     full = samples.size // win
-    levels = [rms_db(frame_matrix(samples, win))]
     tail = samples[full * win :]
-    if tail.size or not full:
-        levels.append([rms_db(tail) if tail.size else FLOOR_DB])
-    return np.concatenate(levels)
+    levels = np.empty(full + bool(tail.size or not full))
+    windows = frame_matrix(samples, win)
+    rows = max(1, _LEVEL_BLOCK_SAMPLES // win)
+    for b in range(0, full, rows):
+        block = windows[b : b + rows]
+        levels[b : b + len(block)] = rms_db(block)
+    if levels.size > full:
+        levels[full] = rms_db(tail) if tail.size else FLOOR_DB
+    return levels
 
 
 def energy_vad_windows(buf: AudioBuffer, spec: VadSpec) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import math
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,24 @@ def reference_rho_bin_counts(values, bin_width_db: float = 5.0) -> dict[str, int
         key = f"{math.floor(v / bin_width_db) * bin_width_db:g}"
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def traced_peak(call) -> int:
+    """Peak bytes allocated during ``call()``, as traced by tracemalloc,
+    which sees numpy's buffers. One untraced call first does any one-time
+    setup."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Bytes a working-set bound allows beyond the buffers it names: small arrays,
+# Python objects and allocator rounding.
+SLACK = 64 * 1024
 
 
 # Reference kernels: the gather-index STFT, the per-hop overlap-add ISTFT and

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_write_wav
+from helpers import SLACK, reference_write_wav, traced_peak
 from speechmine.audio_io import (
+    READ_BLOCK_FRAMES,
     AudioBuffer,
     WavError,
     frame_len_samples,
@@ -69,10 +70,10 @@ class TestReadWav:
         p = tmp_path / "locked.wav"
         write_wav(p, AudioBuffer(np.zeros(10), 8000))
 
-        def refuse(self):
+        def refuse(self, *args, **kwargs):
             raise PermissionError(13, "Permission denied", str(self))
 
-        monkeypatch.setattr(Path, "read_bytes", refuse)
+        monkeypatch.setattr(Path, "open", refuse)
         with pytest.raises(WavError, match="locked.wav: read failed: .*Permission denied"):
             read_wav(p)
 
@@ -143,6 +144,20 @@ class TestBufferTypes:
 
     def test_duration(self):
         assert AudioBuffer(np.zeros(24000), 48000).duration == 0.5
+
+
+class TestWorkingSet:
+    N = 2_000_000
+
+    def test_read_holds_the_output_and_one_block(self, tmp_path):
+        p = tmp_path / "long.wav"
+        write_wav(p, AudioBuffer(np.random.default_rng(0).uniform(-1, 1, self.N), 48000))
+        # a block is at most 16 bytes a frame: the raw bytes and their containers
+        assert traced_peak(lambda: read_wav(p)) <= 8 * self.N + 16 * READ_BLOCK_FRAMES + SLACK
+
+    def test_validation_allocates_nothing_sample_sized(self):
+        x = np.random.default_rng(1).uniform(-1, 1, self.N)
+        assert traced_peak(lambda: AudioBuffer(x, 48000)) <= SLACK
 
 
 class TestReshapeFrames:

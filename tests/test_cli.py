@@ -85,6 +85,13 @@ class TestSynth:
         pytest.param(["--snr-min=10", "--snr-max=5"], "snr_clip", id="snr-min-above-max"),
         pytest.param(["--rayleigh-sigma=0"], "rayleigh_sigma", id="sigma-zero"),
         pytest.param(["--rayleigh-sigma=nan"], "rayleigh_sigma", id="sigma-nan"),
+        pytest.param(["--rayleigh-sigma=inf"], "rayleigh_sigma", id="sigma-inf"),
+        pytest.param(["--rayleigh-sigma=-inf"], "rayleigh_sigma", id="sigma-minus-inf"),
+        pytest.param(["--snr-max=inf"], "snr_clip", id="snr-max-inf"),
+        pytest.param(["--snr-min=-inf"], "snr_clip", id="snr-min-minus-inf"),
+        pytest.param(["--snr-min=nan"], "snr_clip", id="snr-min-nan"),
+        pytest.param(["--snr-max=nan"], "snr_clip", id="snr-max-nan"),
+        pytest.param(["--rayleigh-sigma=inf", "--snr-max=inf"], "rayleigh_sigma", id="sigma-and-snr-max-inf"),
         pytest.param(["--seed=-1"], "--seed", id="seed-negative"),
     ])
     def test_bad_flag_exits_2_with_one_line_and_writes_nothing(self, tmp_path, capsys, flags, named):
@@ -262,14 +269,14 @@ def _short_clean(pairs, monkeypatch):
 
 
 def _noisy_read_fails(pairs, monkeypatch):
-    read_bytes = Path.read_bytes
+    open_path = Path.open
 
-    def refuse_noisy_000(self):  # chmod cannot block a read by root
+    def refuse_noisy_000(self, *args, **kwargs):  # chmod cannot block a read by root
         if self == pairs / "noisy_000.wav":
             raise PermissionError(13, "Permission denied", str(self))
-        return read_bytes(self)
+        return open_path(self, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "read_bytes", refuse_noisy_000)
+    monkeypatch.setattr(Path, "open", refuse_noisy_000)
 
 
 @pytest.mark.parametrize("spoil", [

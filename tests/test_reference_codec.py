@@ -1,8 +1,9 @@
 """The WAV codec against the reference codec in helpers.py.
 
 Every generated file must decode to the same samples (np.array_equal), for
-each codec, mono and stereo, and for the header layouts found in the wild;
-every buffer must encode to the same float-32 bytes. Mutated, truncated or
+each codec, mono and stereo, and for the header layouts found in the wild,
+at frame counts on both sides of the reader's block boundaries; every
+buffer must encode to the same float-32 bytes. Mutated, truncated or
 extended headers must load exactly as the reference loads them or raise
 WavError, never anything else.
 """
@@ -19,6 +20,7 @@ from speechmine.audio_io import (
     WAVE_FORMAT_EXTENSIBLE,
     WAVE_FORMAT_IEEE_FLOAT,
     WAVE_FORMAT_PCM,
+    READ_BLOCK_FRAMES,
     AudioBuffer,
     WavError,
     read_wav,
@@ -35,7 +37,8 @@ READ_CODECS = {
     "float32": (WAVE_FORMAT_IEEE_FLOAT, 32),
 }
 LAYOUTS = ["plain", "odd-data-size", "list-before-data", "odd-padded-chunk",
-           "extensible", "optimistic-data-size"]
+           "extensible", "optimistic-data-size", "list-after-data"]
+B = READ_BLOCK_FRAMES
 
 
 def chunk(cid: bytes, body: bytes) -> bytes:
@@ -43,27 +46,27 @@ def chunk(cid: bytes, body: bytes) -> bytes:
     return cid + struct.pack("<I", len(body)) + body + b"\x00" * (len(body) & 1)
 
 
-def payload(codec: str, channels: int, seed: int) -> bytes:
+def payload(codec: str, channels: int, seed: int, frames: int = FRAMES) -> bytes:
     """Interleaved samples covering the codec's extremes and random values."""
     rng = np.random.default_rng(seed)
-    n = FRAMES * channels
+    n = frames * channels
     if codec == "float32":
         x = rng.uniform(-1.0, 1.0, n).astype("<f4")
-        x[:4] = [-1.0, 1.0, 0.0, -0.0]
+        x[:4] = [-1.0, 1.0, 0.0, -0.0][:n]
         return x.tobytes()
     bits = READ_CODECS[codec][1]
     lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
     q = rng.integers(lo, hi + 1, n)
-    q[:4] = [lo, hi, 0, -1]
+    q[:4] = [lo, hi, 0, -1][:n]
     return q.astype("<i4").view(np.uint8).reshape(n, 4)[:, : bits // 8].tobytes()
 
 
-def wav_file(codec: str, channels: int, layout: str, seed: int = 0) -> bytes:
+def wav_file(codec: str, channels: int, layout: str, seed: int = 0, frames: int = FRAMES) -> bytes:
     code, bits = READ_CODECS[codec]
     block = channels * bits // 8
-    data = payload(codec, channels, seed)
+    data = payload(codec, channels, seed, frames)
     fmt = struct.pack("<HHIIHH", code, channels, FS, FS * block, block, bits)
-    before = b""
+    before = after = b""
     declared = None
     if layout == "odd-data-size":
         data += b"\x7f"
@@ -77,10 +80,12 @@ def wav_file(codec: str, channels: int, layout: str, seed: int = 0) -> bytes:
                + struct.pack("<HHI", 22, bits, 0) + struct.pack("<H", code) + guid_tail)
     elif layout == "optimistic-data-size":
         declared = len(data) + 1000
+    elif layout == "list-after-data":
+        after = chunk(b"LIST", b"INFOICMT" + struct.pack("<I", 5) + b"late\x00\x00")
     data_chunk = chunk(b"data", data)
     if declared is not None:
         data_chunk = b"data" + struct.pack("<I", declared) + data
-    body = b"WAVE" + chunk(b"fmt ", fmt) + before + data_chunk
+    body = b"WAVE" + chunk(b"fmt ", fmt) + before + data_chunk + after
     return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
@@ -104,6 +109,19 @@ def test_decodes_as_reference(tmp_path, codec, channels, layout):
     assert np.array_equal(got.samples, want.samples)
     assert got.sample_rate == want.sample_rate == FS
     assert got.source == want.source
+
+
+@pytest.mark.parametrize("frames", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("channels", [1, 2], ids=["mono", "stereo"])
+@pytest.mark.parametrize("codec", list(READ_CODECS))
+def test_decodes_as_reference_across_blocks(tmp_path, codec, channels, layout, frames):
+    p = tmp_path / "x.wav"
+    p.write_bytes(wav_file(codec, channels, layout, seed=frames, frames=frames))
+    want, got = reference_read_wav(p), read_wav(p)
+    assert len(got) == frames
+    assert np.array_equal(got.samples, want.samples)
+    assert got.sample_rate == want.sample_rate == FS
 
 
 @pytest.mark.parametrize("fmt", ["float32"])
@@ -130,6 +148,19 @@ def test_non_finite_float_samples_raise_wav_error_and_nothing_else(tmp_path, cha
     p = tmp_path / "x.wav"
     p.write_bytes(bytes(raw))
     with pytest.raises(WavError, match="non-finite"):
+        read_wav(p)
+
+
+@pytest.mark.parametrize("frame", [0, B - 1, B, 2 * B], ids=["first", "block-end", "block-start", "last"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("channels", [1, 2], ids=["mono", "stereo"])
+def test_non_finite_sample_anywhere_raises_wav_error_naming_path(tmp_path, channels, bad, frame):
+    raw = bytearray(wav_file("float32", channels, "plain", frames=2 * B + 1))
+    at = raw.index(b"data") + 8 + 4 * channels * frame + 4 * (channels - 1)  # the last channel
+    raw[at : at + 4] = struct.pack("<f", bad)
+    p = tmp_path / "bad.wav"
+    p.write_bytes(bytes(raw))
+    with pytest.raises(WavError, match="bad.wav: .*non-finite"):
         read_wav(p)
 
 

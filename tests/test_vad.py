@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SCRIPT_PREAMBLE, reference_window_rms_db
+from helpers import SCRIPT_PREAMBLE, SLACK, reference_window_rms_db, traced_peak
 from speechmine.audio_io import AudioBuffer
-from speechmine.vad import VadSpec, _window_rms_db, detect, energy_vad_windows
+from speechmine.vad import _LEVEL_BLOCK_SAMPLES, VadSpec, _window_rms_db, detect, energy_vad_windows
 
 FS = 48000
 
@@ -112,6 +112,23 @@ class TestWindowLevels:
         assert np.array_equal(_window_rms_db(x, WIN), want)
         assert np.array_equal(energy_vad_windows(AudioBuffer(x, FS), VadSpec()),
                               want >= max(np.percentile(want, 10) + 15.0, -60.0))
+
+    @pytest.mark.parametrize("win", [1, 3, WIN, _LEVEL_BLOCK_SAMPLES - 1, _LEVEL_BLOCK_SAMPLES + 1])
+    def test_equal_to_reference_around_the_level_block(self, win):
+        k = max(1, _LEVEL_BLOCK_SAMPLES // win)  # whole windows per block
+        rng = np.random.default_rng(win)
+        for full in (k - 1, k, k + 1, 2 * k + 1):
+            for tail in (0, 1, win - 1):
+                x = rng.uniform(-0.5, 0.5, full * win + tail) * rng.uniform(0.0, 1.0) ** 4
+                assert np.array_equal(_window_rms_db(x, win), reference_window_rms_db(x, win))
+
+    def test_detect_holds_the_mask_and_one_block(self):
+        n = 2_000_000
+        x = np.random.default_rng(3).uniform(-0.5, 0.5, n)
+        x[: n // 3] *= 1e-3
+        buf = AudioBuffer(x, FS)
+        # the uint8 mask plus the float64 squares of one block of windows
+        assert traced_peak(lambda: detect(buf, VadSpec())) <= n + 8 * _LEVEL_BLOCK_SAMPLES + SLACK
 
 
 class TestMaskInvariants:
