@@ -40,6 +40,10 @@ CODECS = {
 # over many frames.
 READ_BLOCK_FRAMES = 32768
 
+# The largest rate and length whose byte rate and RIFF size fit a WAV header's 32-bit fields.
+MAX_WRITE_RATE = 0xFFFFFFFF // 4
+MAX_WRITE_SAMPLES = (0xFFFFFFFF - 36) // 4
+
 
 class WavError(Exception):
     """Raised for unreadable, malformed or unsupported WAV files."""
@@ -204,9 +208,13 @@ def write_wav(path: str | Path, buf: AudioBuffer) -> None:
     """Encode an AudioBuffer as a mono IEEE float-32 WAV file.
 
     Samples outside [-1, 1] are clipped; the clip count is logged. The
-    samples are copied once, into the float-32 payload.
+    samples are copied once, into the float-32 payload. A rate or length
+    beyond MAX_WRITE_RATE or MAX_WRITE_SAMPLES raises WavError naming the path.
     """
     p = Path(path)
+    if buf.sample_rate > MAX_WRITE_RATE or len(buf) > MAX_WRITE_SAMPLES:
+        raise WavError(f"{p}: {len(buf)} samples at {buf.sample_rate} Hz overflow the 32-bit "
+                       "byte-rate or RIFF size field")
     x = buf.samples
     if x.size and (x.min() < -1.0 or x.max() > 1.0):
         n_clipped = int(np.count_nonzero((x < -1.0) | (x > 1.0)))
@@ -214,18 +222,10 @@ def write_wav(path: str | Path, buf: AudioBuffer) -> None:
         x = np.clip(x, -1.0, 1.0)
 
     payload = x.astype("<f4")
-    header = b"".join(
-        [
-            b"RIFF",
-            struct.pack("<I", 36 + payload.nbytes),
-            b"WAVE",
-            b"fmt ",
-            struct.pack("<IHHIIHH", 16, WAVE_FORMAT_IEEE_FLOAT, 1, buf.sample_rate,
-                        buf.sample_rate * 4, 4, 32),
-            b"data",
-            struct.pack("<I", payload.nbytes),
-        ]
-    )
+    # the fmt chunk's 16 bytes: format, channels, rate, byte rate, block align, bits
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + payload.nbytes, b"WAVE", b"fmt ", 16,
+                         WAVE_FORMAT_IEEE_FLOAT, 1, buf.sample_rate, 4 * buf.sample_rate, 4, 32,
+                         b"data", payload.nbytes)
     try:
         with p.open("wb") as fh:
             fh.write(header)

@@ -30,7 +30,7 @@ import sys
 from pathlib import Path
 
 from . import evalgen
-from .audio_io import WavError, read_wav, write_wav
+from .audio_io import MAX_WRITE_RATE, MAX_WRITE_SAMPLES, WavError, read_wav, write_wav
 from .curation import (
     DEFAULT_RHO_BIN_WIDTH_DB,
     ConfigError,
@@ -107,10 +107,11 @@ def cmd_curate(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise ConfigError(f"--count: must be at least 1, got {args.count}")
-    if args.sample_rate < 1:
-        raise ConfigError(f"--sample-rate: must be positive, got {args.sample_rate}")
-    if not (math.isfinite(args.duration) and round(args.duration * args.sample_rate) >= 1):
-        raise ConfigError(f"--duration: must be at least one sample long, got {args.duration}")
+    if not 1 <= args.sample_rate <= MAX_WRITE_RATE:
+        raise ConfigError(f"--sample-rate: must be in [1, {MAX_WRITE_RATE}], got {args.sample_rate}")
+    samples = round(args.duration * args.sample_rate) if math.isfinite(args.duration) else 0
+    if not 1 <= samples <= MAX_WRITE_SAMPLES:
+        raise ConfigError(f"--duration: must be 1 to {MAX_WRITE_SAMPLES} samples long, got {args.duration}")
     if args.seed < 0:
         raise ConfigError(f"--seed: must be non-negative, got {args.seed}")
     noise = NoiseSpec(

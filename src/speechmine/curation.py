@@ -94,15 +94,17 @@ class CurationConfig:
     def to_dict(self) -> dict[str, Any]:
         return encode(self)
 
-    def canonical_text(self) -> str:
-        return canonical_json(self.to_dict())
-
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
+        return hash_config(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CurationConfig":
         return decode(cls, data, "config")
+
+
+def hash_config(data: dict[str, Any]) -> str:
+    """The config_hash of a config's JSON object: the SHA-256 of its canonical text."""
+    return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
 
 
 def load_config(path: str | Path) -> CurationConfig:
@@ -193,13 +195,13 @@ def rho_hat(
     """
     x_frame = np.asarray(x_frame, dtype=np.float64)
     xhat_frame = np.asarray(xhat_frame, dtype=np.float64)
-    v_frame = np.asarray(v_frame, dtype=np.float64)
+    v_frame = np.asarray(v_frame)
     if not x_frame.shape == xhat_frame.shape == v_frame.shape:
         raise ValueError(
             f"frame length mismatch: x {x_frame.shape}, xhat {xhat_frame.shape}, "
             f"v {v_frame.shape}"
         )
-    if v_frame.mean() < 0.5:
+    if v_frame.mean(dtype=np.float64) < 0.5:
         return -math.inf
     rho = rms_db(xhat_frame) - rms_db(x_frame - xhat_frame)
     return float(min(rho, rho_max_db))
@@ -283,8 +285,8 @@ def load_round_configs(manifest: str | Path, round_ids: Iterable[int]) -> dict[s
     """``{config_hash: config}`` from the report files of the given rounds of
     a manifest, keyed by the hash each report stores, which its records
     carry. A missing report file is passed over; one that does not decode,
-    or whose hash is not the SHA-256 of its config's canonical text, is
-    logged and passed over."""
+    or whose hash is not the hash_config of its config, is logged and
+    passed over."""
     configs: dict[str, CurationConfig] = {}
     for path in (round_report_path(manifest, r) for r in sorted(set(round_ids))):
         if not path.is_file():
@@ -292,7 +294,7 @@ def load_round_configs(manifest: str | Path, round_ids: Iterable[int]) -> dict[s
         try:
             report = load_json(path, "round report")
             stored, data = report["config_hash"], report["config"]
-            if stored != hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest():
+            if stored != hash_config(data):
                 raise ConfigError(f"config_hash {stored!r} is not the hash of the stored config")
             configs[stored] = CurationConfig.from_dict(data)
         except (ConfigError, KeyError, TypeError) as exc:

@@ -36,15 +36,18 @@ logger = logging.getLogger(__name__)
 EXTERNAL_PARAMS = {"command": str, "exchange_dir": str, "timeout_s": float}
 
 
-def check_external_command(command: str, names: tuple[str, str], what: str) -> None:
-    """Reject, with a ConfigError, a command template that
-    run_exchange_command could not fill.
+def check_external(params: dict[str, Any], names: tuple[str, str], what: str) -> None:
+    """Reject, with a ConfigError naming the field, an external command's
+    parameters: a timeout_s that is not positive or a template it cannot fill.
 
     The template is split as shlex.split splits it, and each token is read
     by the parser str.format runs. The placeholders must be ``{name}`` for
     each of names, plus, optionally, ``{output}``; a literal brace is
     written ``{{`` or ``}}``.
     """
+    command = params.get("command", "")
+    if params.get("timeout_s", DEFAULT_TIMEOUT_S) <= 0:
+        raise ConfigError(f"external {what} timeout_s must be positive, got {params['timeout_s']}")
     try:
         fields = _placeholders(command)
     except ValueError as exc:  # an unclosed quote or brace, or a lone }
@@ -108,7 +111,7 @@ class EnhancerSpec:
             if "reference_dir" not in self.params:
                 raise ValueError("oracle enhancer requires a reference_dir parameter")
         elif self.kind == "external":
-            check_external_command(self.params.get("command", ""), ("input", "output"), "enhancer")
+            check_external(self.params, ("input", "output"), "enhancer")
 
     def identifier(self) -> str:
         """Canonical serialized form, stable enough to re-run from a manifest."""
@@ -219,13 +222,7 @@ def _oracle_enhance(buf: AudioBuffer, reference_dir: str) -> AudioBuffer:
     ref_path = Path(reference_dir) / Path(buf.source).name
     if not ref_path.is_file():
         raise EnhancerError(f"oracle reference not found: {ref_path}")
-    ref = read_wav(ref_path)
-    if ref.sample_rate != buf.sample_rate:
-        raise EnhancerError(
-            f"oracle reference {ref_path} rate {ref.sample_rate} != input rate {buf.sample_rate}"
-        )
-    ref.source = buf.source
-    return ref
+    return read_wav(ref_path)
 
 
 def run_exchange_command(
@@ -243,9 +240,9 @@ def run_exchange_command(
     ``{name}.wav`` and substituted for its ``{name}`` placeholder, per token
     of the command template. Exit code 0 is required. Returns the command's
     stdout and, when the template has an ``{output}`` placeholder, the
-    buffer it wrote there, which must have the length and rate of every
-    input; otherwise None. Every failure, an exchange directory that cannot
-    be made or a program that cannot start included, is an EnhancerError.
+    buffer it wrote there; otherwise None. Every failure, an exchange
+    directory that cannot be made or a program that cannot start included,
+    is an EnhancerError.
     """
     try:
         if exchange_dir:
@@ -265,40 +262,35 @@ def run_exchange_command(
                 return proc.stdout, None
             if not paths["output"].is_file():
                 raise EnhancerError(f"external {what} produced no output file: {argv}")
-            result = read_wav(paths["output"])
+            return proc.stdout, read_wav(paths["output"])
     except OSError as exc:  # no exchange directory, no such program, or not executable
         raise EnhancerError(f"external {what} could not start: {exc}") from exc
     except subprocess.TimeoutExpired as exc:
         raise EnhancerError(f"external {what} timed out after {timeout_s} s: {exc.cmd}") from exc
-    for buf in inputs.values():
-        if len(result) != len(buf):
-            raise EnhancerError(
-                f"external {what} length contract violated: expected {len(buf)} samples, "
-                f"got {len(result)}"
-            )
-        if result.sample_rate != buf.sample_rate:
-            raise EnhancerError(
-                f"external {what} rate contract violated: expected {buf.sample_rate} Hz, "
-                f"got {result.sample_rate}"
-            )
-    return proc.stdout, result
+
+
+def check_returned(out: AudioBuffer, buf: AudioBuffer, what: str) -> AudioBuffer:
+    """``out``, which answers ``buf``, relabelled with ``buf``'s source; an
+    EnhancerError naming both values and ``out``'s source if a length or rate differs."""
+    if len(out) != len(buf):
+        raise EnhancerError(f"{what} broke the length contract: expected {len(buf)} samples, "
+                            f"got {len(out)} from {out.source}")
+    if out.sample_rate != buf.sample_rate:
+        raise EnhancerError(f"{what} broke the rate contract: expected {buf.sample_rate} Hz, "
+                            f"got {out.sample_rate} from {out.source}")
+    out.source = buf.source
+    return out
 
 
 def enhance(buf: AudioBuffer, spec: EnhancerSpec, stft_cfg: StftConfig) -> AudioBuffer:
     """Run the configured backend and enforce the shape-alignment contract.
     ``stft_cfg`` is the analysis the spectral gate uses; other backends ignore it."""
     if spec.kind == "identity":
-        out = AudioBuffer(buf.samples.copy(), buf.sample_rate, source=buf.source)
+        out = AudioBuffer(buf.samples.copy(), buf.sample_rate)
     elif spec.kind == "spectral_gate":
         out = spectral_gate_enhance(buf, stft_cfg, **spec.params)
     elif spec.kind == "oracle":
         out = _oracle_enhance(buf, **spec.params)
     else:
-        _, result = run_exchange_command(inputs={"input": buf}, **spec.params)
-        out = AudioBuffer(result.samples, buf.sample_rate, source=buf.source)
-    if len(out) != len(buf):
-        raise EnhancerError(
-            f"enhancer {spec.kind!r} length contract violated: "
-            f"expected {len(buf)} samples, got {len(out)}"
-        )
-    return out
+        out = run_exchange_command(inputs={"input": buf}, **spec.params)[1]
+    return check_returned(out, buf, f"enhancer {spec.kind!r}")

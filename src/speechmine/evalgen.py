@@ -21,7 +21,7 @@ from .audio_io import AudioBuffer, frame_len_samples, frame_matrix
 from .curation import DEFAULT_RHO_BIN_WIDTH_DB, CuratedSegment, round_totals
 from .curation import load_manifest  # noqa: F401  (bench/tracing.py wraps this name)
 from .dsp import rms_db
-from .enhance import check_external_command, run_exchange_command
+from .enhance import check_external, run_exchange_command
 from .schema import ConfigError
 
 NOISE_KINDS = ("white", "pink", "babble_proxy")
@@ -216,7 +216,7 @@ def resolve_metric(metric_id: str) -> Callable[[AudioBuffer, AudioBuffer], float
         return segmental_snr
     if metric_id.startswith("external:"):
         command = metric_id[len("external:") :]
-        check_external_command(command, ("reference", "degraded"), "metric")
+        check_external({"command": command}, ("reference", "degraded"), "metric")
         return _external_metric(command)
     raise ConfigError(f"unknown metric {metric_id!r}")
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .audio_io import AudioBuffer, frame_matrix
 from .dsp import FLOOR_DB, rms_db
-from .enhance import EXTERNAL_PARAMS, check_external_command, run_exchange_command
+from .enhance import EXTERNAL_PARAMS, check_external, check_returned, run_exchange_command
 from .schema import check_params
 
 # Every detector kind with the name and type of each parameter it takes
@@ -52,7 +52,7 @@ class VadSpec:
         if self.window_seconds <= 0:
             raise ValueError(f"window_seconds must be positive, got {self.window_seconds}")
         if self.kind == "external":
-            check_external_command(self.params.get("command", ""), ("input", "output"), "VAD")
+            check_external(self.params, ("input", "output"), "VAD")
 
     def window_samples(self, sample_rate: int) -> int:
         return max(1, int(round(sample_rate * self.window_seconds)))
@@ -96,8 +96,8 @@ def detect(buf: AudioBuffer, spec: VadSpec) -> np.ndarray:
     if spec.kind == "always_on":
         return np.ones(n, dtype=np.uint8)
     if spec.kind == "external":
-        _, out = run_exchange_command(inputs={"input": buf}, what="VAD", **spec.params)
-        return (out.samples >= 0.5).astype(np.uint8)
+        out = run_exchange_command(inputs={"input": buf}, what="VAD", **spec.params)[1]
+        return (check_returned(out, buf, "external VAD").samples >= 0.5).astype(np.uint8)
 
     win = spec.window_samples(buf.sample_rate)
     decisions = energy_vad_windows(buf, spec)

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from helpers import SLACK, reference_write_wav, traced_peak
 from speechmine.audio_io import (
+    MAX_WRITE_RATE,
+    MAX_WRITE_SAMPLES,
     READ_BLOCK_FRAMES,
     AudioBuffer,
     WavError,
@@ -131,6 +133,27 @@ class TestWriteWav:
             write_wav(p, AudioBuffer(x, 48000))
         assert "2 sample(s)" in caplog.text
         assert read_wav(p).samples.tolist() == [0.0, 1.0, -1.0, 0.5]
+
+    def test_limits_are_the_largest_the_header_fields_hold(self, tmp_path):
+        assert 4 * MAX_WRITE_RATE <= 0xFFFFFFFF < 4 * (MAX_WRITE_RATE + 1)
+        assert 36 + 4 * MAX_WRITE_SAMPLES <= 0xFFFFFFFF < 36 + 4 * (MAX_WRITE_SAMPLES + 1)
+        p = tmp_path / "edge.wav"
+        write_wav(p, AudioBuffer(np.zeros(3), MAX_WRITE_RATE))
+        assert read_wav(p).sample_rate == MAX_WRITE_RATE
+
+    @pytest.mark.parametrize("rate, n", [
+        (MAX_WRITE_RATE + 1, 3),
+        (2_000_000_000, 3),
+        (48000, MAX_WRITE_SAMPLES + 1),
+    ], ids=["rate-one-past", "rate-2e9", "length-one-past"])
+    def test_header_field_overflow_is_wav_error_naming_path(self, tmp_path, rate, n):
+        # a zero-stride view stands for a buffer too long to allocate
+        buf = AudioBuffer(np.zeros(1), rate)
+        buf.samples = np.broadcast_to(np.float64(0.0), (n,))
+        p = tmp_path / "big.wav"
+        with pytest.raises(WavError, match=f"{p}: {n} samples at {rate} Hz overflow the 32-bit"):
+            write_wav(p, buf)
+        assert not p.exists()
 
 
 class TestBufferTypes:

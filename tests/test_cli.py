@@ -93,6 +93,14 @@ class TestSynth:
         pytest.param(["--snr-max=nan"], "snr_clip", id="snr-max-nan"),
         pytest.param(["--rayleigh-sigma=inf", "--snr-max=inf"], "rayleigh_sigma", id="sigma-and-snr-max-inf"),
         pytest.param(["--seed=-1"], "--seed", id="seed-negative"),
+        # a float-32 WAV's 32-bit byte-rate field holds 4 bytes per sample a second
+        pytest.param(["--duration=0.000001", "--sample-rate=2000000000"], "--sample-rate",
+                     id="sample-rate-beyond-byte-rate-field"),
+        pytest.param(["--sample-rate=1073741824"], "--sample-rate", id="sample-rate-one-past-byte-rate-field"),
+        # its 32-bit RIFF size field holds 36 bytes plus 4 bytes per sample
+        pytest.param(["--duration=1073741815", "--sample-rate=1"], "--duration",
+                     id="duration-one-past-riff-size-field"),
+        pytest.param(["--duration=1e9"], "--duration", id="duration-beyond-riff-size-field"),
     ])
     def test_bad_flag_exits_2_with_one_line_and_writes_nothing(self, tmp_path, capsys, flags, named):
         out = tmp_path / "pairs"

@@ -14,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    SLACK,
     brickwall_lowpass,
     make_segment,
     reference_istft,
     reference_rho_bin_counts,
     reference_stft,
+    traced_peak,
     white_noise,
 )
 from speechmine import curation, dsp
@@ -46,7 +48,7 @@ from speechmine.curation import (
 from speechmine.dsp import StftConfig, estimate_cutoff
 from speechmine.enhance import EnhancerSpec, enhance
 from speechmine.evalgen import NoiseSpec, inject_noise, synth_clean
-from speechmine.schema import decode
+from speechmine.schema import canonical_json, decode
 from speechmine.vad import VadSpec, detect
 
 FS = 48000
@@ -91,6 +93,24 @@ class TestRhoHat:
         v = np.zeros(1000)
         v[:500] = 1
         assert rho_hat(np.full(1000, 0.2), np.full(1000, 0.1), v) != -np.inf
+
+    @pytest.mark.parametrize("voiced", [0, 1, 499, 500, 501, 999, 1000])
+    def test_uint8_mask_scores_as_its_float64_copy(self, voiced):
+        rng = np.random.default_rng(voiced)
+        x, xhat = rng.standard_normal(1000), rng.standard_normal(1000)
+        v = np.zeros(1000, dtype=np.uint8)
+        v[:voiced] = 1
+        rho = rho_hat(x, xhat, v)
+        assert (rho == -np.inf) == (voiced < 500)
+        assert rho == rho_hat(x, xhat, v.astype(np.float64))
+
+    def test_holds_no_copy_of_the_mask(self):
+        # the residual and its square are the only frame-sized buffers
+        n = 48000
+        rng = np.random.default_rng(0)
+        x, xhat = rng.standard_normal(n), rng.standard_normal(n)
+        v = np.ones(n, dtype=np.uint8)
+        assert traced_peak(lambda: rho_hat(x, xhat, v)) <= 2 * 8 * n + SLACK
 
 
 class TestGates:
@@ -317,7 +337,7 @@ class TestConfig:
         cfg = ALL_FIELDS_CONFIG
         golden = "095c55f1097e12f80db47012a0b7199e291a772dc3ed028d0e3c6312dce0facc"
         assert cfg.config_hash() == golden
-        assert CurationConfig.from_dict(json.loads(cfg.canonical_text())).config_hash() == golden
+        assert CurationConfig.from_dict(json.loads(canonical_json(cfg.to_dict()))).config_hash() == golden
 
     def test_bad_json_reported(self, tmp_path):
         p = tmp_path / "cfg.json"

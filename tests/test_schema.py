@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from helpers import make_segment
 from speechmine.cli import main
 from speechmine.curation import ConfigError, CurationConfig, CuratedSegment, load_manifest
+from speechmine.schema import canonical_json
 
 FS = 48000
 
@@ -34,6 +35,8 @@ CONFIG_PROBES = [
     ({"enhancer": {"kind": "oracle", "reference_dir": 5}}, "reference_dir"),
     ({"enhancer": {"kind": "external", "command": ["run", "{input}", "{output}"]}}, "command"),
     ({"vad": {"kind": "external", "command": "vad {input} {output}", "timeout_s": "60"}}, "timeout_s"),
+    ({"enhancer": {"kind": "external", "command": "run {input} {output}", "timeout_s": 0}}, "timeout_s"),
+    ({"vad": {"kind": "external", "command": "vad {input} {output}", "timeout_s": -1}}, "timeout_s"),
 ]
 
 
@@ -160,7 +163,7 @@ def test_config_dicts_load_or_raise_config_error(data):
         cfg = CurationConfig.from_dict(data)
     except ConfigError:
         return
-    again = CurationConfig.from_dict(json.loads(cfg.canonical_text()))
+    again = CurationConfig.from_dict(json.loads(canonical_json(cfg.to_dict())))
     assert again.config_hash() == cfg.config_hash()
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import SCRIPT_PREAMBLE, SLACK, reference_window_rms_db, traced_peak
 from speechmine.audio_io import AudioBuffer
+from speechmine.enhance import EnhancerError
 from speechmine.vad import _LEVEL_BLOCK_SAMPLES, VadSpec, _window_rms_db, detect, energy_vad_windows
 
 FS = 48000
@@ -93,6 +94,26 @@ class TestDetect:
         mask = detect(AudioBuffer(np.zeros(5000), FS), spec)
         assert mask.dtype == np.uint8
         assert mask.tolist() == [0, 0, 1, 1, 1] * 1000
+
+    @pytest.mark.parametrize("length, rate, named", [
+        ("len(buf) // 2", "buf.sample_rate", "expected 1000 samples, got 500"),
+        ("len(buf)", "buf.sample_rate // 2", "expected 48000 Hz, got 24000"),
+    ], ids=["half-length", "half-rate"])
+    def test_external_mask_of_another_shape_names_both_values(self, tmp_path, length, rate, named):
+        script = tmp_path / "bad_mask.py"
+        script.write_text(
+            SCRIPT_PREAMBLE +
+            "import numpy as np\n"
+            "from speechmine.audio_io import AudioBuffer, read_wav, write_wav\n"
+            "buf = read_wav(sys.argv[1])\n"
+            f"write_wav(sys.argv[2], AudioBuffer(np.ones({length}), {rate}))\n"
+        )
+        spec = VadSpec(kind="external", params={
+            "command": f"python3 {script} {{input}} {{output}}",
+            "exchange_dir": str(tmp_path),
+        })
+        with pytest.raises(EnhancerError, match=named):
+            detect(AudioBuffer(np.zeros(1000), FS), spec)
 
 
 WIN = VadSpec().window_samples(FS)
