@@ -5,11 +5,12 @@ Each file is enhanced, the VAD runs on the enhanced signal, and all three
 sequences are cut into fixed frames. A frame's SNR estimate is the
 enhanced level minus the residual (input minus enhanced) level, on the
 assumption that the enhancer removed only noise. Frames must clear both
-the SNR gate and the bandwidth gate, in that order: the bandwidth is
-scored only on runs of SNR-passing frames long enough for a segment, the
-only frames that can still be curated. Runs of accepted frames are tiled
-into fixed-duration segments whose metadata is appended to a JSONL
-manifest, one round at a time.
+the SNR gate and the bandwidth gate, in that order. curate_file then takes
+one run of SNR-passing frames long enough for a segment at a time, the
+only frames that can still be curated: it scores the run's bandwidth,
+tiles the run's frames that pass into fixed-duration segments and builds
+their records. The records are appended to a JSONL manifest, one round at
+a time.
 """
 
 from __future__ import annotations
@@ -345,18 +346,18 @@ def round_totals(
 def curate_file(buf: AudioBuffer, cfg: CurationConfig) -> list[CuratedSegment]:
     """Run the full per-file pipeline; returns the accepted segments.
 
-    The file is enhanced, the VAD runs on the enhanced signal, and the
-    whole frames then pass a funnel, in this order:
+    The file is enhanced, the VAD runs on the enhanced signal, and every
+    whole frame gets an SNR estimate (rho_hat), -inf where the frame is
+    less than half speech. One loop then takes each maximal run of frames
+    that pass the SNR gate and is at least one segment long, and for that
+    run alone:
 
-    1. SNR estimate (rho_hat) of every frame, -inf where the frame is less
-       than half speech, and the SNR gate on it.
-    2. The maximal runs of SNR-passing frames at least one segment long.
-    3. The bandwidth gate, once per such run: only these frames are scored.
-    4. Runs of frames that pass both gates, tiled into segments.
+    1. scores the bandwidth gate on the run's frames;
+    2. tiles the run's frames that pass it into segments;
+    3. builds each segment's record from the run's SNR estimates and cutoffs.
 
-    A frame that fails step 1 or 2 can never be in a segment, so scoring
-    only the survivors gives the segments and cutoffs that scoring every
-    frame gives.
+    A frame outside these runs can never be in a segment, so scoring only
+    the runs gives the segments and cutoffs that scoring every frame gives.
     """
     if buf.sample_rate != cfg.sample_rate:
         raise ValueError(
@@ -372,32 +373,26 @@ def curate_file(buf: AudioBuffer, cfg: CurationConfig) -> list[CuratedSegment]:
     v = frame_matrix(mask, flen)
 
     rho = np.array([rho_hat(*frames, cfg.rho_max_db) for frames in zip(x, xhat, v)])
-    s = snr_gate(rho, cfg.snr_threshold_db)
     k = cfg.frames_per_segment
-    # a frame outside every SNR run of k frames is not scored and reads 0 in b
-    b = np.zeros_like(s)
-    cutoffs = np.zeros(len(s))
-    for a, e in _accepted_runs(s, k):
-        b[a:e], cutoffs[a:e] = bandwidth_gate(xhat[a:e], cfg.sample_rate, cfg.min_bandwidth_hz, cfg.stft)
-    blocks = extract_segments(s & b, k)
-
     config_hash = cfg.config_hash()
     enhancer_id = cfg.enhancer.identifier()
     segments = []
-    for f_start, f_end in blocks:
-        seg = CuratedSegment(
-            source_uri=buf.source or "<memory>",
-            round_id=cfg.round_id,
-            start_sample=f_start * flen,
-            end_sample=f_end * flen,
-            sample_rate=cfg.sample_rate,
-            frame_rho=[float(r) for r in rho[f_start:f_end]],
-            frame_fc=[float(c) for c in cutoffs[f_start:f_end]],
-            config_hash=config_hash,
-            enhancer_id=enhancer_id,
-        )
-        seg.validate_against(cfg)
-        segments.append(seg)
+    for a, e in _accepted_runs(snr_gate(rho, cfg.snr_threshold_db), k):
+        passing, cutoffs = bandwidth_gate(xhat[a:e], cfg.sample_rate, cfg.min_bandwidth_hz, cfg.stft)
+        for f0, f1 in extract_segments(passing, k):  # frames of the run, not of the file
+            seg = CuratedSegment(
+                source_uri=buf.source or "<memory>",
+                round_id=cfg.round_id,
+                start_sample=(a + f0) * flen,
+                end_sample=(a + f1) * flen,
+                sample_rate=cfg.sample_rate,
+                frame_rho=rho[a + f0 : a + f1].tolist(),
+                frame_fc=cutoffs[f0:f1].tolist(),
+                config_hash=config_hash,
+                enhancer_id=enhancer_id,
+            )
+            seg.validate_against(cfg)
+            segments.append(seg)
     return segments
 
 
@@ -485,15 +480,13 @@ def run_round(
             "give the round another round_id or manifest"
         )
     sources = [str(p) for p in corpus]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(lambda s: _curate_one(s, cfg), sources))
-
     all_segments: list[CuratedSegment] = []
     failures: list[dict[str, str]] = []
-    for source, (segments, error) in zip(sources, results):
-        if error is not None:
-            failures.append({"source": source, "error": error})
-        all_segments.extend(segments)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        for source, (segments, error) in zip(sources, pool.map(lambda s: _curate_one(s, cfg), sources)):
+            if error is not None:
+                failures.append({"source": source, "error": error})
+            all_segments.extend(segments)
 
     seconds, hist = round_totals(all_segments)
     report = RoundReport(
@@ -580,6 +573,7 @@ def export_ab_pairs(
             continue
         # (canonical enhancer identifier, STFT) -> (config, segments), in order of first appearance
         by_enhancer: dict[tuple[str, StftConfig], tuple[CurationConfig, list[CuratedSegment]]] = {}
+        eids_at: dict[tuple[int, int], set[str]] = {}  # (round, start) -> enhancer identifiers
         for seg in group:
             try:
                 if seg.sample_rate != buf.sample_rate:
@@ -597,11 +591,9 @@ def export_ab_pairs(
                 logger.warning("skipping segment of %s at sample %d: %s",
                                source_uri, seg.start_sample, exc)
                 continue
-            key = (cfg.enhancer.identifier(), cfg.stft)
-            by_enhancer.setdefault(key, (cfg, []))[1].append(seg)
-        slots = {(seg.round_id, seg.start_sample, eid)
-                 for (eid, _), (_, same) in by_enhancer.items() for seg in same}
-        enhancers_at = Counter((rid, start) for rid, start, _ in slots)
+            eid = cfg.enhancer.identifier()
+            by_enhancer.setdefault((eid, cfg.stft), (cfg, []))[1].append(seg)
+            eids_at.setdefault((seg.round_id, seg.start_sample), set()).add(eid)
         written: set[str] = set()
         for (eid, _), (cfg, same) in by_enhancer.items():
             try:
@@ -613,7 +605,7 @@ def export_ab_pairs(
                 continue
             for seg in same:
                 name = f"{stem}_r{seg.round_id}_{seg.start_sample}"
-                if enhancers_at[seg.round_id, seg.start_sample] > 1:
+                if len(eids_at[seg.round_id, seg.start_sample]) > 1:
                     name += "_" + hashlib.sha256(eid.encode("utf-8")).hexdigest()[:8]
                 if name in written:
                     skipped += 1

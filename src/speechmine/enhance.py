@@ -38,16 +38,17 @@ EXTERNAL_PARAMS = {"command": str, "exchange_dir": str, "timeout_s": float}
 
 def check_external(params: dict[str, Any], names: tuple[str, str], what: str) -> None:
     """Reject, with a ConfigError naming the field, an external command's
-    parameters: a timeout_s that is not positive or a template it cannot fill.
+    parameters: a timeout_s outside (0, MAX_TIMEOUT_S] or a template it
+    cannot fill.
 
     The template is split as shlex.split splits it, and each token is read
-    by the parser str.format runs. The placeholders must be ``{name}`` for
-    each of names, plus, optionally, ``{output}``; a literal brace is
-    written ``{{`` or ``}}``.
+    by the parser str.format runs. The placeholders must be exactly
+    ``{name}`` for each of names; a literal brace is written ``{{`` or ``}}``.
     """
     command = params.get("command", "")
-    if params.get("timeout_s", DEFAULT_TIMEOUT_S) <= 0:
-        raise ConfigError(f"external {what} timeout_s must be positive, got {params['timeout_s']}")
+    if not 0 < params.get("timeout_s", DEFAULT_TIMEOUT_S) <= MAX_TIMEOUT_S:
+        raise ConfigError(f"external {what} timeout_s must be in (0, {MAX_TIMEOUT_S}] s, "
+                          f"got {params['timeout_s']}")
     try:
         fields = _placeholders(command)
     except ValueError as exc:  # an unclosed quote or brace, or a lone }
@@ -55,7 +56,7 @@ def check_external(params: dict[str, Any], names: tuple[str, str], what: str) ->
     a, b = names
     if not {a, b} <= fields:
         raise ConfigError(f"external {what} command must contain {{{a}}} and {{{b}}}")
-    unknown = sorted(fields - {a, b, "output"})
+    unknown = sorted(fields - {a, b})
     if unknown:
         raise ConfigError(f"external {what} command has unknown placeholder(s) {unknown}; "
                           "write a literal brace as {{ or }}")
@@ -83,6 +84,7 @@ ENHANCER_PARAMS: dict[str, dict[str, type]] = {
 }
 
 DEFAULT_TIMEOUT_S = 600.0
+MAX_TIMEOUT_S = (2**31 - 1) / 1000  # subprocess waits in whole ms held in a C int
 
 # Bins whose floor spectral_gate_enhance takes at once, small next to the spectrum.
 _GATE_BINS = 32

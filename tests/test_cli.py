@@ -428,6 +428,10 @@ USER_ERRORS = [
     pytest.param(["eval", "--pairs", "{tmp}/pairs", "--enhancer-config", "{tmp}/enh.json",
                   "--metric", 'external:python3 -c "x {{reference}} {{degraded}}'], {},
                  id="metric-unclosed-quote"),
+    # eval never reads a metric's {output} file, so naming one skipped every entry
+    pytest.param(["eval", "--pairs", "{tmp}/pairs", "--enhancer-config", "{tmp}/enh.json",
+                  "--metric", "external:cp {{reference}} {{degraded}} {{output}}"], {},
+                 id="metric-with-output"),
     pytest.param(["eval", "--pairs", "{tmp}/pairs", "--enhancer-config", "{tmp}/unfillable.json"],
                  {}, id="enhancer-shell-variable"),
     pytest.param(["report", "{tmp}/missing.jsonl", "--out", "{tmp}/report"], {},

@@ -11,6 +11,7 @@ from helpers import SCRIPT_PREAMBLE, burst_env
 from speechmine.audio_io import AudioBuffer, read_wav, write_wav
 from speechmine.dsp import StftConfig, stft
 from speechmine.enhance import (
+    MAX_TIMEOUT_S,
     EnhancerError,
     EnhancerSpec,
     enhance,
@@ -322,6 +323,16 @@ class TestExternal:
         )
         with pytest.raises(EnhancerError, match="timed out"):
             enhance(AudioBuffer(np.zeros(1000), FS), spec, StftConfig())
+
+    def test_longest_accepted_timeout_runs_and_one_ms_more_is_rejected(self, tmp_path):
+        params = {"command": 'python3 -c "import shutil,sys; shutil.copy(sys.argv[1], sys.argv[2])" '
+                             "{input} {output}",
+                  "exchange_dir": str(tmp_path), "timeout_s": MAX_TIMEOUT_S}
+        x = np.linspace(-0.5, 0.5, 1000).astype(np.float32).astype(np.float64)
+        assert np.array_equal(enhance(AudioBuffer(x, FS), EnhancerSpec("external", params),
+                                      StftConfig()).samples, x)
+        with pytest.raises(ConfigError, match="timeout_s"):
+            EnhancerSpec("external", {**params, "timeout_s": MAX_TIMEOUT_S + 0.001})
 
 
 class TestLengthContract:

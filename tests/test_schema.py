@@ -37,6 +37,11 @@ CONFIG_PROBES = [
     ({"vad": {"kind": "external", "command": "vad {input} {output}", "timeout_s": "60"}}, "timeout_s"),
     ({"enhancer": {"kind": "external", "command": "run {input} {output}", "timeout_s": 0}}, "timeout_s"),
     ({"vad": {"kind": "external", "command": "vad {input} {output}", "timeout_s": -1}}, "timeout_s"),
+    # subprocess cannot wait longer than 2**31 - 1 ms: each of these failed every file
+    ({"enhancer": {"kind": "external", "command": "run {input} {output}", "timeout_s": 1e300}}, "timeout_s"),
+    ({"enhancer": {"kind": "external", "command": "run {input} {output}", "timeout_s": 2147484}}, "timeout_s"),
+    ({"vad": {"kind": "external", "command": "vad {input} {output}", "timeout_s": 1e300}}, "timeout_s"),
+    ({"vad": {"kind": "external", "command": "vad {input} {output}", "timeout_s": 2147484}}, "timeout_s"),
 ]
 
 
