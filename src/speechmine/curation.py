@@ -348,9 +348,8 @@ def curate_file(buf: AudioBuffer, cfg: CurationConfig) -> list[CuratedSegment]:
 
     The file is enhanced, the VAD runs on the enhanced signal, and every
     whole frame gets an SNR estimate (rho_hat), -inf where the frame is
-    less than half speech. One loop then takes each maximal run of frames
-    that pass the SNR gate and is at least one segment long, and for that
-    run alone:
+    less than half speech. One loop then takes each maximal run of
+    SNR-passing frames at least one segment long, and for that run alone:
 
     1. scores the bandwidth gate on the run's frames;
     2. tiles the run's frames that pass it into segments;
