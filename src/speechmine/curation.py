@@ -34,7 +34,7 @@ from .audio_io import AudioBuffer, frame_len_samples, frame_matrix, read_wav, wh
 from . import dsp
 from .dsp import StftConfig, rms_db
 from .enhance import EnhancerSpec, enhance
-from .schema import ConfigError, canonical_json, decode, encode, load_json
+from .schema import INT_LIMIT, NUMBER_TYPES, ConfigError, canonical_json, decode, encode, load_json, mismatch
 from .vad import VadSpec, detect
 
 logger = logging.getLogger(__name__)
@@ -113,12 +113,46 @@ def load_config(path: str | Path) -> CurationConfig:
     return CurationConfig.from_dict(load_json(path))
 
 
+def _check_record(start_sample: Any, end_sample: Any, sample_rate: Any,
+                  frame_rho: Sequence[Any], frame_fc: Sequence[Any]) -> None:
+    """Raise ValueError unless a record holds the invariants checkable
+    without its config. The values may be any real numbers, so a record
+    built from numpy scalars is checked like one read from a manifest."""
+    if sample_rate <= 0:
+        raise ValueError(f"sample_rate must be positive, got {sample_rate}")
+    n = len(frame_rho)
+    if not n or n != len(frame_fc):
+        raise ValueError(
+            f"frame_rho ({n}) and frame_fc ({len(frame_fc)}) must be equal-length and non-empty"
+        )
+    if start_sample < 0:
+        raise ValueError(f"start_sample {start_sample} is negative")
+    span = end_sample - start_sample
+    if span <= 0 or span % n:
+        raise ValueError(f"segment span {span} not divisible into {n} frames")
+    if start_sample % (span // n):
+        raise ValueError(f"start_sample {start_sample} not aligned to frame length {span // n}")
+    if not _all_finite(frame_rho):
+        raise ValueError("frame_rho contains non-finite values")
+    if not (_all_finite(frame_fc) and 0 <= min(frame_fc) and max(frame_fc) <= sample_rate / 2):
+        raise ValueError("frame_fc values outside [0, Nyquist]")
+
+
+def _all_finite(values: Iterable[Any]) -> bool:
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 @dataclass
 class CuratedSegment:
     """One accepted fixed-duration block with its per-frame metadata.
 
     This is the manifest record; every field round-trips bit-exactly
-    through JSON. Invariants checkable without the config are checked when built.
+    through JSON. The invariants checkable without the config are checked
+    in one place, ``_check_record``, whether a record is built directly or
+    read by ``from_json``; ``validate_against`` checks the rest.
     """
 
     source_uri: str
@@ -140,27 +174,8 @@ class CuratedSegment:
         return (self.end_sample - self.start_sample) / self.sample_rate
 
     def __post_init__(self) -> None:
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        if not self.frame_rho or len(self.frame_rho) != len(self.frame_fc):
-            raise ValueError(
-                f"frame_rho ({len(self.frame_rho)}) and frame_fc ({len(self.frame_fc)}) "
-                "must be equal-length and non-empty"
-            )
-        if self.start_sample < 0:
-            raise ValueError(f"start_sample {self.start_sample} is negative")
-        span = self.end_sample - self.start_sample
-        if span <= 0 or span % len(self.frame_rho):
-            raise ValueError(f"segment span {span} not divisible into {len(self.frame_rho)} frames")
-        if self.start_sample % self.frame_len:
-            raise ValueError(
-                f"start_sample {self.start_sample} not aligned to frame length {self.frame_len}"
-            )
-        if not all(map(math.isfinite, self.frame_rho)):
-            raise ValueError("frame_rho contains non-finite values")
-        fc = self.frame_fc
-        if not (all(map(math.isfinite, fc)) and 0 <= min(fc) and max(fc) <= self.sample_rate / 2):
-            raise ValueError("frame_fc values outside [0, Nyquist]")
+        _check_record(self.start_sample, self.end_sample, self.sample_rate,
+                      self.frame_rho, self.frame_fc)
 
     def validate_against(self, cfg: CurationConfig) -> None:
         """Gate invariants, checkable only with the producing config."""
@@ -176,8 +191,51 @@ class CuratedSegment:
 
     @classmethod
     def from_json(cls, line: str) -> "CuratedSegment":
-        """The record of one manifest line, parsed by ``json.loads``."""
-        return decode(cls, json.loads(line), "record")
+        """The record of one manifest line, parsed by ``json.loads``.
+
+        The line must hold a JSON object with exactly the record's fields,
+        each of its ``schema`` JSON type: an integer in the signed 64-bit
+        range, a string, or a list of numbers, never a bool. Then
+        ``_check_record`` checks the invariants, finite numbers included,
+        and the record is built from the object without ``__init__``, which
+        would check them again. Any failure is a ValueError naming the field.
+        """
+        data = json.loads(line)
+        if type(data) is not dict or data.keys() != _RECORD_KEYS:
+            raise _record_keys_error(data)
+        for name in _RECORD_INTS:
+            v = data[name]
+            if type(v) is not int or not -INT_LIMIT <= v < INT_LIMIT:
+                raise mismatch(f"record.{name}", "an integer", v)
+        for name in _RECORD_STRS:
+            if type(data[name]) is not str:
+                raise mismatch(f"record.{name}", "a string", data[name])
+        for name in _RECORD_LISTS:
+            v = data[name]
+            if type(v) is not list or not NUMBER_TYPES.issuperset(map(type, v)):
+                raise mismatch(f"record.{name}", "a list of numbers", v)
+        _check_record(data["start_sample"], data["end_sample"], data["sample_rate"],
+                      data["frame_rho"], data["frame_fc"])
+        seg = object.__new__(cls)
+        seg.__dict__.update(data)
+        return seg
+
+
+# the record's fields by JSON type; together, the keys of a manifest line
+_RECORD_INTS = ("round_id", "start_sample", "end_sample", "sample_rate")
+_RECORD_STRS = ("source_uri", "config_hash", "enhancer_id")
+_RECORD_LISTS = ("frame_rho", "frame_fc")
+_RECORD_KEYS = frozenset(_RECORD_INTS + _RECORD_STRS + _RECORD_LISTS)
+
+
+def _record_keys_error(data: Any) -> ConfigError:
+    """Why a parsed manifest line is not an object with the record's keys."""
+    if type(data) is not dict:
+        return mismatch("record", "a JSON object", data)
+    missing = _RECORD_KEYS - data.keys()
+    if missing:
+        return ConfigError(f"record: missing field(s) {', '.join(sorted(missing))}")
+    return ConfigError(f"unknown record field(s): {', '.join(sorted(data.keys() - _RECORD_KEYS))}")
 
 
 def rho_hat(
@@ -428,7 +486,7 @@ class ManifestReader:
                     if line.isspace():
                         continue
                     seg = CuratedSegment.from_json(line)
-                except (ValueError, TypeError) as exc:
+                except (ValueError, TypeError, RecursionError) as exc:
                     self.skipped += 1
                     logger.warning("%s:%d: skipping malformed record: %s", self.path, lineno, exc)
                     continue
@@ -585,7 +643,7 @@ def export_ab_pairs(
                     spec = decode(EnhancerSpec, json.loads(seg.enhancer_id), "enhancer_id")
                     cfg = CurationConfig(enhancer=spec)
                     fallback += 1
-            except ValueError as exc:  # also ConfigError and JSONDecodeError
+            except (ValueError, RecursionError) as exc:  # also ConfigError and JSONDecodeError
                 skipped += 1
                 logger.warning("skipping segment of %s at sample %d: %s",
                                source_uri, seg.start_sample, exc)

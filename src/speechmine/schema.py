@@ -1,12 +1,15 @@
 """One JSON form for the config and manifest dataclasses.
 
-``encode`` and ``decode`` walk ``dataclasses.fields`` and the type hints:
-an object's keys are its fields in declaration order, and a field named
-``params`` is flattened into the object, taking every key the class does
-not declare. Values are checked, never coerced, so a text that decodes
-encodes back to the same values. An ``int`` is a JSON integer in the
-signed 64-bit range, a ``float`` any finite JSON number, a ``str`` a JSON
-string; a bool is none of these.
+``encode`` walks ``dataclasses.fields`` and gives an object's keys as its
+fields in declaration order; a field named ``params`` is flattened into
+the object. ``decode``, which builds the configs, walks the type hints the
+same way, and ``params`` takes every key the class does not declare.
+Values are checked, never coerced, so a text that decodes encodes back to
+the same values. An ``int`` is a JSON integer in the signed 64-bit range
+``[-INT_LIMIT, INT_LIMIT)``, a ``float`` any finite JSON number,
+a ``str`` a JSON string; a bool is none of these. Manifest records are not
+decoded here: ``CuratedSegment.from_json`` checks each line against these
+same rules and the record's invariants in one pass.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from typing import Any, Callable
 
 logger = logging.getLogger(__name__)
 
-_INT64 = 1 << 63
-_NUMBER_TYPES = frozenset((int, float))
+INT_LIMIT = 1 << 63
+NUMBER_TYPES = frozenset((int, float))  # exact types: a bool is not a number
 
 
 class ConfigError(ValueError):
@@ -32,18 +35,14 @@ class ConfigError(ValueError):
 
 
 def _is_int(v: Any) -> bool:
-    return type(v) is int and -_INT64 <= v < _INT64
-
-
-def _is_number_list(v: Any) -> bool:
-    try:
-        return type(v) is list and _NUMBER_TYPES.issuperset(map(type, v)) and all(map(math.isfinite, v))
-    except OverflowError:  # an integer beyond the float range
-        return False
+    return type(v) is int and -INT_LIMIT <= v < INT_LIMIT
 
 
 def _is_number(v: Any) -> bool:
-    return _is_number_list([v])
+    try:
+        return type(v) in NUMBER_TYPES and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 # type hint -> (predicate, what it expects)
@@ -51,11 +50,11 @@ _CHECKS: dict[Any, tuple[Callable[[Any], bool], str]] = {
     int: (_is_int, "an integer"),
     float: (_is_number, "a finite number"),
     str: (lambda v: type(v) is str, "a string"),
-    list[float]: (_is_number_list, "a list of finite numbers"),
 }
 
 
-def _mismatch(where: str, expected: str, value: Any) -> ConfigError:
+def mismatch(where: str, expected: str, value: Any) -> ConfigError:
+    """The error for a value that is not of the JSON type expected at ``where``."""
     return ConfigError(f"{where}: expected {expected}, got {reprlib.repr(value)}")
 
 
@@ -91,7 +90,7 @@ def decode(cls: type, data: Any, where: str) -> Any:
     takes it (logged); any other problem raises ConfigError naming
     ``where`` and the field."""
     if type(data) is not dict:
-        raise _mismatch(where, "a JSON object", data)
+        raise mismatch(where, "a JSON object", data)
     kwargs: dict[str, Any] = {}
     for name, ok, expected, default in _fields(cls):
         value = data.get(name, dataclasses.MISSING)
@@ -104,7 +103,7 @@ def decode(cls: type, data: Any, where: str) -> Any:
         elif ok(value):
             kwargs[name] = value
         else:
-            raise _mismatch(f"{where}.{name}", expected, value)
+            raise mismatch(f"{where}.{name}", expected, value)
     if len(kwargs) < len(data):
         rest = {k: v for k, v in data.items() if k not in kwargs}
         if not any(f.name == "params" for f in dataclasses.fields(cls)):
@@ -132,6 +131,8 @@ def load_json(path: str | Path, what: str = "config file") -> Any:
         return json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # nesting deeper than the parser's recursion limit
+        raise ConfigError(f"{p}: JSON nested too deeply: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{p}: {exc}") from exc
 
@@ -144,4 +145,4 @@ def check_params(params: dict[str, Any], table: dict[str, type], what: str) -> N
     for name, value in params.items():
         ok, expected = _CHECKS[table[name]]
         if not ok(value):
-            raise _mismatch(f"{what} {name}", expected, value)
+            raise mismatch(f"{what} {name}", expected, value)

@@ -300,15 +300,18 @@ def reference_read_wav(path: str | Path) -> AudioBuffer:
     return AudioBuffer(samples=x, sample_rate=int(rate), source=str(p))
 
 
-def reference_write_wav(path: str | Path, buf: AudioBuffer, fmt: str = "float32") -> None:
-    """Encode an AudioBuffer as a mono WAV file.
+def reference_write_wav(path: str | Path, buf: AudioBuffer, fmt: str = "float32",
+                        right: AudioBuffer | None = None) -> None:
+    """Encode an AudioBuffer as a mono WAV file, or, given ``right`` (of the
+    same length), as a stereo file with ``buf`` as the left channel.
 
     Samples outside [-1, 1] are clipped; the clip count is logged.
     """
     if fmt not in REFERENCE_WRITE_FORMATS:
         raise ValueError(f"unsupported write format {fmt!r}; expected one of {REFERENCE_WRITE_FORMATS}")
     p = Path(path)
-    x = buf.samples
+    channels = 1 if right is None else 2
+    x = buf.samples if right is None else np.column_stack((buf.samples, right.samples)).ravel()
     n_clipped = int(np.count_nonzero((x < -1.0) | (x > 1.0)))
     if n_clipped:
         _logger.warning("%s: clipping %d sample(s) outside [-1, 1]", p, n_clipped)
@@ -331,14 +334,14 @@ def reference_write_wav(path: str | Path, buf: AudioBuffer, fmt: str = "float32"
         payload = x.astype("<f4").tobytes()
         bits, code = 32, WAVE_FORMAT_IEEE_FLOAT
 
-    block_align = bits // 8
+    block_align = channels * bits // 8
     header = b"".join(
         [
             b"RIFF",
             struct.pack("<I", 36 + len(payload)),
             b"WAVE",
             b"fmt ",
-            struct.pack("<IHHIIHH", 16, code, 1, buf.sample_rate,
+            struct.pack("<IHHIIHH", 16, code, channels, buf.sample_rate,
                         buf.sample_rate * block_align, block_align, bits),
             b"data",
             struct.pack("<I", len(payload)),

@@ -22,6 +22,7 @@ from speechmine.schema import encode
 from speechmine.vad import VadSpec
 
 FS = 48000
+DEEP_JSON = "[" * 100_000 + "]" * 100_000  # nested past the JSON parser's recursion limit
 
 
 def write_config(tmp_path, **overrides):
@@ -232,6 +233,52 @@ class TestEvalReportExport:
         assert "exported 1 A/B pair(s)" in capsys.readouterr().out
         assert len(list(out.glob("*.wav"))) == 2
 
+    def _one_record_round(self, tmp_path):
+        """A one-record manifest of a curated 13-s file and its first record."""
+        cfg = write_config(tmp_path)
+        corpus = write_corpus(tmp_path, count=1)
+        manifest = tmp_path / "m.jsonl"
+        assert main(["curate", "--config", str(cfg), "--corpus", str(corpus / "*.wav"),
+                     "--manifest", str(manifest)]) == 0
+        return manifest, json.loads(manifest.read_text())
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["report", "{manifest}", "--out", "{tmp}/out"], id="report"),
+        pytest.param(["export-ab", "--manifest", "{manifest}", "--out", "{tmp}/out"], id="export-ab"),
+    ])
+    def test_manifest_line_nested_too_deep_is_skipped_and_counted(self, tmp_path, caplog, argv):
+        manifest, _ = self._one_record_round(tmp_path)
+        with manifest.open("a") as fh:
+            fh.write(DEEP_JSON + "\n")
+        with caplog.at_level("WARNING"):
+            assert main([a.format(manifest=manifest, tmp=tmp_path) for a in argv]) == 0
+        assert f"{manifest}: skipped 1 malformed record(s)" in caplog.messages
+        if argv[0] == "report":
+            report = json.loads((tmp_path / "out" / "report.json").read_text())
+            assert report["accepted_hours"] == {"0": pytest.approx(12 / 3600)}
+        else:
+            assert len(list((tmp_path / "out").glob("*.wav"))) == 2
+
+    def test_export_ab_skips_an_enhancer_id_nested_too_deep(self, tmp_path, capsys):
+        manifest, record = self._one_record_round(tmp_path)
+        # a hash with no round report, so the enhancer is read from enhancer_id
+        record.update(enhancer_id=DEEP_JSON, config_hash="cd" * 32, round_id=1)
+        with manifest.open("a") as fh:
+            fh.write(json.dumps(record) + "\n")
+        assert main(["export-ab", "--manifest", str(manifest), "--out", str(tmp_path / "ab")]) == 0
+        assert "exported 1 A/B pair(s)" in capsys.readouterr().out
+
+    def test_curate_passes_over_a_round_report_nested_too_deep(self, tmp_path, caplog):
+        cfg = write_config(tmp_path)
+        corpus = write_corpus(tmp_path, count=1)
+        report = tmp_path / "m.jsonl.round0.report.json"
+        report.write_text(DEEP_JSON)
+        with caplog.at_level("WARNING"):
+            assert main(["curate", "--config", str(cfg), "--corpus", str(corpus / "*.wav"),
+                         "--manifest", str(tmp_path / "m.jsonl")]) == 0
+        assert any(m.startswith(f"{report}: no round config:") for m in caplog.messages)
+        assert json.loads(report.read_text())["segment_count"] == 1
+
     def test_bad_enhancer_config_exits_2(self, tmp_path, capsys):
         enh = tmp_path / "enh.json"
         enh.write_text('{"no_kind": true}')
@@ -248,6 +295,7 @@ METADATA_PROBES = [
     pytest.param('{"files": 3}', 2, None, id="files-int"),
     pytest.param("[1, 2]", 2, None, id="top-level-list"),
     pytest.param("{nope", 2, None, id="not-json"),
+    pytest.param(DEEP_JSON, 2, None, id="nested-too-deep"),
 ]
 
 
@@ -442,6 +490,10 @@ USER_ERRORS = [
                   "--manifest", "{tmp}/m.jsonl", "--jobs", "0"], {}, id="jobs-zero"),
     pytest.param(["synth", "--out", "{tmp}/more", "--count", "1", "--duration", "1"],
                  {"SECP_LOG": "bogus"}, id="unknown-log-level"),
+    pytest.param(["curate", "--config", "{tmp}/deep.json", "--corpus", "{tmp}/corpus/*.wav",
+                  "--manifest", "{tmp}/m.jsonl"], {}, id="curate-config-nested-too-deep"),
+    pytest.param(["eval", "--pairs", "{tmp}/pairs", "--enhancer-config", "{tmp}/deep.json"], {},
+                 id="eval-enhancer-config-nested-too-deep"),
 ]
 
 
@@ -450,6 +502,7 @@ def test_user_error_exits_2_with_one_line(tmp_path, capsys, caplog, monkeypatch,
     main(["synth", "--out", str(tmp_path / "pairs"), "--count", "1", "--duration", "1"])
     (tmp_path / "enh.json").write_text('{"kind": "identity"}')
     (tmp_path / "unfillable.json").write_text(json.dumps(UNFILLABLE_ENHANCER))
+    (tmp_path / "deep.json").write_text(DEEP_JSON)
     write_config(tmp_path)
     write_corpus(tmp_path, count=1)
     for name, value in env.items():
@@ -736,6 +789,7 @@ class TestExportRoundConfig:
         pytest.param(lambda p: p.unlink(), id="missing"),
         pytest.param(lambda p: p.write_text(p.read_text()[:200]), id="torn"),
         pytest.param(lambda p: p.write_text('{"round_id": 0, "failures": []}'), id="no-config"),
+        pytest.param(lambda p: p.write_text(DEEP_JSON), id="nested-too-deep"),
     ])
     def test_report_without_config_falls_back_logged_once(self, tmp_path, caplog, spoil):
         manifest, segments, buf = self._round(tmp_path)

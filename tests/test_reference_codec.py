@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_read_wav, reference_write_wav
+from helpers import REFERENCE_WRITE_FORMATS, reference_read_wav, reference_write_wav
 from speechmine.audio_io import (
     WAVE_FORMAT_EXTENSIBLE,
     WAVE_FORMAT_IEEE_FLOAT,
@@ -133,6 +133,17 @@ def test_encodes_as_reference(tmp_path, fmt):
     write_wav(tmp_path / "new.wav", buf)
     reference_write_wav(tmp_path / "ref.wav", buf, fmt)
     assert (tmp_path / "new.wav").read_bytes() == (tmp_path / "ref.wav").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", REFERENCE_WRITE_FORMATS)
+def test_reference_stereo_write_reads_as_the_mean_of_its_channels(tmp_path, fmt):
+    rng = np.random.default_rng(4)
+    left, right = (AudioBuffer(rng.uniform(-1.0, 1.0, 101), FS) for _ in range(2))
+    reference_write_wav(tmp_path / "l.wav", left, fmt)
+    reference_write_wav(tmp_path / "r.wav", right, fmt)
+    reference_write_wav(tmp_path / "lr.wav", left, fmt, right)
+    l, r, lr = (read_wav(tmp_path / f"{name}.wav").samples for name in ("l", "r", "lr"))
+    assert np.array_equal(lr, (l + r) / 2)
 
 
 @pytest.mark.parametrize("channels, first", [

@@ -18,37 +18,44 @@ from speechmine.schema import canonical_json
 
 FS = 48000
 
-# (config dict, field the error must name). Each loaded, or failed with a
-# TypeError or with a message about another field, before types were checked.
+# (config dict, field the error must name), each with its own id, so a new
+# probe renames no other case. Each loaded, or failed with a TypeError or
+# with a message about another field, before types were checked.
+EXTERNAL_ENHANCER = {"kind": "external", "command": "run {input} {output}"}
+EXTERNAL_VAD = {"kind": "external", "command": "vad {input} {output}"}
 CONFIG_PROBES = [
-    ({"segment_seconds": "12"}, "segment_seconds"),
-    ({"snr_threshold_db": None}, "snr_threshold_db"),
-    ({"min_bandwidth_hz": None}, "min_bandwidth_hz"),
-    ({"enhancer": {"kind": "spectral_gate", "gate_threshold_db": "x"}}, "gate_threshold_db"),
-    ({"enhancer": {"kind": "spectral_gate", "bogus": 1}}, "bogus"),
-    ({"vad": {"kind": "energy", "bogus": 1}}, "bogus"),
-    ({"round_id": 1.0}, "round_id"),
-    ({"stft": {"window_len": 2048.0}}, "window_len"),
-    ({"sample_rate": True}, "sample_rate"),
-    ({"vad": {"kind": "energy", "window_seconds": True}}, "window_seconds"),
-    ({"rho_max_db": math.inf}, "rho_max_db"),
-    ({"enhancer": {"kind": "oracle", "reference_dir": 5}}, "reference_dir"),
-    ({"enhancer": {"kind": "external", "command": ["run", "{input}", "{output}"]}}, "command"),
-    ({"vad": {"kind": "external", "command": "vad {input} {output}", "timeout_s": "60"}}, "timeout_s"),
-    ({"enhancer": {"kind": "external", "command": "run {input} {output}", "timeout_s": 0}}, "timeout_s"),
-    ({"vad": {"kind": "external", "command": "vad {input} {output}", "timeout_s": -1}}, "timeout_s"),
+    pytest.param({"segment_seconds": "12"}, "segment_seconds", id="segment_seconds"),
+    pytest.param({"snr_threshold_db": None}, "snr_threshold_db", id="snr_threshold_db"),
+    pytest.param({"min_bandwidth_hz": None}, "min_bandwidth_hz", id="min_bandwidth_hz"),
+    pytest.param({"enhancer": {"kind": "spectral_gate", "gate_threshold_db": "x"}}, "gate_threshold_db",
+                 id="enhancer.gate_threshold_db"),
+    pytest.param({"enhancer": {"kind": "spectral_gate", "bogus": 1}}, "bogus", id="enhancer.bogus"),
+    pytest.param({"vad": {"kind": "energy", "bogus": 1}}, "bogus", id="vad.bogus"),
+    pytest.param({"round_id": 1.0}, "round_id", id="round_id"),
+    pytest.param({"stft": {"window_len": 2048.0}}, "window_len", id="stft.window_len"),
+    pytest.param({"sample_rate": True}, "sample_rate", id="sample_rate"),
+    pytest.param({"vad": {"kind": "energy", "window_seconds": True}}, "window_seconds",
+                 id="vad.window_seconds"),
+    pytest.param({"rho_max_db": math.inf}, "rho_max_db", id="rho_max_db"),
+    pytest.param({"enhancer": {"kind": "oracle", "reference_dir": 5}}, "reference_dir",
+                 id="enhancer.reference_dir"),
+    pytest.param({"enhancer": {"kind": "external", "command": ["run", "{input}", "{output}"]}}, "command",
+                 id="enhancer.command"),
+    pytest.param({"vad": {**EXTERNAL_VAD, "timeout_s": "60"}}, "timeout_s", id="vad.timeout_s-string"),
+    pytest.param({"enhancer": {**EXTERNAL_ENHANCER, "timeout_s": 0}}, "timeout_s",
+                 id="enhancer.timeout_s-zero"),
+    pytest.param({"vad": {**EXTERNAL_VAD, "timeout_s": -1}}, "timeout_s", id="vad.timeout_s-negative"),
     # subprocess cannot wait longer than 2**31 - 1 ms: each of these failed every file
-    ({"enhancer": {"kind": "external", "command": "run {input} {output}", "timeout_s": 1e300}}, "timeout_s"),
-    ({"enhancer": {"kind": "external", "command": "run {input} {output}", "timeout_s": 2147484}}, "timeout_s"),
-    ({"vad": {"kind": "external", "command": "vad {input} {output}", "timeout_s": 1e300}}, "timeout_s"),
-    ({"vad": {"kind": "external", "command": "vad {input} {output}", "timeout_s": 2147484}}, "timeout_s"),
+    pytest.param({"enhancer": {**EXTERNAL_ENHANCER, "timeout_s": 1e300}}, "timeout_s",
+                 id="enhancer.timeout_s-1e300"),
+    pytest.param({"enhancer": {**EXTERNAL_ENHANCER, "timeout_s": 2147484}}, "timeout_s",
+                 id="enhancer.timeout_s-2147484"),
+    pytest.param({"vad": {**EXTERNAL_VAD, "timeout_s": 1e300}}, "timeout_s", id="vad.timeout_s-1e300"),
+    pytest.param({"vad": {**EXTERNAL_VAD, "timeout_s": 2147484}}, "timeout_s", id="vad.timeout_s-2147484"),
 ]
 
 
-@pytest.mark.parametrize(
-    "data, field", CONFIG_PROBES,
-    ids=[".".join(dict.fromkeys([next(iter(d)), f])) for d, f in CONFIG_PROBES],
-)
+@pytest.mark.parametrize("data, field", CONFIG_PROBES)
 def test_config_probe_is_a_config_error(data, field, tmp_path, capsys):
     with pytest.raises(ConfigError, match=field):
         CurationConfig.from_dict(data)
@@ -90,6 +97,91 @@ def test_manifest_probe_is_skipped_and_counted(overrides, tmp_path):
     path.write_text(_record() + "\n" + _record(**overrides) + "\n")
     segments, skipped = load_manifest(path)
     assert (len(segments), skipped) == (1, 1)
+
+
+def _line(**raw) -> str:
+    """The text of ``_record()`` with each named field's value replaced by
+    the given JSON text, or dropped if it is None; a name the record does
+    not have is added."""
+    fields = {k: json.dumps(v) for k, v in json.loads(_record()).items()}
+    fields.update(raw)
+    return "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items() if v is not None) + "}"
+
+
+I64 = 2**63
+# (manifest line, whether it loads): the decisions of the decoder that read
+# records before CuratedSegment.from_json checked them itself. The base
+# record spans two frames of 48000 samples at 48 kHz.
+RECORD_LINES = [
+    pytest.param(_line(), True, id="base"),
+    # a bool is not an integer or a number, though it would pass as one
+    pytest.param(_line(round_id="true"), False, id="round_id-true"),
+    pytest.param(_line(start_sample="false"), False, id="start_sample-false"),
+    pytest.param(_line(frame_fc="[false, false]"), False, id="frame_fc-false"),
+    # the signed 64-bit range
+    pytest.param(_line(round_id=str(I64 - 1)), True, id="round_id-int64-max"),
+    pytest.param(_line(round_id=str(I64)), False, id="round_id-int64-max-plus-1"),
+    pytest.param(_line(round_id=str(-I64)), True, id="round_id-int64-min"),
+    pytest.param(_line(round_id=str(-I64 - 1)), False, id="round_id-int64-min-minus-1"),
+    pytest.param(_line(end_sample=str(I64 - 2)), True, id="end_sample-int64-even-max"),
+    pytest.param(_line(end_sample=str(I64)), False, id="end_sample-2**63"),
+    pytest.param(_line(sample_rate=str(I64 - 1)), True, id="sample_rate-int64-max"),
+    pytest.param(_line(round_id="1.0"), False, id="round_id-float"),
+    # integers beyond the float range
+    pytest.param(_line(round_id=str(10**400)), False, id="round_id-10**400"),
+    pytest.param(_line(frame_rho=f"[50.0, {10**400}]"), False, id="frame_rho-10**400"),
+    pytest.param(_line(frame_fc=f"[{10**400}, 0]"), False, id="frame_fc-10**400"),
+    pytest.param(_line(frame_rho=f"[{2**1024}, 50.0]"), False, id="frame_rho-2**1024"),
+    pytest.param(_line(frame_rho=f"[{2**1000}, 50.0]"), True, id="frame_rho-2**1000"),
+    # non-finite tokens, which json.loads accepts
+    pytest.param(_line(frame_rho="[NaN, 50.0]"), False, id="frame_rho-NaN"),
+    pytest.param(_line(frame_rho="[50.0, Infinity]"), False, id="frame_rho-Infinity"),
+    pytest.param(_line(frame_fc="[-Infinity, 0]"), False, id="frame_fc-minus-Infinity"),
+    pytest.param(_line(frame_rho="[1e400, 50.0]"), False, id="frame_rho-1e400"),
+    pytest.param(_line(frame_fc="[24000.0, NaN]"), False, id="frame_fc-NaN"),
+    pytest.param(_line(round_id="NaN"), False, id="round_id-NaN"),
+    pytest.param(_line(frame_rho="[1e308, -1e308]"), True, id="frame_rho-1e308"),
+    # integer-valued, empty and unequal frame lists
+    pytest.param(_line(frame_rho="[50, 21]"), True, id="frame_rho-ints"),
+    pytest.param(_line(frame_fc="[24000, 0]"), True, id="frame_fc-ints"),
+    pytest.param(_line(frame_rho="[]", frame_fc="[]"), False, id="frames-empty"),
+    pytest.param(_line(frame_rho="[50.0, 50.0, 50.0]"), False, id="frames-unequal"),
+    pytest.param(_line(frame_rho="[[50.0], [50.0]]"), False, id="frame_rho-nested"),
+    pytest.param(_line(frame_fc='"24000"'), False, id="frame_fc-string"),
+    # the key set: json.loads keeps the last of duplicate keys
+    pytest.param(_line(extra="1"), False, id="extra-key"),
+    pytest.param(_line(config_hash=None), False, id="missing-key"),
+    pytest.param(_line()[:-1] + ', "round_id": 3}', True, id="duplicate-key"),
+    pytest.param(_line()[:-1] + ', "round_id": "x"}', False, id="duplicate-key-bad-last"),
+    pytest.param(_line(round_id='"x"')[:-1] + ', "round_id": 0}', True, id="duplicate-key-bad-first"),
+    # not an object
+    pytest.param("[]", False, id="list"),
+    pytest.param('"record"', False, id="string"),
+    pytest.param("5", False, id="number"),
+    pytest.param("null", False, id="null"),
+    pytest.param("{}", False, id="empty-object"),
+    pytest.param(_line(source_uri="5"), False, id="source_uri-int"),
+    pytest.param(_line(enhancer_id="null"), False, id="enhancer_id-null"),
+    # record invariants
+    pytest.param(_line(start_sample="100", end_sample=str(2 * FS + 100)), False, id="start-misaligned"),
+    pytest.param(_line(start_sample=str(-2 * FS), end_sample="0"), False, id="start-negative"),
+    pytest.param(_line(end_sample=str(2 * FS + 1)), False, id="span-not-divisible"),
+    pytest.param(_line(end_sample="0"), False, id="span-empty"),
+    pytest.param(_line(sample_rate="0"), False, id="rate-zero"),
+    pytest.param(_line(frame_fc="[24000.5, 0]"), False, id="fc-above-nyquist"),
+    pytest.param(_line(frame_fc="[-1.0, 0]"), False, id="fc-below-0"),
+    pytest.param(_line(frame_fc="[-0.0, 24000]"), True, id="fc-minus-0"),
+]
+
+
+@pytest.mark.parametrize("line, accepted", RECORD_LINES)
+def test_record_line_loads_or_is_skipped_as_locked(line, accepted, tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_text(line + "\n")
+    segments, skipped = load_manifest(path)
+    assert (len(segments), skipped) == ((1, 0) if accepted else (0, 1))
+    if accepted:
+        assert json.loads(segments[0].to_json()) == json.loads(line)
 
 
 def test_record_text_is_stable():
