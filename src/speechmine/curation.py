@@ -193,31 +193,36 @@ class CuratedSegment:
     def from_json(cls, line: str) -> "CuratedSegment":
         """The record of one manifest line, parsed by ``json.loads``.
 
-        The line must hold a JSON object with exactly the record's fields,
-        each of its ``schema`` JSON type: an integer in the signed 64-bit
-        range, a string, or a list of numbers, never a bool. Then
-        ``_check_record`` checks the invariants, finite numbers included,
+        The line must be a JSON object with exactly the record's keys, each
+        value of the JSON type ``schema`` gives its field: an integer in the
+        signed 64-bit range, a string, or a list of numbers, never a bool.
+        ``_check_record`` then checks the invariants, finiteness included,
         and the record is built from the object without ``__init__``, which
-        would check them again. Any failure is a ValueError naming the field.
+        would check them again. A line that fails raises ValueError, a
+        ConfigError naming the field for a wrong key or type; a line nested
+        past the parser's recursion limit raises RecursionError.
         """
         data = json.loads(line)
-        if type(data) is not dict or data.keys() != _RECORD_KEYS:
+        if type(data) is not dict or len(data) != len(_RECORD_KEYS):
             raise _record_keys_error(data)
-        for name in _RECORD_INTS:
-            v = data[name]
-            if type(v) is not int or not -INT_LIMIT <= v < INT_LIMIT:
-                raise mismatch(f"record.{name}", "an integer", v)
-        for name in _RECORD_STRS:
-            if type(data[name]) is not str:
-                raise mismatch(f"record.{name}", "a string", data[name])
-        for name in _RECORD_LISTS:
-            v = data[name]
-            if type(v) is not list or not NUMBER_TYPES.issuperset(map(type, v)):
-                raise mismatch(f"record.{name}", "a list of numbers", v)
+        try:
+            for name in _RECORD_INTS:
+                v = data[name]
+                if type(v) is not int or not -INT_LIMIT <= v < INT_LIMIT:
+                    raise mismatch(f"record.{name}", "an integer", v)
+            for name in _RECORD_STRS:
+                if type(data[name]) is not str:
+                    raise mismatch(f"record.{name}", "a string", data[name])
+            for name in _RECORD_LISTS:
+                v = data[name]
+                if type(v) is not list or not NUMBER_TYPES.issuperset(map(type, v)):
+                    raise mismatch(f"record.{name}", "a list of numbers", v)
+        except KeyError:  # as many keys as the record has, so one missing means one unknown
+            raise _record_keys_error(data) from None
         _check_record(data["start_sample"], data["end_sample"], data["sample_rate"],
                       data["frame_rho"], data["frame_fc"])
         seg = object.__new__(cls)
-        seg.__dict__.update(data)
+        seg.__dict__ = data  # the parsed object is the record's attributes, keys and values checked
         return seg
 
 
