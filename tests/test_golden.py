@@ -67,7 +67,7 @@ def write_case(root: Path, name: str, seed: int) -> CurationConfig:
     clean = AudioBuffer(x, rate)
     kind = NOISE_KINDS[seed % len(NOISE_KINDS)]
     left, _ = inject_noise(clean, NoiseSpec(noise_kind=kind, snr_clip=SNR_DB, seed=seed))
-    right = inject_noise(clean, NoiseSpec(noise_kind=kind, snr_clip=SNR_DB, seed=seed + 100))[0]
+    right, _ = inject_noise(clean, NoiseSpec(noise_kind=kind, snr_clip=SNR_DB, seed=seed + 100))
     (root / "clean").mkdir(exist_ok=True)
     reference_write_wav(root / "clean" / f"{name}.wav", clean)
     reference_write_wav(root / f"{name}.wav", left, codec, right if channels == 2 else None)

@@ -151,6 +151,7 @@ RECORD_LINES = [
     # the key set: json.loads keeps the last of duplicate keys
     pytest.param(_line(extra="1"), False, id="extra-key"),
     pytest.param(_line(config_hash=None), False, id="missing-key"),
+    pytest.param(_line(config_hash=None, confighash='"ab"'), False, id="renamed-key"),
     pytest.param(_line()[:-1] + ', "round_id": 3}', True, id="duplicate-key"),
     pytest.param(_line()[:-1] + ', "round_id": "x"}', False, id="duplicate-key-bad-last"),
     pytest.param(_line(round_id='"x"')[:-1] + ', "round_id": 0}', True, id="duplicate-key-bad-first"),
