@@ -77,11 +77,6 @@ class AudioBuffer:
     def __len__(self) -> int:
         return int(self.samples.size)
 
-    @property
-    def duration(self) -> float:
-        """Length in seconds."""
-        return self.samples.size / self.sample_rate
-
 
 def _read_exact(fh: BinaryIO, n: int, path: str) -> bytes:
     """The next n bytes of the file; a file that ends first is a WavError."""

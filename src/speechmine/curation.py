@@ -152,7 +152,8 @@ class CuratedSegment:
     This is the manifest record; every field round-trips bit-exactly
     through JSON. The invariants checkable without the config are checked
     in one place, ``_check_record``, whether a record is built directly or
-    read by ``from_json``; ``validate_against`` checks the rest.
+    read by ``from_json``. ``validate_against`` checks the rest on records
+    from outside; curate_file builds its records to hold them.
     """
 
     source_uri: str
@@ -164,10 +165,6 @@ class CuratedSegment:
     frame_fc: list[float]
     config_hash: str
     enhancer_id: str
-
-    @property
-    def frame_len(self) -> int:
-        return (self.end_sample - self.start_sample) // len(self.frame_rho)
 
     @property
     def duration_seconds(self) -> float:
@@ -272,8 +269,8 @@ def rho_hat(
 
 
 def snr_gate(rho: np.ndarray, threshold_db: float) -> np.ndarray:
-    """Frame passes iff its SNR estimate strictly exceeds the threshold."""
-    return (np.asarray(rho) > threshold_db).astype(np.uint8)
+    """Frame passes (True) iff its SNR estimate strictly exceeds the threshold."""
+    return np.asarray(rho) > threshold_db
 
 
 def bandwidth_gate(
@@ -283,21 +280,22 @@ def bandwidth_gate(
     cfg: StftConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frame (row of the frame matrix) passes iff its estimated cutoff
-    reaches min_bandwidth_hz (inclusive). Returns (acceptance, cutoff_hz)
-    so the cutoffs can be stored as segment metadata.
+    reaches min_bandwidth_hz (inclusive). Returns (acceptance, cutoff_hz),
+    a bool and a float array, so the cutoffs can be stored as segment
+    metadata.
 
     curate_file calls it last, once per run of SNR-passing frames long
     enough for a segment, so only frames that can still be curated are
     scored."""
     # looked up on dsp at each call, so a wrapper set on dsp.estimate_cutoff sees every call
     cutoff_hz = np.array([dsp.estimate_cutoff(frame, sample_rate, cfg) for frame in xhat_frames])
-    return (cutoff_hz >= min_bandwidth_hz).astype(np.uint8), cutoff_hz
+    return cutoff_hz >= min_bandwidth_hz, cutoff_hz
 
 
 def _accepted_runs(accept: np.ndarray, k: int) -> list[tuple[int, int]]:
-    """The ``(start, end)`` frame spans of every maximal run of accepted
-    frames at least k frames long, in order."""
-    flags = np.concatenate(([False], np.asarray(accept).astype(bool), [False]))
+    """The ``(start, end)`` frame spans of every maximal run of True in a
+    bool array that is at least k frames long, in order."""
+    flags = np.concatenate(([False], accept, [False]))
     edges = np.flatnonzero(flags[1:] != flags[:-1])
     return [(a, e) for a, e in zip(edges[::2].tolist(), edges[1::2].tolist()) if e - a >= k]
 
@@ -305,9 +303,11 @@ def _accepted_runs(accept: np.ndarray, k: int) -> list[tuple[int, int]]:
 def extract_segments(accept: np.ndarray, k: int) -> list[tuple[int, int]]:
     """Tile every maximal run of accepted frames with non-overlapping
     blocks of k frames, left-aligned to the run's first frame. Leftover
-    frames shorter than a block are unused.
+    frames shorter than a block are unused. A frame is accepted where
+    ``accept`` is truthy.
     """
-    return [(s, s + k) for a, e in _accepted_runs(accept, k) for s in range(a, e - k + 1, k)]
+    runs = _accepted_runs(np.asarray(accept, dtype=bool), k)
+    return [(s, s + k) for a, e in runs for s in range(a, e - k + 1, k)]
 
 
 @dataclass
@@ -366,6 +366,22 @@ def load_round_configs(manifest: str | Path, round_ids: Iterable[int]) -> dict[s
     return configs
 
 
+def _stored_config_hash(path: Path) -> str | None:
+    """The config_hash a round report stores, read without decoding its
+    config. None for a missing report; None, logged, for one that does not
+    parse or stores no string hash: no record can be matched to it."""
+    if not path.is_file():
+        return None
+    try:
+        stored = load_json(path, "round report")["config_hash"]
+        if type(stored) is not str:
+            raise mismatch("config_hash", "a string", stored)
+    except (ConfigError, KeyError, TypeError) as exc:
+        logger.warning("%s: no round config: %s", path, exc)
+        return None
+    return stored
+
+
 def round_totals(
     segments: Iterable[CuratedSegment],
     bin_width_db: float = DEFAULT_RHO_BIN_WIDTH_DB,
@@ -420,6 +436,10 @@ def curate_file(buf: AudioBuffer, cfg: CurationConfig) -> list[CuratedSegment]:
 
     A frame outside these runs can never be in a segment, so scoring only
     the runs gives the segments and cutoffs that scoring every frame gives.
+
+    The records hold ``validate_against(cfg)`` by construction, so it is not
+    called: every frame passed both gates, and a record spans k frames of
+    cfg.frame_len samples. ``__post_init__`` checks what needs no config.
     """
     if buf.sample_rate != cfg.sample_rate:
         raise ValueError(
@@ -442,7 +462,7 @@ def curate_file(buf: AudioBuffer, cfg: CurationConfig) -> list[CuratedSegment]:
     for a, e in _accepted_runs(snr_gate(rho, cfg.snr_threshold_db), k):
         passing, cutoffs = bandwidth_gate(xhat[a:e], cfg.sample_rate, cfg.min_bandwidth_hz, cfg.stft)
         for f0, f1 in extract_segments(passing, k):  # frames of the run, not of the file
-            seg = CuratedSegment(
+            segments.append(CuratedSegment(
                 source_uri=buf.source or "<memory>",
                 round_id=cfg.round_id,
                 start_sample=(a + f0) * flen,
@@ -452,9 +472,7 @@ def curate_file(buf: AudioBuffer, cfg: CurationConfig) -> list[CuratedSegment]:
                 frame_fc=cutoffs[f0:f1].tolist(),
                 config_hash=config_hash,
                 enhancer_id=enhancer_id,
-            )
-            seg.validate_against(cfg)
-            segments.append(seg)
+            ))
     return segments
 
 
@@ -529,16 +547,18 @@ def run_round(
     ``jobs`` (at least 1) threads curate the files; a single writer appends
     the records in corpus order, so a rerun gives byte-identical records.
 
-    A round whose report already holds a different config is a ConfigError,
-    raised before anything is written: its report would be replaced, and
-    export could no longer find the config of the first run's records.
+    A round whose report already stores another config_hash is a
+    ConfigError, raised before anything is written: its report would be
+    replaced, and export could no longer find the config of the first run's
+    records. The stored hash is compared as it is, so a report whose config
+    this version cannot decode is refused too.
     """
     report_path = round_report_path(manifest_out, cfg.round_id)
-    previous = list(load_round_configs(manifest_out, [cfg.round_id]))
-    if previous and previous[0] != cfg.config_hash():
+    previous = _stored_config_hash(report_path)
+    if previous is not None and previous != cfg.config_hash():
         raise ConfigError(
             f"{report_path}: round {cfg.round_id} already ran under config "
-            f"{previous[0][:12]}, not {cfg.config_hash()[:12]}; "
+            f"{previous[:12]}, not {cfg.config_hash()[:12]}; "
             "give the round another round_id or manifest"
         )
     sources = [str(p) for p in corpus]
@@ -586,6 +606,13 @@ def filter_manifest(
     ]
 
 
+def _name_tag(name: str) -> str:
+    """The first 8 hex digits of the SHA-256 of a name's file-system bytes
+    (``os.fsencode``): on a UTF-8 file system, its UTF-8 bytes where it has
+    them, and the original bytes of a path that did not decode."""
+    return hashlib.sha256(os.fsencode(name)).hexdigest()[:8]
+
+
 def export_ab_pairs(
     segments: Sequence[CuratedSegment],
     out_dir: str | Path,
@@ -609,7 +636,7 @@ def export_ab_pairs(
     Files are named ``{stem}_r{round}_{start}_{side}.wav``. Sources that
     share a stem use ``{stem}_{tag}``, and different enhancers that share
     one source's ``r{round}_{start}`` add ``_{tag}`` after the start; a tag
-    is the first 8 hex digits of sha256(source_uri or enhancer identifier).
+    is ``_name_tag`` of the source_uri or the enhancer identifier.
     One enhancer under two STFTs at the same name writes its first pair.
     """
     out = Path(out_dir)
@@ -626,7 +653,7 @@ def export_ab_pairs(
     for source_uri, group in by_source.items():
         stem = Path(source_uri).stem
         if stem_count[stem] > 1:
-            stem += "_" + hashlib.sha256(source_uri.encode("utf-8")).hexdigest()[:8]
+            stem += "_" + _name_tag(source_uri)
         try:
             buf = read_wav(source_uri)
         except Exception as exc:
@@ -668,7 +695,7 @@ def export_ab_pairs(
             for seg in same:
                 name = f"{stem}_r{seg.round_id}_{seg.start_sample}"
                 if len(eids_at[seg.round_id, seg.start_sample]) > 1:
-                    name += "_" + hashlib.sha256(eid.encode("utf-8")).hexdigest()[:8]
+                    name += "_" + _name_tag(eid)
                 if name in written:
                     skipped += 1
                     logger.warning("skipping segment of %s: pair %s already written", source_uri, name)

@@ -65,21 +65,28 @@ class EvalTriple:
     true_snr_db: np.ndarray
 
     def __post_init__(self) -> None:
-        lens = {len(self.clean), len(self.noisy), len(self.enhanced)}
-        rates = {self.clean.sample_rate, self.noisy.sample_rate, self.enhanced.sample_rate}
-        if len(lens) != 1 or len(rates) != 1:
-            raise ValueError(f"triple buffers disagree: lengths {lens}, rates {rates}")
+        _check_agree(self.clean, self.noisy, self.enhanced)
 
     @classmethod
     def from_components(
         cls, clean: AudioBuffer, noisy: AudioBuffer, enhanced: AudioBuffer
     ) -> "EvalTriple":
-        """The triple with the true SNR of each 1-s frame of the mix."""
+        """The triple with the true SNR of each 1-s frame of the mix; buffers
+        that disagree in length or rate raise ValueError before any framing."""
+        _check_agree(clean, noisy, enhanced)
         flen = frame_len_samples(clean.sample_rate, 1.0)
         noise = frame_matrix(noisy.samples - clean.samples, flen)
         ref = frame_matrix(clean.samples, flen)
         snr = rms_db(ref) - rms_db(noise)
         return cls(clean=clean, noisy=noisy, enhanced=enhanced, true_snr_db=snr)
+
+
+def _check_agree(*bufs: AudioBuffer) -> None:
+    """Raise ValueError unless the buffers share one length and one rate."""
+    lens = {len(b) for b in bufs}
+    rates = {b.sample_rate for b in bufs}
+    if len(lens) != 1 or len(rates) != 1:
+        raise ValueError(f"triple buffers disagree: lengths {lens}, rates {rates}")
 
 
 def synth_clean(duration_seconds: float, sample_rate: int = 48000, seed: int = 0) -> AudioBuffer:

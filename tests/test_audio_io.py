@@ -1,5 +1,6 @@
 """WAV codec and framing tests."""
 
+import re
 import struct
 from pathlib import Path
 
@@ -33,7 +34,36 @@ def make_wav_bytes(fmt_code, channels, rate, bits, payload):
     )
 
 
+def wav_with_fmt(fmt_body, payload=b"\x00" * 8):
+    """A RIFF/WAVE file whose fmt chunk body is fmt_body, as given."""
+    return b"".join(
+        [
+            b"RIFF", struct.pack("<I", 20 + len(fmt_body) + len(payload)), b"WAVE",
+            b"fmt ", struct.pack("<I", len(fmt_body)), fmt_body,
+            b"data", struct.pack("<I", len(payload)), payload,
+        ]
+    )
+
+
+# (fmt chunk body, the reason read_wav gives after the path)
+FMT_REJECTIONS = [
+    pytest.param(struct.pack("<HHIIH", 1, 1, 48000, 96000, 2), "fmt chunk too short",
+                 id="fmt-under-16-bytes"),
+    pytest.param(struct.pack("<HHIIHH", 0xFFFE, 1, 48000, 96000, 2, 16),
+                 "extensible fmt chunk too short", id="extensible-fmt-under-40-bytes"),
+    pytest.param(struct.pack("<HHIIHH", 1, 1, 48000, 192000, 4, 16),
+                 "block alignment 4 inconsistent with format", id="block-align-mismatch"),
+]
+
+
 class TestReadWav:
+    @pytest.mark.parametrize("fmt_body, reason", FMT_REJECTIONS)
+    def test_bad_fmt_chunk_is_wav_error_naming_path_and_reason(self, tmp_path, fmt_body, reason):
+        p = tmp_path / "fmt.wav"
+        p.write_bytes(wav_with_fmt(fmt_body))
+        with pytest.raises(WavError, match=f"^{re.escape(str(p))}: {reason}$"):
+            read_wav(p)
+
     def test_pcm16_constant_scaling(self, tmp_path):
         payload = struct.pack("<4h", 16384, 16384, 16384, 16384)
         p = tmp_path / "c.wav"
@@ -164,9 +194,6 @@ class TestBufferTypes:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
             AudioBuffer(np.array([0.0, np.nan]), 48000)
-
-    def test_duration(self):
-        assert AudioBuffer(np.zeros(24000), 48000).duration == 0.5
 
 
 class TestWorkingSet:

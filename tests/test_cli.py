@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -217,6 +218,22 @@ class TestEvalReportExport:
         assert main(["export-ab", "--manifest", str(manifest), "--out", str(out),
                      "--min-rho", "45"]) == 0
         assert len(list(out.glob("*.wav"))) == 4  # both identity segments score 100
+
+    def test_export_ab_tags_sources_whose_paths_are_not_utf8(self, tmp_path):
+        cfg = write_config(tmp_path)
+        name = os.fsdecode(b"x\xff.wav")  # the byte 0xff surrogate-escaped
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+            write_wav(tmp_path / d / name, synth_clean(13.0, FS, seed=60))
+        manifest = tmp_path / "m.jsonl"
+        assert main(["curate", "--config", str(cfg), "--corpus", str(tmp_path / "*" / "*.wav"),
+                     "--manifest", str(manifest)]) == 0
+        out = tmp_path / "ab"
+        assert main(["export-ab", "--manifest", str(manifest), "--out", str(out)]) == 0
+        tags = {hashlib.sha256(os.fsencode(str(tmp_path / d / name))).hexdigest()[:8] for d in "ab"}
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            f"{Path(name).stem}_{tag}_r0_0_{side}.wav"
+            for tag in tags for side in ("enhanced", "unprocessed"))
 
     def test_export_ab_skips_a_bad_enhancer_id(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -37,6 +37,7 @@ from speechmine.curation import (
     export_ab_pairs,
     extract_segments,
     filter_manifest,
+    hash_config,
     load_config,
     load_manifest,
     load_round_configs,
@@ -123,6 +124,11 @@ class TestGates:
 
     def test_snr_gate_empty(self):
         assert snr_gate(np.array([]), 20.0).size == 0
+
+    def test_gates_return_their_comparisons_as_bool(self):
+        assert snr_gate(np.array([25.0, 5.0]), 20.0).dtype == bool
+        accept, cutoffs = bandwidth_gate(np.zeros((2, 2048)), FS, 0.0, StftConfig())
+        assert (accept.dtype, cutoffs.dtype) == (bool, np.float64)
 
     def test_bandwidth_gate_full_band_accepts(self):
         rng = np.random.default_rng(1)
@@ -569,6 +575,16 @@ class TestRunRound:
         run_round(corpus, self._config(), m2, jobs=1)
         assert m1.read_bytes() == m2.read_bytes()
 
+    @pytest.mark.parametrize("stored", [{}, {"config_hash": 5}], ids=["no-hash", "int-hash"])
+    def test_report_storing_no_hash_is_passed_over_and_replaced(self, tmp_path, caplog, stored):
+        manifest = tmp_path / "m.jsonl"
+        report = tmp_path / "m.jsonl.round0.report.json"
+        report.write_text(json.dumps(stored))
+        with caplog.at_level("WARNING"):
+            run_round([], self._config(), manifest)
+        assert f"{report}: no round config:" in caplog.text
+        assert json.loads(report.read_text())["config_hash"] == self._config().config_hash()
+
     def test_empty_corpus_valid_empty_manifest(self, tmp_path):
         manifest = tmp_path / "m.jsonl"
         report = run_round([], self._config(), manifest)
@@ -874,6 +890,18 @@ class TestOldRoundReports:
         grown = GrownConfig.from_dict(json.loads(report.read_text())["config"])
         with pytest.raises(ConfigError, match="already ran under config b1ef72ffc8eb"):
             run_round(["old.wav"], grown, manifest)
+        assert (manifest.read_bytes(), report.read_bytes()) == before
+
+    def test_rerun_over_a_report_this_version_cannot_decode_is_refused(self, tmp_path, monkeypatch):
+        manifest = self._old_round(tmp_path, monkeypatch)
+        report = tmp_path / "old.jsonl.round1.report.json"
+        data = json.loads(report.read_text())
+        data["config"]["later_field"] = 1  # a field this version does not know
+        data["config_hash"] = hash_config(data["config"])
+        report.write_text(json.dumps(data))
+        before = manifest.read_bytes(), report.read_bytes()
+        with pytest.raises(ConfigError, match=f"already ran under config {data['config_hash'][:12]}"):
+            run_round(["old.wav"], CurationConfig(round_id=1), manifest)
         assert (manifest.read_bytes(), report.read_bytes()) == before
 
     def test_report_whose_config_was_edited_but_not_its_hash_is_passed_over(

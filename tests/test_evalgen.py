@@ -185,6 +185,12 @@ class TestDeltaQuality:
         with pytest.raises(ValueError, match="disagree"):
             EvalTriple(clean, noisy, short, np.array([]))
 
+    def test_components_of_different_lengths_rejected_before_framing(self):
+        clean = synth_clean(1.0, FS, seed=15)
+        noisy = synth_clean(2.0, FS, seed=15)
+        with pytest.raises(ValueError, match=r"triple buffers disagree: lengths \{(48000, 96000|96000, 48000)\}"):
+            EvalTriple.from_components(clean, noisy, noisy)
+
     def test_true_snr_per_frame(self):
         clean = synth_clean(3.0, FS, seed=16)
         noise = white_noise(len(clean), np.sqrt(np.mean(clean.samples**2)) / 10, np.random.default_rng(17))
