@@ -257,6 +257,14 @@ def cmd_export_ab(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its CPU affinity set where the OS
+    has one, so a process pinned to one core defaults to one worker."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="speechmine",
@@ -268,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="pipeline config (JSON)")
     p.add_argument("--corpus", required=True, help="glob pattern of input WAV files")
     p.add_argument("--manifest", required=True, help="JSONL manifest to append to")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="parallel file workers (default: logical CPUs)")
+    p.add_argument("--jobs", type=int, default=_usable_cpus(),
+                   help="parallel file workers (default: the CPUs this process may run on)")
     p.set_defaults(func=cmd_curate)
 
     p = sub.add_parser("synth", help="generate a synthetic clean/noisy corpus")

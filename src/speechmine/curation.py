@@ -23,7 +23,7 @@ import os
 import uuid
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -34,7 +34,7 @@ from .audio_io import AudioBuffer, frame_len_samples, frame_matrix, read_wav, wh
 from . import dsp
 from .dsp import StftConfig, rms_db
 from .enhance import EnhancerSpec, enhance
-from .schema import INT_LIMIT, NUMBER_TYPES, ConfigError, canonical_json, decode, encode, load_json, mismatch
+from .schema import ConfigError, canonical_json, decode, encode, field_checks, load_json, mismatch
 from .vad import VadSpec, detect
 
 logger = logging.getLogger(__name__)
@@ -113,31 +113,6 @@ def load_config(path: str | Path) -> CurationConfig:
     return CurationConfig.from_dict(load_json(path))
 
 
-def _check_record(start_sample: Any, end_sample: Any, sample_rate: Any,
-                  frame_rho: Sequence[Any], frame_fc: Sequence[Any]) -> None:
-    """Raise ValueError unless a record holds the invariants checkable
-    without its config. The values may be any real numbers, so a record
-    built from numpy scalars is checked like one read from a manifest."""
-    if sample_rate <= 0:
-        raise ValueError(f"sample_rate must be positive, got {sample_rate}")
-    n = len(frame_rho)
-    if not n or n != len(frame_fc):
-        raise ValueError(
-            f"frame_rho ({n}) and frame_fc ({len(frame_fc)}) must be equal-length and non-empty"
-        )
-    if start_sample < 0:
-        raise ValueError(f"start_sample {start_sample} is negative")
-    span = end_sample - start_sample
-    if span <= 0 or span % n:
-        raise ValueError(f"segment span {span} not divisible into {n} frames")
-    if start_sample % (span // n):
-        raise ValueError(f"start_sample {start_sample} not aligned to frame length {span // n}")
-    if not _all_finite(frame_rho):
-        raise ValueError("frame_rho contains non-finite values")
-    if not (_all_finite(frame_fc) and 0 <= min(frame_fc) and max(frame_fc) <= sample_rate / 2):
-        raise ValueError("frame_fc values outside [0, Nyquist]")
-
-
 def _all_finite(values: Iterable[Any]) -> bool:
     try:
         return all(map(math.isfinite, values))
@@ -150,10 +125,11 @@ class CuratedSegment:
     """One accepted fixed-duration block with its per-frame metadata.
 
     This is the manifest record; every field round-trips bit-exactly
-    through JSON. The invariants checkable without the config are checked
-    in one place, ``_check_record``, whether a record is built directly or
-    read by ``from_json``. ``validate_against`` checks the rest on records
-    from outside; curate_file builds its records to hold them.
+    through JSON, as the JSON type its annotation gives in ``schema``. The
+    invariants checkable without the config are checked by one method,
+    ``_check_invariants``, whether a record is built directly or read by
+    ``from_json``. ``validate_against`` checks the rest on records from
+    outside; curate_file builds its records to hold them.
     """
 
     source_uri: str
@@ -171,8 +147,31 @@ class CuratedSegment:
         return (self.end_sample - self.start_sample) / self.sample_rate
 
     def __post_init__(self) -> None:
-        _check_record(self.start_sample, self.end_sample, self.sample_rate,
-                      self.frame_rho, self.frame_fc)
+        self._check_invariants()
+
+    def _check_invariants(self) -> None:
+        """Raise ValueError unless the record holds the invariants checkable
+        without its config. The values may be any real numbers, so a record
+        built from numpy scalars is checked like one read from a manifest."""
+        if self.sample_rate <= 0:
+            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        n = len(self.frame_rho)
+        if not n or n != len(self.frame_fc):
+            raise ValueError(
+                f"frame_rho ({n}) and frame_fc ({len(self.frame_fc)}) must be equal-length and non-empty"
+            )
+        if self.start_sample < 0:
+            raise ValueError(f"start_sample {self.start_sample} is negative")
+        span = self.end_sample - self.start_sample
+        if span <= 0 or span % n:
+            raise ValueError(f"segment span {span} not divisible into {n} frames")
+        if self.start_sample % (span // n):
+            raise ValueError(f"start_sample {self.start_sample} not aligned to frame length {span // n}")
+        if not _all_finite(self.frame_rho):
+            raise ValueError("frame_rho contains non-finite values")
+        fc = self.frame_fc
+        if not (_all_finite(fc) and 0 <= min(fc) and max(fc) <= self.sample_rate / 2):
+            raise ValueError("frame_fc values outside [0, Nyquist]")
 
     def validate_against(self, cfg: CurationConfig) -> None:
         """Gate invariants, checkable only with the producing config."""
@@ -190,44 +189,32 @@ class CuratedSegment:
     def from_json(cls, line: str) -> "CuratedSegment":
         """The record of one manifest line, parsed by ``json.loads``.
 
-        The line must be a JSON object with exactly the record's keys, each
-        value of the JSON type ``schema`` gives its field: an integer in the
-        signed 64-bit range, a string, or a list of numbers, never a bool.
-        ``_check_record`` then checks the invariants, finiteness included,
-        and the record is built from the object without ``__init__``, which
-        would check them again. A line that fails raises ValueError, a
-        ConfigError naming the field for a wrong key or type; a line nested
-        past the parser's recursion limit raises RecursionError.
+        The line must be a JSON object with exactly the record's keys. Each
+        value is checked, in declaration order, with the check
+        ``schema.field_checks`` gives its field's annotation: an integer in
+        the signed 64-bit range, a string, or a list of numbers, never a
+        bool. The record is built from the object without ``__init__``,
+        and ``_check_invariants`` then checks it as ``__post_init__`` does.
+        A line that fails raises ValueError, a ConfigError naming the field
+        for a wrong key or type; a line nested past the parser's recursion
+        limit raises RecursionError.
         """
         data = json.loads(line)
         if type(data) is not dict or len(data) != len(_RECORD_KEYS):
             raise _record_keys_error(data)
         try:
-            for name in _RECORD_INTS:
-                v = data[name]
-                if type(v) is not int or not -INT_LIMIT <= v < INT_LIMIT:
-                    raise mismatch(f"record.{name}", "an integer", v)
-            for name in _RECORD_STRS:
-                if type(data[name]) is not str:
-                    raise mismatch(f"record.{name}", "a string", data[name])
-            for name in _RECORD_LISTS:
-                v = data[name]
-                if type(v) is not list or not NUMBER_TYPES.issuperset(map(type, v)):
-                    raise mismatch(f"record.{name}", "a list of numbers", v)
+            for name, ok, expected, _ in field_checks(cls):
+                if not ok(data[name]):
+                    raise mismatch(f"record.{name}", expected, data[name])
         except KeyError:  # as many keys as the record has, so one missing means one unknown
             raise _record_keys_error(data) from None
-        _check_record(data["start_sample"], data["end_sample"], data["sample_rate"],
-                      data["frame_rho"], data["frame_fc"])
         seg = object.__new__(cls)
-        seg.__dict__ = data  # the parsed object is the record's attributes, keys and values checked
+        seg.__dict__ = data  # the parsed object is the record's attributes, keys and types checked
+        seg._check_invariants()
         return seg
 
 
-# the record's fields by JSON type; together, the keys of a manifest line
-_RECORD_INTS = ("round_id", "start_sample", "end_sample", "sample_rate")
-_RECORD_STRS = ("source_uri", "config_hash", "enhancer_id")
-_RECORD_LISTS = ("frame_rho", "frame_fc")
-_RECORD_KEYS = frozenset(_RECORD_INTS + _RECORD_STRS + _RECORD_LISTS)
+_RECORD_KEYS = frozenset(f.name for f in fields(CuratedSegment))  # the keys of a manifest line
 
 
 def _record_keys_error(data: Any) -> ConfigError:
@@ -345,41 +332,41 @@ def _write_text_atomic(path: Path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def load_round_configs(manifest: str | Path, round_ids: Iterable[int]) -> dict[str, CurationConfig]:
-    """``{config_hash: config}`` from the report files of the given rounds of
-    a manifest, keyed by the hash each report stores, which its records
-    carry. A missing report file is passed over; one that does not decode,
-    or whose hash is not the hash_config of its config, is logged and
-    passed over."""
-    configs: dict[str, CurationConfig] = {}
-    for path in (round_report_path(manifest, r) for r in sorted(set(round_ids))):
-        if not path.is_file():
-            continue
-        try:
-            report = load_json(path, "round report")
-            stored, data = report["config_hash"], report["config"]
-            if stored != hash_config(data):
-                raise ConfigError(f"config_hash {stored!r} is not the hash of the stored config")
-            configs[stored] = CurationConfig.from_dict(data)
-        except (ConfigError, KeyError, TypeError) as exc:
-            logger.warning("%s: no round config: %s", path, exc)
-    return configs
-
-
-def _stored_config_hash(path: Path) -> str | None:
-    """The config_hash a round report stores, read without decoding its
-    config. None for a missing report; None, logged, for one that does not
-    parse or stores no string hash: no record can be matched to it."""
+def _read_round_report(path: Path) -> dict[str, Any] | None:
+    """A round report's parsed object, its config not decoded. None for a
+    missing report; None, logged, for one that does not parse or is not an
+    object storing a string config_hash: no record can be matched to it."""
     if not path.is_file():
         return None
     try:
-        stored = load_json(path, "round report")["config_hash"]
-        if type(stored) is not str:
-            raise mismatch("config_hash", "a string", stored)
-    except (ConfigError, KeyError, TypeError) as exc:
+        report = load_json(path, "round report")
+        if type(report) is not dict or type(report.get("config_hash")) is not str:
+            raise mismatch("round report", "an object with a string config_hash", report)
+    except ConfigError as exc:
         logger.warning("%s: no round config: %s", path, exc)
         return None
-    return stored
+    return report
+
+
+def load_round_configs(manifest: str | Path, round_ids: Iterable[int]) -> dict[str, CurationConfig]:
+    """``{config_hash: config}`` from the report files of the given rounds of
+    a manifest, keyed by the hash each report stores, which its records
+    carry. A report ``_read_round_report`` passes over is passed over; one
+    whose hash is not the hash_config of its config, or whose config does
+    not decode, is logged and passed over."""
+    configs: dict[str, CurationConfig] = {}
+    for path in (round_report_path(manifest, r) for r in sorted(set(round_ids))):
+        report = _read_round_report(path)
+        if report is None:
+            continue
+        stored, data = report["config_hash"], report.get("config")
+        try:
+            if stored != hash_config(data):
+                raise ConfigError(f"config_hash {stored!r} is not the hash of the stored config")
+            configs[stored] = CurationConfig.from_dict(data)
+        except ConfigError as exc:
+            logger.warning("%s: no round config: %s", path, exc)
+    return configs
 
 
 def round_totals(
@@ -554,11 +541,11 @@ def run_round(
     this version cannot decode is refused too.
     """
     report_path = round_report_path(manifest_out, cfg.round_id)
-    previous = _stored_config_hash(report_path)
-    if previous is not None and previous != cfg.config_hash():
+    previous = _read_round_report(report_path)
+    if previous is not None and previous["config_hash"] != cfg.config_hash():
         raise ConfigError(
             f"{report_path}: round {cfg.round_id} already ran under config "
-            f"{previous[:12]}, not {cfg.config_hash()[:12]}; "
+            f"{previous['config_hash'][:12]}, not {cfg.config_hash()[:12]}; "
             "give the round another round_id or manifest"
         )
     sources = [str(p) for p in corpus]

@@ -2,14 +2,16 @@
 
 ``encode`` walks ``dataclasses.fields`` and gives an object's keys as its
 fields in declaration order; a field named ``params`` is flattened into
-the object. ``decode``, which builds the configs, walks the type hints the
-same way, and ``params`` takes every key the class does not declare.
-Values are checked, never coerced, so a text that decodes encodes back to
-the same values. An ``int`` is a JSON integer in the signed 64-bit range
-``[-INT_LIMIT, INT_LIMIT)``, a ``float`` any finite JSON number,
-a ``str`` a JSON string; a bool is none of these. Manifest records are not
-decoded here: ``CuratedSegment.from_json`` checks each line against these
-same rules and the record's invariants in one pass.
+the object. ``field_checks`` gives each field's check from its type hint.
+An ``int`` is a JSON integer in the signed 64-bit range
+``[-INT_LIMIT, INT_LIMIT)``, a ``float`` any finite JSON number, a ``str``
+a JSON string and a ``list[float]`` a JSON array of numbers, finite or
+not; a bool is none of these. Values are checked, never coerced, so a text
+that decodes encodes back to the same values. ``decode`` builds the
+configs with these checks, and ``params`` takes every key the class does
+not declare. ``CuratedSegment.from_json`` checks each field of a manifest
+line with the same checks, and the record checks its own invariants,
+finiteness included.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ _CHECKS: dict[Any, tuple[Callable[[Any], bool], str]] = {
     int: (_is_int, "an integer"),
     float: (_is_number, "a finite number"),
     str: (lambda v: type(v) is str, "a string"),
+    list[float]: (lambda v: type(v) is list and NUMBER_TYPES.issuperset(map(type, v)),
+                  "a list of numbers"),
 }
 
 
@@ -59,7 +63,7 @@ def mismatch(where: str, expected: str, value: Any) -> ConfigError:
 
 
 @functools.cache
-def _fields(cls: type) -> tuple[tuple[str, Any, Any, Any], ...]:
+def field_checks(cls: type) -> tuple[tuple[str, Any, Any, Any], ...]:
     """(name, predicate or None, what it expects or the nested dataclass,
     default or MISSING) for every field but ``params``, built once per class."""
     hints = typing.get_type_hints(cls)
@@ -92,7 +96,7 @@ def decode(cls: type, data: Any, where: str) -> Any:
     if type(data) is not dict:
         raise mismatch(where, "a JSON object", data)
     kwargs: dict[str, Any] = {}
-    for name, ok, expected, default in _fields(cls):
+    for name, ok, expected, default in field_checks(cls):
         value = data.get(name, dataclasses.MISSING)
         if value is dataclasses.MISSING:
             if default is dataclasses.MISSING:

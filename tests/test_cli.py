@@ -114,6 +114,14 @@ class TestSynth:
 
 
 class TestCurate:
+    @pytest.mark.parametrize("cpus, jobs", [({0}, 1), ({0, 1}, 2)])
+    def test_default_jobs_is_the_cpus_the_process_may_run_on(self, monkeypatch, cpus, jobs):
+        # under taskset -c 0 the machine's CPU count started two workers on one core
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        args = build_parser().parse_args(["curate", "--config", "c.json", "--corpus", "*.wav",
+                                          "--manifest", "m.jsonl"])
+        assert args.jobs == jobs
+
     def test_happy_path(self, tmp_path):
         cfg = write_config(tmp_path)
         corpus = write_corpus(tmp_path)
@@ -481,45 +489,55 @@ def test_unexpected_failure_exits_1(tmp_path, monkeypatch):
     assert code == 1
 
 
-# argv ({tmp} is the test directory) and environment of one user error each
+# argv ({tmp} is the test directory), environment and a fragment of the
+# one-line message, of one user error each
 USER_ERRORS = [
     pytest.param(["eval", "--pairs", "{tmp}/pairs", "--enhancer-config", "{tmp}/enh.json",
-                  "--metric", "nope"], {}, id="unknown-metric"),
+                  "--metric", "nope"], {}, "unknown metric 'nope'", id="unknown-metric"),
     pytest.param(["eval", "--pairs", "{tmp}/pairs", "--enhancer-config", "{tmp}/enh.json",
                   "--metric", 'external:awk "{{print 1}}" {{reference}} {{degraded}}'], {},
-                 id="metric-braces-no-placeholder"),
+                 "unknown placeholder(s) ['print 1']", id="metric-braces-no-placeholder"),
     pytest.param(["eval", "--pairs", "{tmp}/pairs", "--enhancer-config", "{tmp}/enh.json",
-                  "--metric", "external:cp"], {}, id="metric-without-placeholders"),
+                  "--metric", "external:cp"], {}, "must contain {reference} and {degraded}",
+                 id="metric-without-placeholders"),
     pytest.param(["eval", "--pairs", "{tmp}/pairs", "--enhancer-config", "{tmp}/enh.json",
                   "--metric", 'external:python3 -c "x {{reference}} {{degraded}}'], {},
-                 id="metric-unclosed-quote"),
+                 "No closing quotation", id="metric-unclosed-quote"),
     # eval never reads a metric's {output} file, so naming one skipped every entry
     pytest.param(["eval", "--pairs", "{tmp}/pairs", "--enhancer-config", "{tmp}/enh.json",
                   "--metric", "external:cp {{reference}} {{degraded}} {{output}}"], {},
-                 id="metric-with-output"),
+                 "unknown placeholder(s) ['output']", id="metric-with-output"),
     pytest.param(["eval", "--pairs", "{tmp}/pairs", "--enhancer-config", "{tmp}/unfillable.json"],
-                 {}, id="enhancer-shell-variable"),
+                 {}, "unknown placeholder(s) ['HOME']", id="enhancer-shell-variable"),
     pytest.param(["report", "{tmp}/missing.jsonl", "--out", "{tmp}/report"], {},
-                 id="report-missing-manifest"),
+                 "manifest not found", id="report-missing-manifest"),
     pytest.param(["export-ab", "--manifest", "{tmp}/missing.jsonl", "--out", "{tmp}/ab"], {},
-                 id="export-missing-manifest"),
+                 "manifest not found", id="export-missing-manifest"),
     pytest.param(["curate", "--config", "{tmp}/config.json", "--corpus", "{tmp}/corpus/*.wav",
-                  "--manifest", "{tmp}/m.jsonl", "--jobs", "0"], {}, id="jobs-zero"),
+                  "--manifest", "{tmp}/m.jsonl", "--jobs", "0"], {}, "--jobs: must be at least 1",
+                 id="jobs-zero"),
     pytest.param(["synth", "--out", "{tmp}/more", "--count", "1", "--duration", "1"],
-                 {"SECP_LOG": "bogus"}, id="unknown-log-level"),
+                 {"SECP_LOG": "bogus"}, "unknown log level 'bogus'", id="unknown-log-level"),
     pytest.param(["curate", "--config", "{tmp}/deep.json", "--corpus", "{tmp}/corpus/*.wav",
-                  "--manifest", "{tmp}/m.jsonl"], {}, id="curate-config-nested-too-deep"),
+                  "--manifest", "{tmp}/m.jsonl"], {}, "JSON nested too deeply",
+                 id="curate-config-nested-too-deep"),
     pytest.param(["eval", "--pairs", "{tmp}/pairs", "--enhancer-config", "{tmp}/deep.json"], {},
-                 id="eval-enhancer-config-nested-too-deep"),
+                 "JSON nested too deeply", id="eval-enhancer-config-nested-too-deep"),
+    pytest.param(["curate", "--config", "{tmp}/missing.json", "--corpus", "{tmp}/corpus/*.wav",
+                  "--manifest", "{tmp}/m.jsonl"], {}, "config file not found", id="config-missing"),
+    pytest.param(["curate", "--config", "{tmp}/latin1.json", "--corpus", "{tmp}/corpus/*.wav",
+                  "--manifest", "{tmp}/m.jsonl"], {}, "'utf-8' codec can't decode",
+                 id="config-not-utf-8"),
 ]
 
 
-@pytest.mark.parametrize("argv, env", USER_ERRORS)
-def test_user_error_exits_2_with_one_line(tmp_path, capsys, caplog, monkeypatch, argv, env):
+@pytest.mark.parametrize("argv, env, says", USER_ERRORS)
+def test_user_error_exits_2_with_one_line(tmp_path, capsys, caplog, monkeypatch, argv, env, says):
     main(["synth", "--out", str(tmp_path / "pairs"), "--count", "1", "--duration", "1"])
     (tmp_path / "enh.json").write_text('{"kind": "identity"}')
     (tmp_path / "unfillable.json").write_text(json.dumps(UNFILLABLE_ENHANCER))
     (tmp_path / "deep.json").write_text(DEEP_JSON)
+    (tmp_path / "latin1.json").write_bytes('{"round_id": "\u00e9"}'.encode("latin-1"))
     write_config(tmp_path)
     write_corpus(tmp_path, count=1)
     for name, value in env.items():
@@ -528,6 +546,7 @@ def test_user_error_exits_2_with_one_line(tmp_path, capsys, caplog, monkeypatch,
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert says in err
     assert not [r for r in caplog.records if r.exc_info]
 
 

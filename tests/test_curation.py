@@ -214,6 +214,8 @@ class TestCuratedSegment:
             make_segment(frame_rho=[50.0] * 11 + [19.0]).validate_against(cfg)
         with pytest.raises(ValueError, match="bandwidth"):
             make_segment(frame_fc=[24000.0] * 11 + [12000.0]).validate_against(cfg)
+        with pytest.raises(ValueError, match="configured duration"):
+            make_segment(end_sample=24 * FS).validate_against(cfg)  # 12 frames of 2 s
 
 
 class TestManifest:

@@ -132,6 +132,11 @@ class TestSegmentalSnr:
         with pytest.raises(ValueError, match="mismatch"):
             segmental_snr(AudioBuffer(np.zeros(100), FS), AudioBuffer(np.zeros(99), FS))
 
+    def test_signal_shorter_than_one_frame_rejected(self):
+        short = AudioBuffer(np.ones(int(FS * 0.032) - 1), FS)
+        with pytest.raises(ValueError, match="shorter than one metric frame"):
+            segmental_snr(short, short)
+
     def test_silent_reference_rejected(self):
         silent = AudioBuffer(np.zeros(FS), FS)
         with pytest.raises(ValueError, match="screen"):

@@ -2,6 +2,7 @@
 config is a ConfigError (CLI exit 2), every malformed record is skipped
 and counted, and every text that loads encodes back to the same hash."""
 
+import dataclasses
 import json
 import math
 import tempfile
@@ -52,6 +53,10 @@ CONFIG_PROBES = [
                  id="enhancer.timeout_s-2147484"),
     pytest.param({"vad": {**EXTERNAL_VAD, "timeout_s": 1e300}}, "timeout_s", id="vad.timeout_s-1e300"),
     pytest.param({"vad": {**EXTERNAL_VAD, "timeout_s": 2147484}}, "timeout_s", id="vad.timeout_s-2147484"),
+    # an integer beyond the float range, whose finiteness check overflows
+    pytest.param({"snr_threshold_db": 10**400}, "snr_threshold_db", id="snr_threshold_db-10**400"),
+    # hop 1 holds for a window of 1, so only the window_len check rejects it
+    pytest.param({"stft": {"window_len": 1, "hop": 1}}, "window_len", id="stft.window_len-1"),
 ]
 
 
@@ -192,6 +197,51 @@ def test_record_text_is_stable():
         '"sample_rate": 48000, "frame_rho": [50.0, 21.5], "frame_fc": [24000.0, 24000.0], '
         '"config_hash": "' + "ab" * 32 + '", "enhancer_id": "{\\"kind\\":\\"identity\\"}"}'
     )
+
+
+# for each annotation a record field has, values that are not of its JSON
+# type: other JSON types, bools, and lists holding other than numbers
+WRONG_TYPES = {
+    "int": ["1", 1.0, True, None, [1]],
+    "str": [1, 1.5, False, None, ["a"], {"a": "b"}],
+    "list[float]": ["[50.0]", 50.0, None, [True, 50.0], [[50.0], 50.0], [None, 50.0], {"0": 50.0}],
+}
+
+
+@pytest.mark.parametrize("f", dataclasses.fields(CuratedSegment), ids=lambda f: f.name)
+def test_record_field_of_a_wrong_json_type_is_skipped_and_counted(f, tmp_path, caplog):
+    lines = [_record(**{f.name: value}) for value in WRONG_TYPES[f.type]]
+    path = tmp_path / "m.jsonl"
+    path.write_text("\n".join([_record(), *lines]) + "\n")
+    with caplog.at_level("WARNING"):
+        segments, skipped = load_manifest(path)
+    assert (len(segments), skipped) == (1, len(lines))
+    assert sum(f"record.{f.name}: expected" in m for m in caplog.messages) == len(lines)
+
+
+# one invariant violation each, of a record whose field types all hold
+INVARIANT_VIOLATIONS = [
+    pytest.param({"sample_rate": 0}, id="rate-zero"),
+    pytest.param({"frame_rho": [50.0] * 3}, id="frames-unequal"),
+    pytest.param({"frame_rho": [], "frame_fc": []}, id="frames-empty"),
+    pytest.param({"start_sample": -2 * FS, "end_sample": 0}, id="start-negative"),
+    pytest.param({"end_sample": 2 * FS + 1}, id="span-not-divisible"),
+    pytest.param({"start_sample": 100, "end_sample": 2 * FS + 100}, id="start-misaligned"),
+    pytest.param({"frame_rho": [50.0, math.nan]}, id="rho-NaN"),
+    pytest.param({"frame_rho": [10**400, 50.0]}, id="rho-10**400"),
+    pytest.param({"frame_fc": [24000.5, 0.0]}, id="fc-above-nyquist"),
+]
+
+
+@pytest.mark.parametrize("overrides", INVARIANT_VIOLATIONS)
+def test_construction_and_from_json_reject_an_invariant_alike(overrides):
+    fields = {**json.loads(_record()), **overrides}
+    with pytest.raises(ValueError) as built:
+        CuratedSegment(**fields)
+    with pytest.raises(ValueError) as read:
+        CuratedSegment.from_json(json.dumps(fields))
+    assert type(read.value) is ValueError
+    assert str(read.value) == str(built.value)
 
 
 # ------------------------------------------------------------ properties
