@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -55,7 +56,9 @@ class AudioBuffer:
 
     ``samples`` is a 1-D float64 array. Ingested audio lies in [-1, 1];
     processed audio (e.g. enhancer output) may overshoot slightly and is
-    clipped again on write.
+    clipped again on write. ``sample_rate`` is a positive integer of any
+    integer type but bool, stored as an int, so that write_wav's header
+    holds it as given.
 
     Validation allocates nothing the size of the samples: finiteness is
     checked with a min and a max reduction, through which a NaN propagates.
@@ -69,8 +72,10 @@ class AudioBuffer:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ValueError(f"AudioBuffer must be mono (1-D), got shape {self.samples.shape}")
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        rate = self.sample_rate
+        if type(rate) is bool or not isinstance(rate, numbers.Integral) or rate <= 0:
+            raise ValueError(f"sample_rate must be a positive integer, got {rate!r}")
+        self.sample_rate = int(rate)
         if self.samples.size and not (np.isfinite(self.samples.min()) and np.isfinite(self.samples.max())):
             raise ValueError("AudioBuffer contains non-finite samples")
 
@@ -238,7 +243,7 @@ def whole_positive(x: float, message: str, error: type[ValueError] = ValueError)
 
 def frame_len_samples(sample_rate: int, frame_seconds: float) -> int:
     """Samples per frame; the product sample_rate * frame_seconds must be integral."""
-    flen = sample_rate * frame_seconds
+    flen = sample_rate * float(frame_seconds)  # a numpy float64 would warn on overflow
     return whole_positive(flen, f"frame length {frame_seconds} s at {sample_rate} Hz is not a "
                           f"whole positive number of samples ({flen})")
 

@@ -34,7 +34,7 @@ from .audio_io import AudioBuffer, frame_len_samples, frame_matrix, read_wav, wh
 from . import dsp
 from .dsp import StftConfig, rms_db
 from .enhance import EnhancerSpec, enhance
-from .schema import ConfigError, canonical_json, decode, encode, field_checks, load_json, mismatch
+from .schema import ConfigError, canonical_json, check_fields, decode, encode, load_json, mismatch
 from .vad import VadSpec, detect
 
 logger = logging.getLogger(__name__)
@@ -44,7 +44,8 @@ DEFAULT_RHO_BIN_WIDTH_DB = 5.0
 
 @dataclass(frozen=True)
 class CurationConfig:
-    """Every pipeline parameter, checked when built. The config file is the
+    """Every pipeline parameter, checked when built: each field's JSON type
+    by ``schema.check_fields``, then the ranges. The config file is the
     single source of truth; its hash is stamped onto every manifest record.
     A field added later must default to the old behaviour, so that an old
     round report decodes to the config its records ran under."""
@@ -61,23 +62,22 @@ class CurationConfig:
     vad: VadSpec = field(default_factory=VadSpec)
 
     def __post_init__(self) -> None:
-        if int(self.sample_rate) != self.sample_rate or self.sample_rate <= 0:
-            raise ConfigError(f"sample_rate: must be a positive integer, got {self.sample_rate}")
+        check_fields(type(self), vars(self))
+        if self.sample_rate <= 0:
+            raise ConfigError(f"sample_rate: must be positive, got {self.sample_rate}")
         try:
             flen = frame_len_samples(self.sample_rate, self.frame_seconds)
         except ValueError as exc:
             raise ConfigError(f"frame_seconds: {exc}") from exc
-        whole_positive(self.segment_seconds / self.frame_seconds,
+        whole_positive(float(self.segment_seconds) / float(self.frame_seconds),
                        f"segment_seconds: {self.segment_seconds} is not a positive integer "
                        f"multiple of frame_seconds {self.frame_seconds}", ConfigError)
-        if not math.isfinite(self.snr_threshold_db):
-            raise ConfigError(f"snr_threshold_db: must be finite, got {self.snr_threshold_db}")
         if not 0 <= self.min_bandwidth_hz <= self.sample_rate / 2:
             raise ConfigError(
                 f"min_bandwidth_hz: {self.min_bandwidth_hz} outside [0, {self.sample_rate / 2}]"
             )
-        if self.round_id < 0 or int(self.round_id) != self.round_id:
-            raise ConfigError(f"round_id: must be a non-negative integer, got {self.round_id}")
+        if self.round_id < 0:
+            raise ConfigError(f"round_id: must be non-negative, got {self.round_id}")
         if flen < self.stft.window_len:
             raise ConfigError(
                 f"frame_seconds: frame of {flen} samples is shorter than the "
@@ -190,11 +190,11 @@ class CuratedSegment:
         """The record of one manifest line, parsed by ``json.loads``.
 
         The line must be a JSON object with exactly the record's keys. Each
-        value is checked, in declaration order, with the check
-        ``schema.field_checks`` gives its field's annotation: an integer in
-        the signed 64-bit range, a string, or a list of numbers, never a
-        bool. The record is built from the object without ``__init__``,
-        and ``_check_invariants`` then checks it as ``__post_init__`` does.
+        value is checked, in declaration order, by ``schema.check_fields``
+        with the check its field's annotation gives: an integer in the
+        signed 64-bit range, a string, or a list of numbers, never a bool.
+        The record is built from the object without ``__init__``, and
+        ``_check_invariants`` then checks it as ``__post_init__`` does.
         A line that fails raises ValueError, a ConfigError naming the field
         for a wrong key or type; a line nested past the parser's recursion
         limit raises RecursionError.
@@ -203,9 +203,7 @@ class CuratedSegment:
         if type(data) is not dict or len(data) != len(_RECORD_KEYS):
             raise _record_keys_error(data)
         try:
-            for name, ok, expected, _ in field_checks(cls):
-                if not ok(data[name]):
-                    raise mismatch(f"record.{name}", expected, data[name])
+            check_fields(cls, data, "record.")
         except KeyError:  # as many keys as the record has, so one missing means one unknown
             raise _record_keys_error(data) from None
         seg = object.__new__(cls)

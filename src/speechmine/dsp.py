@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .schema import check_fields
+
 # Amplitude floor applied before any log: -200 dB, far below audibility but
 # finite, so digital silence never propagates -inf.
 RMS_FLOOR = 1e-10
@@ -55,6 +57,7 @@ class StftConfig:
     window: str = "hann"
 
     def __post_init__(self) -> None:
+        check_fields(type(self), vars(self))
         if self.window_len < 2:
             raise ValueError(f"window_len must be >= 2, got {self.window_len}")
         if self.hop == 0:

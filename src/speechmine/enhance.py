@@ -27,7 +27,7 @@ import numpy as np
 
 from .audio_io import AudioBuffer, read_wav, write_wav
 from .dsp import _BLOCK_FRAMES, StftConfig, istft, stft
-from .schema import ConfigError, canonical_json, check_params, encode
+from .schema import ConfigError, canonical_json, check_fields, check_params, encode
 
 logger = logging.getLogger(__name__)
 
@@ -102,6 +102,7 @@ class EnhancerSpec:
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        check_fields(type(self), vars(self))
         if self.kind not in ENHANCER_PARAMS:
             raise ValueError(f"unknown enhancer kind {self.kind!r}; expected one of {tuple(ENHANCER_PARAMS)}")
         check_params(self.params, ENHANCER_PARAMS[self.kind], f"{self.kind} enhancer")

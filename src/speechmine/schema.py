@@ -4,14 +4,18 @@
 fields in declaration order; a field named ``params`` is flattened into
 the object. ``field_checks`` gives each field's check from its type hint.
 An ``int`` is a JSON integer in the signed 64-bit range
-``[-INT_LIMIT, INT_LIMIT)``, a ``float`` any finite JSON number, a ``str``
-a JSON string and a ``list[float]`` a JSON array of numbers, finite or
-not; a bool is none of these. Values are checked, never coerced, so a text
-that decodes encodes back to the same values. ``decode`` builds the
-configs with these checks, and ``params`` takes every key the class does
-not declare. ``CuratedSegment.from_json`` checks each field of a manifest
-line with the same checks, and the record checks its own invariants,
-finiteness included.
+``[-INT_LIMIT, INT_LIMIT)``, a ``float`` any finite JSON number or a
+finite ``float`` subclass, which JSON writes as the float, a ``str`` a
+JSON string and a ``list[float]`` a JSON array of numbers, finite or not;
+a bool is none of these. A field whose type is a dataclass holds an
+instance of it. Values are checked, never coerced, so a text that decodes
+encodes back to the same values. ``check_fields`` applies the checks: the
+config classes call it first thing when built, so a config that builds
+encodes to a text that decodes back to it, and
+``CuratedSegment.from_json`` calls it on each manifest line, whose record
+then checks its own invariants, finiteness included. ``decode`` maps a
+JSON object onto a class's fields and builds it, and ``params`` takes
+every key the class does not declare.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import math
 import reprlib
 import typing
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 logger = logging.getLogger(__name__)
 
@@ -42,7 +46,7 @@ def _is_int(v: Any) -> bool:
 
 def _is_number(v: Any) -> bool:
     try:
-        return type(v) in NUMBER_TYPES and math.isfinite(v)
+        return (type(v) is int or isinstance(v, float)) and math.isfinite(v)
     except OverflowError:  # an integer beyond the float range
         return False
 
@@ -77,6 +81,16 @@ def field_checks(cls: type) -> tuple[tuple[str, Any, Any, Any], ...]:
     return tuple(out)
 
 
+def check_fields(cls: type, values: Mapping[str, Any], where: str = "") -> None:
+    """Raise ConfigError, naming ``where`` followed by the field, unless each
+    field of ``cls`` but ``params`` holds in ``values`` what its annotation
+    gives; a field missing from ``values`` raises KeyError."""
+    for name, ok, expected, _ in field_checks(cls):
+        value = values[name]
+        if not (ok(value) if ok else isinstance(value, expected)):
+            raise mismatch(where + name, expected, value)
+
+
 def encode(obj: Any) -> dict[str, Any]:
     """The JSON object of a dataclass instance."""
     out: dict[str, Any] = {}
@@ -90,9 +104,9 @@ def encode(obj: Any) -> dict[str, Any]:
 
 
 def decode(cls: type, data: Any, where: str) -> Any:
-    """Build ``cls`` from its JSON object. A missing field with a default
-    takes it (logged); any other problem raises ConfigError naming
-    ``where`` and the field."""
+    """Build ``cls`` from its JSON object, whose field types ``cls`` checks
+    when built. A missing field with a default takes it (logged); any other
+    problem raises ConfigError naming ``where`` and the field."""
     if type(data) is not dict:
         raise mismatch(where, "a JSON object", data)
     kwargs: dict[str, Any] = {}
@@ -102,12 +116,8 @@ def decode(cls: type, data: Any, where: str) -> Any:
             if default is dataclasses.MISSING:
                 raise ConfigError(f"{where}: missing field {name}")
             logger.info("%s.%s missing, defaulting to %r", where, name, default)
-        elif ok is None:
-            kwargs[name] = decode(expected, value, f"{where}.{name}")
-        elif ok(value):
-            kwargs[name] = value
         else:
-            raise mismatch(f"{where}.{name}", expected, value)
+            kwargs[name] = value if ok else decode(expected, value, f"{where}.{name}")
     if len(kwargs) < len(data):
         rest = {k: v for k, v in data.items() if k not in kwargs}
         if not any(f.name == "params" for f in dataclasses.fields(cls)):

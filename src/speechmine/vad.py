@@ -18,7 +18,7 @@ import numpy as np
 from .audio_io import AudioBuffer, frame_matrix
 from .dsp import FLOOR_DB, rms_db
 from .enhance import EXTERNAL_PARAMS, check_external, check_returned, run_exchange_command
-from .schema import check_params
+from .schema import check_fields, check_params
 
 # Every detector kind with the name and type of each parameter it takes
 # besides the windowing and threshold fields.
@@ -46,6 +46,7 @@ class VadSpec:
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        check_fields(type(self), vars(self))
         if self.kind not in VAD_PARAMS:
             raise ValueError(f"unknown VAD kind {self.kind!r}; expected one of {tuple(VAD_PARAMS)}")
         check_params(self.params, VAD_PARAMS[self.kind], f"{self.kind} VAD")

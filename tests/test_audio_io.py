@@ -195,6 +195,22 @@ class TestBufferTypes:
         with pytest.raises(ValueError, match="finite"):
             AudioBuffer(np.array([0.0, np.nan]), 48000)
 
+    # each built, then write_wav raised struct.error or wrote a 1-Hz file
+    @pytest.mark.parametrize("rate", [48000.0, np.float64(48000), True, np.True_],
+                             ids=["float", "float64", "bool", "numpy-bool"])
+    def test_rejects_a_rate_that_is_not_an_integer(self, rate):
+        with pytest.raises(ValueError, match="sample_rate"):
+            AudioBuffer(np.zeros(4), rate)
+
+    # the byte rate 4 * rate overflowed a narrow type: wrapped, or raised struct.error
+    @pytest.mark.parametrize("rate", [np.uint16(48000), np.int16(16000), np.int64(48000)],
+                             ids=["uint16", "int16", "int64"])
+    def test_numpy_integer_rate_writes_its_rate_into_the_header(self, tmp_path, rate):
+        p = tmp_path / "r.wav"
+        write_wav(p, AudioBuffer(np.zeros(4), rate))
+        assert struct.unpack("<II", p.read_bytes()[24:32]) == (int(rate), 4 * int(rate))
+        assert read_wav(p).sample_rate == int(rate)
+
 
 class TestWorkingSet:
     N = 2_000_000

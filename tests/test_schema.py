@@ -6,16 +6,21 @@ import dataclasses
 import json
 import math
 import tempfile
+from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_segment
 from speechmine.cli import main
 from speechmine.curation import ConfigError, CurationConfig, CuratedSegment, load_manifest
-from speechmine.schema import canonical_json
+from speechmine.dsp import StftConfig
+from speechmine.enhance import EnhancerSpec
+from speechmine.schema import canonical_json, field_checks
+from speechmine.vad import VadSpec
 
 FS = 48000
 
@@ -70,6 +75,46 @@ def test_config_probe_is_a_config_error(data, field, tmp_path, capsys):
                  "--manifest", str(tmp_path / "m.jsonl")])
     assert code == 2
     assert field in capsys.readouterr().err
+
+
+DEFAULT_HASH = "109f363a1e2abd73515818bfcaadb657a7daab9dc781dbd3215a9517719d890a"
+
+# (construction, field the error must name): each built a config whose JSON
+# does not decode or does not encode, or failed with another error
+CONSTRUCTION_PROBES = [
+    pytest.param(partial(CurationConfig, sample_rate=48e3), "sample_rate", id="sample_rate-48e3"),
+    pytest.param(partial(CurationConfig, sample_rate=np.int64(48000)), "sample_rate",
+                 id="sample_rate-int64"),
+    pytest.param(partial(CurationConfig, round_id=True), "round_id", id="round_id-true"),
+    pytest.param(partial(CurationConfig, rho_max_db=math.inf), "rho_max_db", id="rho_max_db-inf"),
+    pytest.param(partial(VadSpec, window_seconds=math.nan), "window_seconds", id="vad.window_seconds-nan"),
+    pytest.param(partial(VadSpec, relative_threshold_db=math.nan), "relative_threshold_db",
+                 id="vad.relative_threshold_db-nan"),
+    pytest.param(partial(CurationConfig, snr_threshold_db=np.float32(20)), "snr_threshold_db",
+                 id="snr_threshold_db-float32"),
+    pytest.param(partial(StftConfig, window_len=2048.5), "window_len", id="stft.window_len-2048.5"),
+    pytest.param(partial(CurationConfig, stft={"window_len": 1024}), "stft", id="stft-dict"),
+    pytest.param(partial(EnhancerSpec, ["spectral_gate"]), "kind", id="enhancer.kind-list"),
+]
+
+
+@pytest.mark.parametrize("build, field", CONSTRUCTION_PROBES)
+def test_construction_probe_is_a_config_error(build, field):
+    with pytest.raises(ConfigError, match=field):
+        build()
+
+
+@pytest.mark.parametrize("overrides, config_hash", [
+    # a float subclass, which JSON writes as the float
+    pytest.param({"snr_threshold_db": np.float64(20.0)}, DEFAULT_HASH, id="snr_threshold_db-float64"),
+    # an integer is a number, and hashes as the integer it is written as
+    pytest.param({"frame_seconds": 1}, "ebb130c3cb4aca72cd598df09ec4cf8c8372e82dd0ee0768796a8e32adb499a7",
+                 id="frame_seconds-int"),
+])
+def test_accepted_construction_hashes_as_its_json(overrides, config_hash):
+    cfg = CurationConfig(**overrides)
+    assert cfg.config_hash() == config_hash
+    assert CurationConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))).config_hash() == config_hash
 
 
 def _record(**overrides) -> str:
@@ -312,6 +357,56 @@ def test_config_dicts_load_or_raise_config_error(data):
     except ConfigError:
         return
     again = CurationConfig.from_dict(json.loads(canonical_json(cfg.to_dict())))
+    assert again.config_hash() == cfg.config_hash()
+
+
+# values of each JSON type, of the types numpy gives, and some a config
+# field takes
+SCALARS = st.one_of(
+    st.integers(min_value=-(2**64), max_value=2**64),
+    st.floats(),
+    st.sampled_from([48e3, 44100.0, 2048.0, 512.0, 12.0, 1.0, 0.5, 20.0, -60.0, 0.02]),
+    st.sampled_from([48000, 16000, 2048, 1024, 512, 12, 1, 0]),
+    st.booleans(),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.text(max_size=3),
+    st.sampled_from(["hann", "energy", "always_on", "identity", "spectral_gate"]),
+)
+CONFIG_PARTS = {"config": CurationConfig, "stft": StftConfig, "vad": VadSpec, "enhancer": EnhancerSpec}
+SCALAR_FIELDS = [(part, name) for part, cls in CONFIG_PARTS.items()
+                 for name, ok, *_ in field_checks(cls) if ok]
+
+
+@st.composite
+def scalar_overrides(draw):
+    """Up to three scalar fields of the config and its parts, each drawn
+    from SCALARS."""
+    out = {part: {} for part in CONFIG_PARTS}
+    for part, name in draw(st.lists(st.sampled_from(SCALAR_FIELDS), max_size=3, unique=True)):
+        out[part][name] = draw(SCALARS)
+    return out
+
+
+def _overflow(**config):
+    return {"config": config, "stft": {}, "vad": {}, "enhancer": {}}
+
+
+@settings(max_examples=500, deadline=None)
+# float64 arithmetic that overflows warns, where float arithmetic gives inf
+@example(over=_overflow(frame_seconds=np.float64(1e308)))
+@example(over=_overflow(segment_seconds=np.float64(1e308), frame_seconds=0.5))
+@given(over=scalar_overrides())
+def test_config_built_from_any_scalars_round_trips_or_names_a_field(over):
+    try:
+        cfg = CurationConfig(**over["config"], stft=StftConfig(**over["stft"]), vad=VadSpec(**over["vad"]),
+                             enhancer=EnhancerSpec(**{"kind": "spectral_gate", **over["enhancer"]}))
+    except ValueError as exc:
+        assert any(name in str(exc) for _, name in SCALAR_FIELDS), exc
+        return
+    again = CurationConfig.from_dict(json.loads(json.dumps(cfg.to_dict(), allow_nan=False)))
+    assert again == cfg
     assert again.config_hash() == cfg.config_hash()
 
 
