@@ -34,7 +34,7 @@ from .audio_io import AudioBuffer, frame_len_samples, frame_matrix, read_wav, wh
 from . import dsp
 from .dsp import StftConfig, rms_db
 from .enhance import EnhancerSpec, enhance
-from .schema import ConfigError, canonical_json, check_fields, decode, encode, load_json, mismatch
+from .schema import ConfigError, all_finite, canonical_json, check_fields, decode, encode, load_json, mismatch
 from .vad import VadSpec, detect
 
 logger = logging.getLogger(__name__)
@@ -113,13 +113,6 @@ def load_config(path: str | Path) -> CurationConfig:
     return CurationConfig.from_dict(load_json(path))
 
 
-def _all_finite(values: Iterable[Any]) -> bool:
-    try:
-        return all(map(math.isfinite, values))
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 @dataclass
 class CuratedSegment:
     """One accepted fixed-duration block with its per-frame metadata.
@@ -167,10 +160,10 @@ class CuratedSegment:
             raise ValueError(f"segment span {span} not divisible into {n} frames")
         if self.start_sample % (span // n):
             raise ValueError(f"start_sample {self.start_sample} not aligned to frame length {span // n}")
-        if not _all_finite(self.frame_rho):
+        if not all_finite(self.frame_rho):
             raise ValueError("frame_rho contains non-finite values")
         fc = self.frame_fc
-        if not (_all_finite(fc) and 0 <= min(fc) and max(fc) <= self.sample_rate / 2):
+        if not (all_finite(fc) and 0 <= min(fc) and max(fc) <= self.sample_rate / 2):
             raise ValueError("frame_fc values outside [0, Nyquist]")
 
     def validate_against(self, cfg: CurationConfig) -> None:

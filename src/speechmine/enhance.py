@@ -27,7 +27,7 @@ import numpy as np
 
 from .audio_io import AudioBuffer, read_wav, write_wav
 from .dsp import _BLOCK_FRAMES, StftConfig, istft, stft
-from .schema import ConfigError, canonical_json, check_fields, check_params, encode
+from .schema import ConfigError, canonical_json, check_fields, check_kind, encode
 
 logger = logging.getLogger(__name__)
 
@@ -103,13 +103,15 @@ class EnhancerSpec:
 
     def __post_init__(self) -> None:
         check_fields(type(self), vars(self))
-        if self.kind not in ENHANCER_PARAMS:
-            raise ValueError(f"unknown enhancer kind {self.kind!r}; expected one of {tuple(ENHANCER_PARAMS)}")
-        check_params(self.params, ENHANCER_PARAMS[self.kind], f"{self.kind} enhancer")
+        check_kind(self.kind, self.params, ENHANCER_PARAMS, "enhancer")
         if self.kind == "spectral_gate":
-            att = self.params.get("attenuation_db", 0.0)
-            if att < 0:
-                raise ValueError(f"attenuation_db must be >= 0, got {att}")
+            if self.params.get("attenuation_db", 0.0) < 0:
+                raise ValueError(f"attenuation_db must be >= 0, got {self.params['attenuation_db']}")
+            try:  # the amplitude ratio spectral_gate_enhance gates by
+                10.0 ** (self.params.get("gate_threshold_db", 0.0) / 20.0)
+            except OverflowError as exc:
+                raise ValueError(f"gate_threshold_db {self.params['gate_threshold_db']} dB "
+                                 "overflows as an amplitude ratio") from exc
         elif self.kind == "oracle":
             if "reference_dir" not in self.params:
                 raise ValueError("oracle enhancer requires a reference_dir parameter")

@@ -13,9 +13,11 @@ encodes back to the same values. ``check_fields`` applies the checks: the
 config classes call it first thing when built, so a config that builds
 encodes to a text that decodes back to it, and
 ``CuratedSegment.from_json`` calls it on each manifest line, whose record
-then checks its own invariants, finiteness included. ``decode`` maps a
-JSON object onto a class's fields and builds it, and ``params`` takes
-every key the class does not declare.
+then checks its own invariants, finiteness included, by ``all_finite``,
+the one finiteness rule. ``check_kind`` checks a backend spec's kind and
+its ``params`` against the spec's table of kinds. ``decode`` maps a JSON
+object onto a class's fields and builds it, and ``params`` takes every
+key the class does not declare.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 import reprlib
 import typing
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 logger = logging.getLogger(__name__)
 
@@ -44,9 +46,11 @@ def _is_int(v: Any) -> bool:
     return type(v) is int and -INT_LIMIT <= v < INT_LIMIT
 
 
-def _is_number(v: Any) -> bool:
+def all_finite(values: Iterable[Any]) -> bool:
+    """Whether every value is a finite real number; an integer beyond the
+    float range is not."""
     try:
-        return (type(v) is int or isinstance(v, float)) and math.isfinite(v)
+        return all(map(math.isfinite, values))
     except OverflowError:  # an integer beyond the float range
         return False
 
@@ -54,7 +58,7 @@ def _is_number(v: Any) -> bool:
 # type hint -> (predicate, what it expects)
 _CHECKS: dict[Any, tuple[Callable[[Any], bool], str]] = {
     int: (_is_int, "an integer"),
-    float: (_is_number, "a finite number"),
+    float: (lambda v: (type(v) is int or isinstance(v, float)) and all_finite((v,)), "a finite number"),
     str: (lambda v: type(v) is str, "a string"),
     list[float]: (lambda v: type(v) is list and NUMBER_TYPES.issuperset(map(type, v)),
                   "a list of numbers"),
@@ -151,12 +155,19 @@ def load_json(path: str | Path, what: str = "config file") -> Any:
         raise ConfigError(f"{p}: {exc}") from exc
 
 
-def check_params(params: dict[str, Any], table: dict[str, type], what: str) -> None:
-    """Check a spec's per-kind parameters against its table of name -> type."""
-    unknown = sorted(map(str, params.keys() - table.keys()))
+def check_kind(kind: str, params: Any, kinds: dict[str, dict[str, type]], what: str) -> None:
+    """Raise ConfigError unless ``kind`` is a key of ``kinds`` and ``params``
+    is a dict whose every key that kind's table of name -> type names, with
+    a value of that type."""
+    if kind not in kinds:
+        raise ConfigError(f"unknown {what} kind {kind!r}; expected one of {tuple(kinds)}")
+    what = f"{kind} {what}"
+    if type(params) is not dict:
+        raise mismatch(f"{what} params", "a JSON object", params)
+    unknown = sorted(map(str, params.keys() - kinds[kind].keys()))
     if unknown:
         raise ConfigError(f"unknown {what} parameter(s): {', '.join(unknown)}")
     for name, value in params.items():
-        ok, expected = _CHECKS[table[name]]
+        ok, expected = _CHECKS[kinds[kind][name]]
         if not ok(value):
             raise mismatch(f"{what} {name}", expected, value)

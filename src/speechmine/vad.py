@@ -18,7 +18,7 @@ import numpy as np
 from .audio_io import AudioBuffer, frame_matrix
 from .dsp import FLOOR_DB, rms_db
 from .enhance import EXTERNAL_PARAMS, check_external, check_returned, run_exchange_command
-from .schema import check_fields, check_params
+from .schema import check_fields, check_kind
 
 # Every detector kind with the name and type of each parameter it takes
 # besides the windowing and threshold fields.
@@ -47,16 +47,17 @@ class VadSpec:
 
     def __post_init__(self) -> None:
         check_fields(type(self), vars(self))
-        if self.kind not in VAD_PARAMS:
-            raise ValueError(f"unknown VAD kind {self.kind!r}; expected one of {tuple(VAD_PARAMS)}")
-        check_params(self.params, VAD_PARAMS[self.kind], f"{self.kind} VAD")
+        check_kind(self.kind, self.params, VAD_PARAMS, "VAD")
         if self.window_seconds <= 0:
             raise ValueError(f"window_seconds must be positive, got {self.window_seconds}")
         if self.kind == "external":
             check_external(self.params, ("input", "output"), "VAD")
 
-    def window_samples(self, sample_rate: int) -> int:
-        return max(1, int(round(sample_rate * self.window_seconds)))
+    def window_samples(self, sample_rate: int, n: float = float("inf")) -> int:
+        """Samples in one window at ``sample_rate``, clamped before rounding
+        to ``n``, the buffer's length: a window at least as long as the
+        buffer is one window over all of it."""
+        return max(1, int(round(min(sample_rate * self.window_seconds, n))))
 
 
 def _window_rms_db(samples: np.ndarray, win: int) -> np.ndarray:
@@ -83,7 +84,7 @@ def _window_rms_db(samples: np.ndarray, win: int) -> np.ndarray:
 def energy_vad_windows(buf: AudioBuffer, spec: VadSpec) -> np.ndarray:
     """Per-window speech decisions (uint8): RMS must clear both the
     percentile noise floor plus the relative margin and the absolute floor."""
-    win = spec.window_samples(buf.sample_rate)
+    win = spec.window_samples(buf.sample_rate, len(buf))
     levels = _window_rms_db(buf.samples, win)
     noise_floor = np.percentile(levels, 10)
     threshold = max(noise_floor + spec.relative_threshold_db, spec.absolute_floor_db)
@@ -100,7 +101,7 @@ def detect(buf: AudioBuffer, spec: VadSpec) -> np.ndarray:
         out = run_exchange_command(inputs={"input": buf}, what="VAD", **spec.params)[1]
         return (check_returned(out, buf, "external VAD").samples >= 0.5).astype(np.uint8)
 
-    win = spec.window_samples(buf.sample_rate)
+    win = spec.window_samples(buf.sample_rate, n)
     decisions = energy_vad_windows(buf, spec)
     # one decision per window covers ceil(n / win) windows, so the repeat
     # always reaches n; the slice trims the tail window's replication

@@ -35,6 +35,15 @@ class TestEnhancerSpec:
         with pytest.raises(ValueError, match="attenuation"):
             EnhancerSpec("spectral_gate", {"attenuation_db": -3})
 
+    def test_gate_threshold_whose_ratio_overflows_rejected(self):
+        # 10 ** (1e308 / 20) failed every file with OverflowError; 300 dB still gates
+        with pytest.raises(ValueError, match="gate_threshold_db"):
+            EnhancerSpec("spectral_gate", {"gate_threshold_db": 1e308})
+        spec = EnhancerSpec("spectral_gate", {"gate_threshold_db": 300.0})
+        x = np.random.default_rng(0).normal(0, 0.1, 3 * FS)
+        y = enhance(AudioBuffer(x, FS), spec, StftConfig()).samples
+        assert len(y) == len(x) and np.isfinite(y).all()
+
     def test_oracle_requires_reference_dir(self):
         with pytest.raises(ValueError, match="reference_dir"):
             EnhancerSpec("oracle")

@@ -62,6 +62,9 @@ CONFIG_PROBES = [
     pytest.param({"snr_threshold_db": 10**400}, "snr_threshold_db", id="snr_threshold_db-10**400"),
     # hop 1 holds for a window of 1, so only the window_len check rejects it
     pytest.param({"stft": {"window_len": 1, "hop": 1}}, "window_len", id="stft.window_len-1"),
+    # its amplitude ratio overflows a float, which failed every file
+    pytest.param({"enhancer": {"kind": "spectral_gate", "gate_threshold_db": 1e308}}, "gate_threshold_db",
+                 id="enhancer.gate_threshold_db-1e308"),
 ]
 
 
@@ -95,6 +98,10 @@ CONSTRUCTION_PROBES = [
     pytest.param(partial(StftConfig, window_len=2048.5), "window_len", id="stft.window_len-2048.5"),
     pytest.param(partial(CurationConfig, stft={"window_len": 1024}), "stft", id="stft-dict"),
     pytest.param(partial(EnhancerSpec, ["spectral_gate"]), "kind", id="enhancer.kind-list"),
+    # params that are not a dict, which raised AttributeError
+    pytest.param(partial(EnhancerSpec, "identity", None), "params", id="enhancer.params-none"),
+    pytest.param(partial(EnhancerSpec, "spectral_gate", [1]), "params", id="enhancer.params-list"),
+    pytest.param(partial(VadSpec, params=[1]), "params", id="vad.params-list"),
 ]
 
 

@@ -70,6 +70,15 @@ class TestDetect:
         mask = detect(short, spec)
         assert len(mask) == 100
 
+    @pytest.mark.parametrize("seconds", [100.0, 1e308])
+    def test_window_longer_than_the_buffer_is_one_window(self, seconds):
+        # the repeat allocated the whole window (4.8 MB for 100 s), and 1e308 s overflowed
+        buf = AudioBuffer(np.random.default_rng(0).uniform(-0.5, 0.5, 1000), FS)
+        spec = VadSpec(window_seconds=seconds)
+        mask = detect(buf, spec)
+        assert mask.dtype == np.uint8 and mask.shape == (1000,) and not mask.any()
+        assert traced_peak(lambda: detect(buf, spec)) <= 2 * traced_peak(lambda: detect(buf, VadSpec()))
+
     @pytest.mark.parametrize("kind", ["energy", "always_on"])
     def test_empty_buffer_gives_empty_mask(self, kind):
         mask = detect(AudioBuffer(np.zeros(0), FS), VadSpec(kind=kind))
