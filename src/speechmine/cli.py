@@ -7,7 +7,10 @@ number of worker threads, which changes no output. Other subcommands' flags
 may change their own outputs, never a manifest: synth's flags set the
 corpus it writes, eval's --metric the score, report's --bin-width the
 histogram bins, export-ab's --min-rho and --max-rho the segments it
-exports, and --enhancer-config the enhancer and STFT of eval and export-ab.
+exports (applied as the manifest is read: a line whose frame_rho values,
+scanned before the line is decoded, prove it out of bounds is passed over,
+and not reported even if malformed), and --enhancer-config the enhancer
+and STFT of eval and export-ab.
 Each command makes its output location (--out, curate's --manifest) before
 it does any work; report makes it once every manifest has been read.
 Set SECP_LOG to change the log level. Exit codes: 0 success, 2 bad user
@@ -243,7 +246,7 @@ def cmd_export_ab(args: argparse.Namespace) -> int:
     if args.min_rho is not None and args.max_rho is not None and args.min_rho > args.max_rho:
         raise ConfigError(f"--min-rho {args.min_rho} is above --max-rho {args.max_rho}; "
                           "no segment could be selected")
-    reader = ManifestReader(args.manifest)
+    reader = ManifestReader(args.manifest, args.min_rho, args.max_rho)
     override = _enhancement_from_file(args.enhancer_config) if args.enhancer_config else None
     _make_dir(args.out, "--out")
     # filtered as it is read: only the selected records are held

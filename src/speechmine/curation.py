@@ -20,6 +20,7 @@ import json
 import logging
 import math
 import os
+import re
 import uuid
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -463,6 +464,54 @@ def append_manifest(path: str | Path, segments: Sequence[CuratedSegment]) -> Non
             fh.write(seg.to_json() + "\n")
 
 
+_RHO_NAME = json.dumps("frame_rho").encode()
+# a \u escape of one of the letters of frame_rho, which could spell the name another way
+_ESCAPED_NAME_LETTER = re.compile(rb"\\u00(?:5[fF]|6[1568dDfF]|72)")
+
+
+def _rho_key() -> bytes:
+    """The text to_json writes before a record's frame_rho values, read off
+    a line it writes: the field's name up to the list's opening bracket."""
+    line = CuratedSegment("", 0, 0, 1, 1, [0.0], [0.0], "", "").to_json()
+    start = line.index(_RHO_NAME.decode())
+    return line[start : line.index("[", start) + 1].encode()
+
+
+_RHO_KEY = _rho_key()
+
+
+def _rho_out_of_bounds(raw: bytes, lo: float, hi: float) -> bool:
+    """Whether a raw manifest line provably holds a frame_rho value, a
+    finite number, below ``lo`` or above ``hi``; read without decoding it.
+
+    The proof needs the name "frame_rho" to occur exactly once in the line,
+    as the key to_json writes, with none of its letters escaped, so no other
+    key of the line can decode to the same name and replace its value. The
+    values are then read one at a time, up to the first ``]``, by ``float``.
+    For a JSON number that is the value ``json.loads`` gives, rounded to a
+    float; rounding keeps order, so a value out of the (float) bounds after
+    rounding was out of them before. A value that is not a number, or not
+    finite, ends the scan undecided; so does a line of any other shape.
+    """
+    if raw.count(_RHO_NAME) != 1 or _ESCAPED_NAME_LETTER.search(raw):
+        return False
+    start = raw.find(_RHO_NAME)
+    if not raw.startswith(_RHO_KEY, start):
+        return False
+    start += len(_RHO_KEY)
+    end = raw.find(b"]", start)
+    if end < 0:
+        return False
+    for token in raw[start:end].split(b","):
+        try:
+            r = float(token)
+        except ValueError:
+            return False
+        if not lo <= r <= hi:
+            return math.isfinite(r)
+    return False
+
+
 class ManifestReader:
     """The valid records of a JSONL manifest, streamed in file order.
 
@@ -470,18 +519,38 @@ class ManifestReader:
     reads the file once and holds one line at a time. A malformed line is
     skipped with a warning and counted in ``skipped``; a pass that skipped
     any logs one summary line for the manifest.
+
+    ``min_rho`` and ``max_rho`` (compared as floats) push
+    ``filter_manifest``'s bounds into the read: a line that
+    ``_rho_out_of_bounds`` proves out of bounds is passed over undecoded,
+    and neither warned about nor counted, whether or not it is a valid
+    record, since no such line could be selected. Every other line is read
+    as without bounds, so the reader still yields records out of bounds,
+    and ``filter_manifest`` stays the one exact selection.
     """
 
-    def __init__(self, path: str | Path) -> None:
+    def __init__(
+        self,
+        path: str | Path,
+        min_rho: float | None = None,
+        max_rho: float | None = None,
+    ) -> None:
         if not Path(path).is_file():
             raise ConfigError(f"manifest not found: {Path(path)}")
         self.path = path
         self.skipped = 0
+        self._bounds = None if min_rho is None and max_rho is None else (
+            -math.inf if min_rho is None else float(min_rho),
+            math.inf if max_rho is None else float(max_rho),
+        )
 
     def __iter__(self) -> Iterator[CuratedSegment]:
         self.skipped = 0
+        bounds = self._bounds
         with open(self.path, "rb") as fh:  # decoded per line, so a bad byte costs one record
             for lineno, raw in enumerate(fh, start=1):
+                if bounds is not None and _rho_out_of_bounds(raw, *bounds):
+                    continue
                 try:
                     line = raw.decode("utf-8")
                     if line.isspace():

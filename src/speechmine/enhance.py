@@ -189,7 +189,8 @@ def _gate(values: np.ndarray, scored: slice, threshold: float, gain: float) -> N
     for b in range(0, bins, _GATE_BINS):
         rows = mag[: min(_GATE_BINS, bins - b)]
         np.abs(floor_rows[:, b : b + _GATE_BINS], out=rows.T)
-        np.multiply(_floor_10th(rows), threshold, out=limit[b : b + _GATE_BINS])
+        with np.errstate(over="ignore"):  # an infinite limit gates every cell of the bin
+            np.multiply(_floor_10th(rows), threshold, out=limit[b : b + _GATE_BINS])
     for t in range(0, steps, _BLOCK_FRAMES):
         block = values[t : t + _BLOCK_FRAMES]
         np.multiply(block, gain, out=block, where=np.abs(block) < limit)

@@ -15,7 +15,7 @@ import speechmine
 from helpers import make_segment
 from speechmine.audio_io import AudioBuffer, read_wav, write_wav
 from speechmine.cli import build_parser, main
-from speechmine.curation import CurationConfig, append_manifest, load_manifest
+from speechmine.curation import CuratedSegment, CurationConfig, append_manifest, load_manifest
 from speechmine.dsp import StftConfig
 from speechmine.enhance import EnhancerSpec, enhance
 from speechmine.evalgen import NOISE_KINDS, EvalTriple, NoiseSpec, delta_quality, inject_noise, synth_clean
@@ -227,6 +227,27 @@ class TestEvalReportExport:
                      "--min-rho", "45"]) == 0
         assert len(list(out.glob("*.wav"))) == 4  # both identity segments score 100
 
+    def test_export_ab_bounds_pass_over_the_writers_lines_undecoded(self, tmp_path, monkeypatch, capsys):
+        # every record's first frame is below the bound, so the scan of the
+        # line append_manifest wrote proves it out of bounds
+        n = 5
+        manifest = tmp_path / "m.jsonl"
+        append_manifest(manifest, [
+            make_segment(source_uri=str(tmp_path / "missing.wav"), start_sample=i * 12 * FS,
+                         end_sample=(i + 1) * 12 * FS, frame_rho=[10.0] + [60.0] * 11)
+            for i in range(n)
+        ])
+        from_json = CuratedSegment.from_json.__func__
+        decoded = []
+        monkeypatch.setattr(CuratedSegment, "from_json",
+                            classmethod(lambda cls, line: decoded.append(line) or from_json(cls, line)))
+        assert main(["export-ab", "--manifest", str(manifest), "--out", str(tmp_path / "a"),
+                     "--min-rho", "50"]) == 0
+        assert "exported 0 A/B pair(s)" in capsys.readouterr().out
+        assert decoded == []
+        assert main(["export-ab", "--manifest", str(manifest), "--out", str(tmp_path / "b")]) == 0
+        assert len(decoded) == n
+
     def test_export_ab_tags_sources_whose_paths_are_not_utf8(self, tmp_path):
         cfg = write_config(tmp_path)
         name = os.fsdecode(b"x\xff.wav")  # the byte 0xff surrogate-escaped
@@ -270,6 +291,9 @@ class TestEvalReportExport:
     @pytest.mark.parametrize("argv", [
         pytest.param(["report", "{manifest}", "--out", "{tmp}/out"], id="report"),
         pytest.param(["export-ab", "--manifest", "{manifest}", "--out", "{tmp}/out"], id="export-ab"),
+        # the line has no frame_rho the bounded scan can read, so it is still decoded
+        pytest.param(["export-ab", "--manifest", "{manifest}", "--out", "{tmp}/out", "--min-rho", "0"],
+                     id="export-ab-min-rho"),
     ])
     def test_manifest_line_nested_too_deep_is_skipped_and_counted(self, tmp_path, caplog, argv):
         manifest, _ = self._one_record_round(tmp_path)

@@ -4,13 +4,14 @@ manifests and A/B export."""
 import dataclasses
 import hashlib
 import json
+import math
 import shutil
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -31,6 +32,7 @@ from speechmine.curation import (
     ConfigError,
     CurationConfig,
     CuratedSegment,
+    ManifestReader,
     append_manifest,
     bandwidth_gate,
     curate_file,
@@ -49,7 +51,7 @@ from speechmine.curation import (
 from speechmine.dsp import StftConfig, estimate_cutoff
 from speechmine.enhance import EnhancerSpec, enhance
 from speechmine.evalgen import NoiseSpec, inject_noise, synth_clean
-from speechmine.schema import canonical_json, decode
+from speechmine.schema import all_finite, canonical_json, decode
 from speechmine.vad import VadSpec, detect
 
 FS = 48000
@@ -282,6 +284,114 @@ class TestManifest:
                 and (max_rho is None or max(s.frame_rho) <= max_rho)
             ]
             assert got == want
+
+
+# rho values on and around the bounds below, and the smallest of each sign
+RHO = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 30.0, 50.0, 30, 50, 29, 51]),
+    st.floats(-100.0, 100.0),
+    st.integers(-100, 100),
+)
+BOUND = st.one_of(st.none(), st.sampled_from([-math.inf, math.inf, 0.0, -0.0, 5e-324, 30.0, 50.0]),
+                  st.floats(-100.0, 100.0))
+KEY = '"frame_rho": ['
+SPELLINGS = {"standard": KEY, "compact": '"frame_rho":[', "spaced": '"frame_rho" : [',
+             "escaped": '"frame\\u005frho": [', "escaped-first": '"\\u0066rame_rho": ['}
+# frame_rho values as raw text, and the values written where json.loads
+# fails on the line; it reads NaN and Infinity
+RHO_TEXTS = {"[NaN]": None, "[1e400]": None, "[-1e400]": None, "[Infinity, 1.0]": None,
+             "[-Infinity]": None, "[1.0, NaN, 99.0]": None, "[" + "9" * 400 + "]": None,
+             "[-" + "9" * 400 + "]": None, "[true]": None, "[[1.0], 99.0]": None, "[]": None,
+             '["60"]': None, "[99.0,": [99.0], "[1.0] ]": [1.0]}
+SPELLING = st.sampled_from(list(SPELLINGS))
+LINE_KIND = st.one_of(
+    st.sampled_from(["record", "compact", "uri-holds-key", "uri-ends-in-name", "non-utf8", "truncated",
+                     "blank"]),
+    st.sampled_from([f"rho:{t}" for t in RHO_TEXTS]),
+    st.tuples(SPELLING, SPELLING).map(lambda ab: "dup:{}:{}".format(*ab)),
+    SPELLING.map(lambda a: f"only:{a}"),
+)
+
+
+def _manifest_line(kind, rho, other):
+    """One manifest line of ``kind`` for a record of ``len(rho)`` frames,
+    and the frame_rho values it holds: those ``json.loads`` keeps, or, for
+    a line that does not parse, those written."""
+    n = len(rho)
+    seg = make_segment(start_sample=0, end_sample=n * 1000, frame_rho=[0.0] * n, frame_fc=[100.0] * n)
+    rec = dict(vars(seg), frame_rho=rho)
+    line = json.dumps(rec)
+    if kind == "compact":
+        line = json.dumps(rec, separators=(",", ":"))
+    elif kind in ("uri-holds-key", "uri-ends-in-name"):
+        uri = 'x"frame_rho": [1' if kind == "uri-holds-key" else 'x"frame_rho'
+        line = json.dumps(dict(rec, source_uri=uri))
+    elif kind == "non-utf8":
+        return line.encode().replace(b"/tmp", b"/t\xffmp") + b"\n", rho
+    elif kind == "truncated":
+        line = line[:-3]
+    elif kind == "blank":
+        return b"  \n", None
+    elif kind.startswith("rho:"):
+        text = kind[4:]
+        line = line.replace(KEY + json.dumps(rho)[1:], KEY + text[1:])
+        rho = RHO_TEXTS[text] or json.loads(text)
+    elif kind.startswith("dup:"):  # the later key's value is the one json.loads keeps
+        first, second = kind.split(":")[1:]
+        decoy = SPELLINGS[first] + json.dumps(other)[1:]
+        line = "{" + decoy + ", " + line[1:].replace(KEY, SPELLINGS[second])
+    elif kind.startswith("only:"):
+        line = line.replace(KEY, SPELLINGS[kind[5:]])
+    return line.encode() + b"\n", rho
+
+
+def _out_of_bounds(values, lo, hi):
+    """Whether a frame_rho holds a finite number below lo or above hi."""
+    return isinstance(values, list) and any(
+        type(v) in (int, float) and all_finite([v])
+        and ((lo is not None and v < lo) or (hi is not None and v > hi))
+        for v in values
+    )
+
+
+def _malformed(raw):
+    """Whether a full read of the manifest line skips and counts it."""
+    try:
+        CuratedSegment.from_json(raw.decode("utf-8"))
+    except (ValueError, TypeError, RecursionError):
+        return not raw.isspace()
+    return False
+
+
+class TestBoundedRead:
+    """ManifestReader with export-ab's bounds passes over lines it proves out
+    of bounds without decoding them, and selects what a full read selects."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(st.tuples(LINE_KIND, st.lists(RHO, min_size=1, max_size=3),
+                                 st.lists(RHO, min_size=1, max_size=3)), max_size=6),
+        lo=BOUND,
+        hi=BOUND,
+    )
+    # the key written twice: json.loads keeps the second value, however the
+    # second key is spelled, so the scan must not judge the line by the first
+    @example(lines=[(f"dup:standard:{b}", [40.0], [60.0]) for b in SPELLINGS], lo=None, hi=50.0)
+    @example(lines=[(f"dup:standard:{b}", [40.0], [20.0]) for b in SPELLINGS], lo=30.0, hi=None)
+    # values that are not finite leave the line to the decoder, which counts it
+    @example(lines=[(f"rho:{t}", [1.0], [1.0]) for t in RHO_TEXTS], lo=None, hi=50.0)
+    def test_selects_what_a_full_read_selects(self, tmp_path_factory, lines, lo, hi):
+        built = [_manifest_line(*line) for line in lines]
+        path = tmp_path_factory.getbasetemp() / "bounded.jsonl"
+        path.write_bytes(b"".join(raw for raw, _ in built))
+        reader = ManifestReader(path, lo, hi)
+        got = filter_manifest(reader, lo, hi)
+        full, skipped = load_manifest(path)
+        assert [vars(s) for s in got] == [vars(s) for s in filter_manifest(full, lo, hi)]
+        # only a malformed line whose frame_rho holds a finite value out of
+        # bounds may go uncounted
+        provable = sum(_out_of_bounds(rho, lo, hi) for raw, rho in built if _malformed(raw))
+        assert skipped - provable <= reader.skipped <= skipped
 
 
 class TestConfig:

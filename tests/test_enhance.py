@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -43,6 +44,15 @@ class TestEnhancerSpec:
         x = np.random.default_rng(0).normal(0, 0.1, 3 * FS)
         y = enhance(AudioBuffer(x, FS), spec, StftConfig()).samples
         assert len(y) == len(x) and np.isfinite(y).all()
+
+    def test_gate_threshold_whose_limit_overflows_gates_every_cell_silently(self):
+        # floor x 10 ** (6165 / 20) overflows to inf, which gates every cell
+        spec = EnhancerSpec("spectral_gate", {"gate_threshold_db": 6165.0})
+        x = np.random.default_rng(0).normal(0, 0.1, FS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = enhance(AudioBuffer(x, FS), spec, StftConfig()).samples
+        np.testing.assert_allclose(y, 0.01 * x, rtol=0, atol=1e-12)
 
     def test_oracle_requires_reference_dir(self):
         with pytest.raises(ValueError, match="reference_dir"):
