@@ -1,16 +1,17 @@
 """Curation engine: per-frame SNR scoring, gating, segment extraction and
 round orchestration.
 
-Each file is enhanced, the VAD runs on the enhanced signal, and all three
+A file is curated in two steps. Step 1, score_file, scores its frames:
+the file is enhanced, the VAD runs on the enhanced signal, and all three
 sequences are cut into fixed frames. A frame's SNR estimate is the
 enhanced level minus the residual (input minus enhanced) level, on the
 assumption that the enhancer removed only noise. Frames must clear both
-the SNR gate and the bandwidth gate, in that order. curate_file then takes
-one run of SNR-passing frames long enough for a segment at a time, the
-only frames that can still be curated: it scores the run's bandwidth,
-tiles the run's frames that pass into fixed-duration segments and builds
-their records. The records are appended to a JSONL manifest, one round at
-a time.
+the SNR gate and the bandwidth gate, in that order, so the bandwidth is
+scored only on runs of SNR-passing frames long enough for a segment, the
+only frames that can still be curated. Step 2, curate_file, tiles each
+run's frames that pass into fixed-duration segments and builds their
+records. The records are appended to a JSONL manifest, one round at a
+time.
 """
 
 from __future__ import annotations
@@ -263,9 +264,10 @@ def bandwidth_gate(
     a bool and a float array, so the cutoffs can be stored as segment
     metadata.
 
-    curate_file calls it last, once per run of SNR-passing frames long
-    enough for a segment, so only frames that can still be curated are
-    scored."""
+    score_file, step 1 of curation, calls it last, once per run of
+    SNR-passing frames long enough for a segment, so only frames that can
+    still be curated are scored; curate_file, step 2, tiles the frames
+    that pass."""
     # looked up on dsp at each call, so a wrapper set on dsp.estimate_cutoff sees every call
     cutoff_hz = np.array([dsp.estimate_cutoff(frame, sample_rate, cfg) for frame in xhat_frames])
     return cutoff_hz >= min_bandwidth_hz, cutoff_hz
@@ -401,24 +403,20 @@ def round_totals(
     return dict(sorted(seconds.items())), hist
 
 
-def curate_file(buf: AudioBuffer, cfg: CurationConfig) -> list[CuratedSegment]:
-    """Run the full per-file pipeline; returns the accepted segments.
+def score_file(
+    buf: AudioBuffer, cfg: CurationConfig,
+) -> tuple[np.ndarray, list[tuple[int, np.ndarray, np.ndarray]]]:
+    """Step 1 of curation: score a file's frames. Returns ``(rho, runs)``.
 
     The file is enhanced, the VAD runs on the enhanced signal, and every
-    whole frame gets an SNR estimate (rho_hat), -inf where the frame is
-    less than half speech. One loop then takes each maximal run of
-    SNR-passing frames at least one segment long, and for that run alone:
-
-    1. scores the bandwidth gate on the run's frames;
-    2. tiles the run's frames that pass it into segments;
-    3. builds each segment's record from the run's SNR estimates and cutoffs.
+    whole frame gets an SNR estimate (rho_hat) in ``rho``, -inf where the
+    frame is less than half speech. Each maximal run of SNR-passing frames
+    at least one segment long is then scored by the bandwidth gate, and
+    ``runs`` holds ``(first_frame, passing, cutoffs)`` for each of them in
+    order: the run's bandwidth decisions and cutoffs, one per frame.
 
     A frame outside these runs can never be in a segment, so scoring only
     the runs gives the segments and cutoffs that scoring every frame gives.
-
-    The records hold ``validate_against(cfg)`` by construction, so it is not
-    called: every frame passed both gates, and a record spans k frames of
-    cfg.frame_len samples. ``__post_init__`` checks what needs no config.
     """
     if buf.sample_rate != cfg.sample_rate:
         raise ValueError(
@@ -434,25 +432,42 @@ def curate_file(buf: AudioBuffer, cfg: CurationConfig) -> list[CuratedSegment]:
     v = frame_matrix(mask, flen)
 
     rho = np.array([rho_hat(*frames, cfg.rho_max_db) for frames in zip(x, xhat, v)])
-    k = cfg.frames_per_segment
+    runs = _accepted_runs(snr_gate(rho, cfg.snr_threshold_db), cfg.frames_per_segment)
+    return rho, [(a, *bandwidth_gate(xhat[a:e], cfg.sample_rate, cfg.min_bandwidth_hz, cfg.stft))
+                 for a, e in runs]
+
+
+def curate_file(buf: AudioBuffer, cfg: CurationConfig) -> list[CuratedSegment]:
+    """Run the full per-file pipeline; returns the accepted segments.
+
+    Step 1, ``score_file``, scores the file's frames. Step 2, here, tiles
+    the frames of each scored run that pass the bandwidth gate into
+    segments (extract_segments) and builds each segment's record from the
+    run's SNR estimates and cutoffs.
+
+    The records hold ``validate_against(cfg)`` by construction, so it is not
+    called: every frame passed both gates, and a record spans k frames of
+    cfg.frame_len samples. ``__post_init__`` checks what needs no config.
+    """
+    rho, runs = score_file(buf, cfg)
+    flen = cfg.frame_len
     config_hash = cfg.config_hash()
     enhancer_id = cfg.enhancer.identifier()
-    segments = []
-    for a, e in _accepted_runs(snr_gate(rho, cfg.snr_threshold_db), k):
-        passing, cutoffs = bandwidth_gate(xhat[a:e], cfg.sample_rate, cfg.min_bandwidth_hz, cfg.stft)
-        for f0, f1 in extract_segments(passing, k):  # frames of the run, not of the file
-            segments.append(CuratedSegment(
-                source_uri=buf.source or "<memory>",
-                round_id=cfg.round_id,
-                start_sample=(a + f0) * flen,
-                end_sample=(a + f1) * flen,
-                sample_rate=cfg.sample_rate,
-                frame_rho=rho[a + f0 : a + f1].tolist(),
-                frame_fc=cutoffs[f0:f1].tolist(),
-                config_hash=config_hash,
-                enhancer_id=enhancer_id,
-            ))
-    return segments
+    return [
+        CuratedSegment(
+            source_uri=buf.source or "<memory>",
+            round_id=cfg.round_id,
+            start_sample=(a + f0) * flen,
+            end_sample=(a + f1) * flen,
+            sample_rate=cfg.sample_rate,
+            frame_rho=rho[a + f0 : a + f1].tolist(),
+            frame_fc=cutoffs[f0:f1].tolist(),
+            config_hash=config_hash,
+            enhancer_id=enhancer_id,
+        )
+        for a, passing, cutoffs in runs
+        for f0, f1 in extract_segments(passing, cfg.frames_per_segment)  # run frames, not file frames
+    ]
 
 
 def append_manifest(path: str | Path, segments: Sequence[CuratedSegment]) -> None:

@@ -172,8 +172,10 @@ def estimate_cutoff(frame: np.ndarray, sample_rate: int, cfg: StftConfig) -> flo
     """Spectral cutoff of one frame: the highest bin whose time-averaged log
     magnitude stays within ROLLOFF_DB of the strongest bin.
 
-    Returns the bin's center frequency in Hz; a frame that is entirely at
-    the silence floor yields 0.0.
+    Returns the bin's center frequency in Hz, at most Nyquist: the top
+    bin's ``bin * (rate / window_len)`` can round above it when window_len
+    is not a power of two. A frame that is entirely at the silence floor
+    yields 0.0.
     """
     mag = np.abs(stft(frame, cfg))
     np.maximum(mag, RMS_FLOOR, out=mag)
@@ -183,4 +185,4 @@ def estimate_cutoff(frame: np.ndarray, sample_rate: int, cfg: StftConfig) -> flo
     if peak <= FLOOR_DB + 1e-9:
         return 0.0
     passing = np.flatnonzero(avg_db >= peak - ROLLOFF_DB)
-    return float(passing[-1] * (sample_rate / cfg.window_len))
+    return float(min(passing[-1] * (sample_rate / cfg.window_len), sample_rate / 2))

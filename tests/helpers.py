@@ -216,6 +216,80 @@ def reference_window_rms_db(samples: np.ndarray, win: int) -> np.ndarray:
     return np.concatenate(levels)
 
 
+# Reference pipeline: curate_file composed from the reference kernels above,
+# with the VAD threshold, per-frame SNR estimates, the run rule and the
+# tiling written as plain loops. A change that moves curated output on
+# purpose changes this reference in the same diff.
+
+
+def reference_level_db(x: np.ndarray) -> float:
+    """RMS level in dB, the RMS floored at 1e-10 (-200 dB)."""
+    return 20.0 * math.log10(max(math.sqrt(np.mean(np.square(x))), 1e-10))
+
+
+def reference_cutoff(frame: np.ndarray, sample_rate: int, cfg: StftConfig) -> float:
+    """The centre frequency of the highest bin whose mean log magnitude
+    over the frame's STFT steps is within 35 dB of the strongest bin's, at
+    most Nyquist; 0.0 for a frame at the silence floor."""
+    avg_db = 20.0 * np.log10(np.maximum(np.abs(reference_stft(frame, cfg)), 1e-10)).mean(axis=1)
+    peak = avg_db.max()
+    if peak <= -200.0 + 1e-9:
+        return 0.0
+    top = max(b for b in range(avg_db.size) if avg_db[b] >= peak - 35.0)
+    return min(top * (sample_rate / cfg.window_len), sample_rate / 2)
+
+
+def reference_curate_file(buf: AudioBuffer, cfg) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+    """What curate_file computes for ``buf`` under ``cfg`` (a CurationConfig
+    with an identity or spectral_gate enhancer and an always_on or energy
+    VAD): each whole frame's SNR estimate; the cutoff of each frame in a
+    run of SNR-passing frames at least one segment long, NaN elsewhere; and
+    the (first, end) frame spans of the segments."""
+    n, rate = len(buf), buf.sample_rate
+    x = buf.samples
+    if cfg.enhancer.kind == "identity" or n < cfg.stft.window_len:
+        xhat = x.copy()
+    else:
+        params = {"gate_threshold_db": 20.0, "attenuation_db": 40.0, **cfg.enhancer.params}
+        xhat = reference_spectral_gate_enhance(buf, params["gate_threshold_db"],
+                                               params["attenuation_db"], cfg.stft).samples
+    mask = np.ones(n)
+    if cfg.vad.kind == "energy":
+        win = max(1, int(round(min(rate * cfg.vad.window_seconds, n))))
+        levels = reference_window_rms_db(xhat, win)
+        threshold = max(np.percentile(levels, 10) + cfg.vad.relative_threshold_db,
+                        cfg.vad.absolute_floor_db)
+        for i, level in enumerate(levels):
+            mask[i * win : (i + 1) * win] = level >= threshold
+
+    flen, k = cfg.frame_len, cfg.frames_per_segment
+    count = n // flen
+    rho = np.full(count, -np.inf)
+    for i in range(count):
+        f = slice(i * flen, (i + 1) * flen)
+        if mask[f].mean() >= 0.5:
+            rho[i] = min(reference_level_db(xhat[f]) - reference_level_db(x[f] - xhat[f]),
+                         cfg.rho_max_db)
+
+    fc = np.full(count, np.nan)
+    start = 0
+    for i in range(count + 1):
+        if i < count and rho[i] > cfg.snr_threshold_db:
+            continue
+        if i - start >= k:
+            for j in range(start, i):
+                fc[j] = reference_cutoff(xhat[j * flen : (j + 1) * flen], rate, cfg.stft)
+        start = i + 1
+
+    spans, run = [], 0
+    for i in range(count):
+        run = run + 1 if fc[i] >= cfg.min_bandwidth_hz else 0  # NaN: not in a scored run
+        if run == k:
+            spans.append((i + 1 - k, i + 1))
+            run = 0
+    return rho, fc, spans
+
+
 # Reference WAV codec: the chunk-copying reader with one decode branch per
 # codec and the writer with one encode branch per codec, kept as they were
 # before the single CODECS table. The production codec must decode the same

@@ -46,9 +46,10 @@ from speechmine.curation import (
     rho_hat,
     round_totals,
     run_round,
+    score_file,
     snr_gate,
 )
-from speechmine.dsp import StftConfig, estimate_cutoff
+from speechmine.dsp import StftConfig, estimate_cutoff, rms_db
 from speechmine.enhance import EnhancerSpec, enhance
 from speechmine.evalgen import NoiseSpec, inject_noise, synth_clean
 from speechmine.schema import all_finite, canonical_json, decode
@@ -490,6 +491,28 @@ class TestCurateFile:
         cfg = CurationConfig(enhancer=EnhancerSpec("identity"), vad=VadSpec(kind="always_on"))
         segments = curate_file(synth_clean(11.0, FS, seed=22), cfg)
         assert segments == []
+
+
+class TestScoreFile:
+    def test_oracle_scores_each_frame_at_its_true_snr(self, tmp_path):
+        """The oracle enhancer returns the clean signal, so under the
+        always_on VAD a frame's SNR estimate is its true SNR, the clean
+        level minus the noise level, capped at rho_max_db."""
+        clean = synth_clean(6.0, FS, seed=52)
+        levels = frame_matrix(clean.samples, FS).std(axis=1)
+        noise = np.concatenate([white_noise(FS, lvl * 10 ** (-snr / 20), np.random.default_rng(i))
+                                for i, (lvl, snr) in enumerate(zip(levels, [10, 20, 35, 45, 60, 80]))])
+        (tmp_path / "ref").mkdir()
+        write_wav(tmp_path / "ref" / "mix.wav", clean)
+        write_wav(tmp_path / "mix.wav", AudioBuffer(clean.samples + noise, FS))
+        cfg = CurationConfig(rho_max_db=50.0, vad=VadSpec("always_on"),
+                             enhancer=EnhancerSpec("oracle", {"reference_dir": str(tmp_path / "ref")}))
+        noisy, clean = read_wav(tmp_path / "mix.wav"), read_wav(tmp_path / "ref" / "mix.wav")
+        rho, _ = score_file(noisy, cfg)
+        x, s = frame_matrix(noisy.samples, FS), frame_matrix(clean.samples, FS)
+        true_snr = rms_db(s) - rms_db(x - s)
+        assert rho.shape == (6,) and (true_snr > cfg.rho_max_db).sum() == 2
+        assert np.all(np.abs(rho - np.minimum(true_snr, cfg.rho_max_db)) <= 1e-9), (rho, true_snr)
 
 
 def frame_scores(buf, enhanced, cfg):

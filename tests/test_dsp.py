@@ -163,6 +163,12 @@ class TestEstimateCutoff:
         fc = estimate_cutoff(rng.standard_normal(FS), FS, StftConfig())
         assert fc >= 0.95 * FS / 2
 
+    def test_top_bin_is_nyquist_exactly(self):
+        # 299 * (11360 / 598) rounds to 5680.000000000001, above Nyquist
+        rng = np.random.default_rng(10)
+        fc = estimate_cutoff(rng.standard_normal(2840), 11360, StftConfig(window_len=598, hop=149))
+        assert fc == 5680.0
+
     def test_silence_is_zero(self):
         assert estimate_cutoff(np.zeros(FS), FS, StftConfig()) == 0.0
 
