@@ -179,7 +179,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         try:
             clean = read_wav(clean_path)
             noisy = read_wav(noisy_path)
-            triple = EvalTriple.from_components(clean, noisy, enhance(noisy, cfg.enhancer, cfg.stft))
+            triple = EvalTriple(clean, noisy, enhance(noisy, cfg.enhancer, cfg.stft))
             delta = delta_quality(triple, args.metric)
         except (WavError, EnhancerError, ValueError) as exc:
             skipped += 1

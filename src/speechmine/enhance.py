@@ -107,8 +107,10 @@ class EnhancerSpec:
         if self.kind == "spectral_gate":
             if self.params.get("attenuation_db", 0.0) < 0:
                 raise ValueError(f"attenuation_db must be >= 0, got {self.params['attenuation_db']}")
-            try:  # the amplitude ratio spectral_gate_enhance gates by
-                10.0 ** (self.params.get("gate_threshold_db", 0.0) / 20.0)
+            # the amplitude ratio spectral_gate_enhance gates by, as a float, whose
+            # power raises where a numpy float's gives inf
+            try:
+                10.0 ** (float(self.params.get("gate_threshold_db", 0.0)) / 20.0)
             except OverflowError as exc:
                 raise ValueError(f"gate_threshold_db {self.params['gate_threshold_db']} dB "
                                  "overflows as an amplitude ratio") from exc

@@ -54,39 +54,33 @@ class NoiseSpec:
             raise ConfigError(f"snr_clip: must satisfy min < max, got {self.snr_clip}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalTriple:
-    """Clean / noisy / enhanced versions of one signal plus the true
-    per-frame SNR of the mix."""
+    """Clean / noisy / enhanced versions of one signal, of one length and
+    one rate."""
 
     clean: AudioBuffer
     noisy: AudioBuffer
     enhanced: AudioBuffer
-    true_snr_db: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_agree(self.clean, self.noisy, self.enhanced)
+        bufs = (self.clean, self.noisy, self.enhanced)
+        lens = {len(b) for b in bufs}
+        rates = {b.sample_rate for b in bufs}
+        if len(lens) != 1 or len(rates) != 1:
+            raise ValueError(f"triple buffers disagree: lengths {lens}, rates {rates}")
 
     @classmethod
-    def from_components(
-        cls, clean: AudioBuffer, noisy: AudioBuffer, enhanced: AudioBuffer
-    ) -> "EvalTriple":
-        """The triple with the true SNR of each 1-s frame of the mix; buffers
-        that disagree in length or rate raise ValueError before any framing."""
-        _check_agree(clean, noisy, enhanced)
-        flen = frame_len_samples(clean.sample_rate, 1.0)
-        noise = frame_matrix(noisy.samples - clean.samples, flen)
-        ref = frame_matrix(clean.samples, flen)
-        snr = rms_db(ref) - rms_db(noise)
-        return cls(clean=clean, noisy=noisy, enhanced=enhanced, true_snr_db=snr)
+    def from_components(cls, clean: AudioBuffer, noisy: AudioBuffer, enhanced: AudioBuffer) -> "EvalTriple":
+        """The triple ``cls(clean, noisy, enhanced)``."""
+        return cls(clean, noisy, enhanced)
 
-
-def _check_agree(*bufs: AudioBuffer) -> None:
-    """Raise ValueError unless the buffers share one length and one rate."""
-    lens = {len(b) for b in bufs}
-    rates = {b.sample_rate for b in bufs}
-    if len(lens) != 1 or len(rates) != 1:
-        raise ValueError(f"triple buffers disagree: lengths {lens}, rates {rates}")
+    @property
+    def true_snr_db(self) -> np.ndarray:
+        """The true SNR in dB of each whole 1-s frame of the mix."""
+        flen = frame_len_samples(self.clean.sample_rate, 1.0)
+        noise = frame_matrix(self.noisy.samples - self.clean.samples, flen)
+        return rms_db(frame_matrix(self.clean.samples, flen)) - rms_db(noise)
 
 
 def synth_clean(duration_seconds: float, sample_rate: int = 48000, seed: int = 0) -> AudioBuffer:

@@ -4,17 +4,18 @@
 fields in declaration order; a field named ``params`` is flattened into
 the object. ``field_checks`` gives each field's check from its type hint.
 An ``int`` is a JSON integer in the signed 64-bit range
-``[-INT_LIMIT, INT_LIMIT)``, a ``float`` any finite JSON number or a
-finite ``float`` subclass, which JSON writes as the float, a ``str`` a
-JSON string and a ``list[float]`` a JSON array of numbers, finite or not;
-a bool is none of these. A field whose type is a dataclass holds an
+``[-INT_LIMIT, INT_LIMIT)``, a ``float`` a finite JSON float or a finite
+``float`` subclass, which JSON writes as the float, but neither an
+integer nor -0.0, so each value has one text; a ``str`` a JSON string
+and a ``list[float]`` a JSON array of numbers, finite or not; a bool is
+none of these. A field whose type is a dataclass holds an
 instance of it. Values are checked, never coerced, so a text that decodes
 encodes back to the same values. ``check_fields`` applies the checks: the
 config classes call it first thing when built, so a config that builds
 encodes to a text that decodes back to it, and
 ``CuratedSegment.from_json`` calls it on each manifest line, whose record
-then checks its own invariants, finiteness included, by ``all_finite``,
-the one finiteness rule. ``check_kind`` checks a backend spec's kind and
+then checks its own invariants, the finiteness of its lists included, by
+``all_finite``. ``check_kind`` checks a backend spec's kind and
 its ``params`` against the spec's table of kinds. ``decode`` maps a JSON
 object onto a class's fields and builds it, and ``params`` takes every
 key the class does not declare.
@@ -58,7 +59,9 @@ def all_finite(values: Iterable[Any]) -> bool:
 # type hint -> (predicate, what it expects)
 _CHECKS: dict[Any, tuple[Callable[[Any], bool], str]] = {
     int: (_is_int, "an integer"),
-    float: (lambda v: (type(v) is int or isinstance(v, float)) and all_finite((v,)), "a finite number"),
+    # not an integer nor -0.0, each equal to a float that JSON writes as another text
+    float: (lambda v: isinstance(v, float) and math.isfinite(v) and (v < 0 or math.copysign(1.0, v) > 0),
+            "a finite float other than -0.0"),
     str: (lambda v: type(v) is str, "a string"),
     list[float]: (lambda v: type(v) is list and NUMBER_TYPES.issuperset(map(type, v)),
                   "a list of numbers"),

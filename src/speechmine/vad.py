@@ -10,6 +10,7 @@ the enhancers, mask encoded as a float-32 WAV of 0/1 samples).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -19,6 +20,8 @@ from .audio_io import AudioBuffer, frame_matrix
 from .dsp import FLOOR_DB, rms_db
 from .enhance import EXTERNAL_PARAMS, check_external, check_returned, run_exchange_command
 from .schema import check_fields, check_kind
+
+logger = logging.getLogger(__name__)
 
 # Every detector kind with the name and type of each parameter it takes
 # besides the windowing and threshold fields.
@@ -83,9 +86,13 @@ def _window_rms_db(samples: np.ndarray, win: int) -> np.ndarray:
 
 def energy_vad_windows(buf: AudioBuffer, spec: VadSpec) -> np.ndarray:
     """Per-window speech decisions (uint8): RMS must clear both the
-    percentile noise floor plus the relative margin and the absolute floor."""
+    percentile noise floor plus the relative margin and the absolute floor.
+    A buffer that is one window long is its own floor, which is logged."""
     win = spec.window_samples(buf.sample_rate, len(buf))
     levels = _window_rms_db(buf.samples, win)
+    if levels.size == 1 and len(buf):
+        logger.warning("%s: one VAD window spans all %d samples, so its level is its own noise floor",
+                       buf.source, len(buf))
     noise_floor = np.percentile(levels, 10)
     threshold = max(noise_floor + spec.relative_threshold_db, spec.absolute_floor_db)
     return (levels >= threshold).astype(np.uint8)

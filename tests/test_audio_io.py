@@ -3,6 +3,7 @@
 import re
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import SLACK, reference_write_wav, traced_peak
+from speechmine import audio_io
 from speechmine.audio_io import (
     MAX_WRITE_RATE,
     MAX_WRITE_SAMPLES,
@@ -109,6 +111,21 @@ class TestReadWav:
         with pytest.raises(WavError, match="locked.wav: read failed: .*Permission denied"):
             read_wav(p)
 
+    @pytest.mark.parametrize("where", ["chunk-header", "data"])
+    def test_file_shorter_than_its_stat_size_is_wav_error(self, tmp_path, monkeypatch, where):
+        # a file that shrinks while it is read: past its end lies either the
+        # next chunk header the stat size promises or the data its header does
+        extra = 1000
+        raw = bytearray(make_wav_bytes(3, 1, 8000, 32, np.zeros(10, "<f4").tobytes()))
+        if where == "data":
+            raw[40:44] = struct.pack("<I", 40 + extra)
+        p = tmp_path / "short.wav"
+        p.write_bytes(raw)
+        fstat = audio_io.os.fstat
+        monkeypatch.setattr(audio_io.os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + extra))
+        with pytest.raises(WavError, match="short.wav: read failed: file ended early"):
+            read_wav(p)
+
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "bad.wav"
         p.write_bytes(b"RIFX" + b"\x00" * 40)
@@ -184,6 +201,11 @@ class TestWriteWav:
         with pytest.raises(WavError, match=f"{p}: {n} samples at {rate} Hz overflow the 32-bit"):
             write_wav(p, buf)
         assert not p.exists()
+
+    def test_missing_directory_is_wav_error_naming_path(self, tmp_path):
+        p = tmp_path / "missing" / "a.wav"
+        with pytest.raises(WavError, match=f"{re.escape(str(p))}: write failed"):
+            write_wav(p, AudioBuffer(np.zeros(10), 8000))
 
 
 class TestBufferTypes:

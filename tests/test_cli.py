@@ -122,6 +122,24 @@ class TestCurate:
                                           "--manifest", "m.jsonl"])
         assert args.jobs == jobs
 
+    def test_integer_in_a_float_field_exits_2_with_one_line_and_writes_nothing(self, tmp_path, capsys):
+        # 20 builds a config equal to 20.0's, which would be stamped with another hash
+        cfg = write_config(tmp_path, snr_threshold_db=20)
+        corpus = write_corpus(tmp_path, count=1)
+        manifest = tmp_path / "out" / "m.jsonl"
+        assert main(["curate", "--config", str(cfg), "--corpus", str(corpus / "*.wav"),
+                     "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "snr_threshold_db" in err and err.count("\n") == 1
+        assert not manifest.parent.exists()
+
+    def test_default_jobs_without_an_affinity_set_or_a_cpu_count_is_1(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        args = build_parser().parse_args(["curate", "--config", "c.json", "--corpus", "*.wav",
+                                          "--manifest", "m.jsonl"])
+        assert args.jobs == 1
+
     def test_happy_path(self, tmp_path):
         cfg = write_config(tmp_path)
         corpus = write_corpus(tmp_path)
@@ -872,6 +890,31 @@ class TestExportRoundConfig:
                      "--enhancer-config", str(override)]) == 0
         assert self._exported(out, segments, buf, StftConfig(window_len=512))
         assert not self._exported(out, segments, buf, StftConfig())
+
+
+# eval's deltas on a fixed corpus, committed from a run: seed 6 draws a
+# 33.6-dB mix whose frames reach the metric's 35-dB clamp, so a change of the
+# clamp moves them too
+EVAL_LOCK_DELTAS = {"noisy_000.wav": -14.63891852088835, "noisy_001.wav": -14.76415294161065,
+                    "noisy_002.wav": -4.138147499468243}
+
+
+def test_eval_report_is_locked(tmp_path, capsys):
+    pairs = tmp_path / "pairs"
+    main(["synth", "--out", str(pairs), "--count", "3", "--duration", "3", "--seed", "6"])
+    enh = tmp_path / "enh.json"
+    enh.write_text('{"kind": "spectral_gate"}')
+    capsys.readouterr()
+    assert main(["eval", "--pairs", str(pairs), "--enhancer-config", str(enh)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    per_file, mean = report.pop("per_file"), report.pop("mean_delta")
+    assert report == {"metric": "segmental_snr", "enhancer": '{"kind":"spectral_gate"}',
+                      "stft": {"window_len": 2048, "hop": 512, "window": "hann"},
+                      "files_evaluated": 3, "files_skipped": 0}
+    assert [f["noisy"] for f in per_file] == list(EVAL_LOCK_DELTAS)
+    for f in per_file:
+        assert abs(f["delta"] - EVAL_LOCK_DELTAS[f["noisy"]]) <= 1e-9, f
+    assert abs(mean - sum(EVAL_LOCK_DELTAS.values()) / 3) <= 1e-9
 
 
 class TestEvalConfig:

@@ -394,6 +394,17 @@ class TestBoundedRead:
         provable = sum(_out_of_bounds(rho, lo, hi) for raw, rho in built if _malformed(raw))
         assert skipped - provable <= reader.skipped <= skipped
 
+    def test_line_torn_inside_frame_rho_is_decoded_warned_about_and_counted(self, tmp_path, caplog):
+        # no "]" closes its values, so the scan cannot prove the line out of bounds
+        raw, _ = _manifest_line("record", [50.0, 50.0], [0.0])
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(raw + raw[: raw.index(b"50.0") + 3] + b"\n")
+        reader = ManifestReader(path, 0.0, 100.0)
+        with caplog.at_level("WARNING"):
+            assert len(list(reader)) == 1
+        assert reader.skipped == 1
+        assert sum(":2: skipping malformed record" in m for m in caplog.messages) == 1
+
 
 class TestConfig:
     def test_defaults_follow_published_operating_point(self):

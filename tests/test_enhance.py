@@ -34,7 +34,12 @@ class TestEnhancerSpec:
 
     def test_negative_attenuation_rejected(self):
         with pytest.raises(ValueError, match="attenuation"):
-            EnhancerSpec("spectral_gate", {"attenuation_db": -3})
+            EnhancerSpec("spectral_gate", {"attenuation_db": -3.0})
+
+    def test_numpy_gate_threshold_whose_ratio_overflows_rejected(self):
+        # a numpy float's power overflows to inf with a warning, where a float's raises
+        with pytest.raises(ValueError, match="gate_threshold_db"):
+            EnhancerSpec("spectral_gate", {"gate_threshold_db": np.float64(1e308)})
 
     def test_gate_threshold_whose_ratio_overflows_rejected(self):
         # 10 ** (1e308 / 20) failed every file with OverflowError; 300 dB still gates

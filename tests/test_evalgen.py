@@ -188,7 +188,7 @@ class TestDeltaQuality:
         clean, noisy = self._triple()
         short = AudioBuffer(clean.samples[:-1], FS)
         with pytest.raises(ValueError, match="disagree"):
-            EvalTriple(clean, noisy, short, np.array([]))
+            EvalTriple(clean, noisy, short)
 
     def test_components_of_different_lengths_rejected_before_framing(self):
         clean = synth_clean(1.0, FS, seed=15)

@@ -46,14 +46,14 @@ def cases(draw) -> Case:
     rho_max = draw(st.floats(20.0, 120.0), label="rho_max_db")
     # one case in six at rho_max_db itself, which an identity enhancer's voiced frames score
     at_max = draw(st.integers(0, 5), label="threshold at rho_max_db") == 0
-    threshold = rho_max if at_max else draw(st.floats(-10.0, 40.0), label="snr_threshold_db")
+    threshold = rho_max if at_max else draw(st.floats(-10.0, 40.0).map(lambda v: v + 0.0), label="snr_threshold_db")
     bandwidth = draw(st.one_of(
         st.floats(0.0, rate / 2),
         st.integers(0, window // 2).map(lambda b: b * (rate / window)),  # a bin centre exactly
     ), label="min_bandwidth_hz")
     if draw(st.booleans(), label="spectral_gate"):
         enhancer = EnhancerSpec("spectral_gate", {
-            "gate_threshold_db": draw(st.floats(-10.0, 40.0), label="gate_threshold_db"),
+            "gate_threshold_db": draw(st.floats(-10.0, 40.0).map(lambda v: v + 0.0), label="gate_threshold_db"),
             "attenuation_db": draw(st.floats(0.0, 80.0), label="attenuation_db"),
         })
     else:

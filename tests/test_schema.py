@@ -48,23 +48,27 @@ CONFIG_PROBES = [
     pytest.param({"enhancer": {"kind": "external", "command": ["run", "{input}", "{output}"]}}, "command",
                  id="enhancer.command"),
     pytest.param({"vad": {**EXTERNAL_VAD, "timeout_s": "60"}}, "timeout_s", id="vad.timeout_s-string"),
-    pytest.param({"enhancer": {**EXTERNAL_ENHANCER, "timeout_s": 0}}, "timeout_s",
+    pytest.param({"enhancer": {**EXTERNAL_ENHANCER, "timeout_s": 0.0}}, "timeout_s",
                  id="enhancer.timeout_s-zero"),
-    pytest.param({"vad": {**EXTERNAL_VAD, "timeout_s": -1}}, "timeout_s", id="vad.timeout_s-negative"),
+    pytest.param({"vad": {**EXTERNAL_VAD, "timeout_s": -1.0}}, "timeout_s", id="vad.timeout_s-negative"),
     # subprocess cannot wait longer than 2**31 - 1 ms: each of these failed every file
     pytest.param({"enhancer": {**EXTERNAL_ENHANCER, "timeout_s": 1e300}}, "timeout_s",
                  id="enhancer.timeout_s-1e300"),
-    pytest.param({"enhancer": {**EXTERNAL_ENHANCER, "timeout_s": 2147484}}, "timeout_s",
+    pytest.param({"enhancer": {**EXTERNAL_ENHANCER, "timeout_s": 2147484.0}}, "timeout_s",
                  id="enhancer.timeout_s-2147484"),
     pytest.param({"vad": {**EXTERNAL_VAD, "timeout_s": 1e300}}, "timeout_s", id="vad.timeout_s-1e300"),
-    pytest.param({"vad": {**EXTERNAL_VAD, "timeout_s": 2147484}}, "timeout_s", id="vad.timeout_s-2147484"),
-    # an integer beyond the float range, whose finiteness check overflows
+    pytest.param({"vad": {**EXTERNAL_VAD, "timeout_s": 2147484.0}}, "timeout_s", id="vad.timeout_s-2147484"),
+    # an integer beyond the float range, whose finiteness check overflowed
     pytest.param({"snr_threshold_db": 10**400}, "snr_threshold_db", id="snr_threshold_db-10**400"),
     # hop 1 holds for a window of 1, so only the window_len check rejects it
     pytest.param({"stft": {"window_len": 1, "hop": 1}}, "window_len", id="stft.window_len-1"),
     # its amplitude ratio overflows a float, which failed every file
     pytest.param({"enhancer": {"kind": "spectral_gate", "gate_threshold_db": 1e308}}, "gate_threshold_db",
                  id="enhancer.gate_threshold_db-1e308"),
+    # an integer or -0.0 in a float field, each equal to a float written as another text
+    pytest.param({"snr_threshold_db": 20}, "snr_threshold_db", id="snr_threshold_db-int"),
+    pytest.param({"min_bandwidth_hz": -0.0}, "min_bandwidth_hz", id="min_bandwidth_hz-minus-0"),
+    pytest.param({"vad": {**EXTERNAL_VAD, "timeout_s": 60}}, "timeout_s", id="vad.timeout_s-int"),
 ]
 
 
@@ -102,6 +106,14 @@ CONSTRUCTION_PROBES = [
     pytest.param(partial(EnhancerSpec, "identity", None), "params", id="enhancer.params-none"),
     pytest.param(partial(EnhancerSpec, "spectral_gate", [1]), "params", id="enhancer.params-list"),
     pytest.param(partial(VadSpec, params=[1]), "params", id="vad.params-list"),
+    # each equals a config that JSON writes as another text, so hashed otherwise
+    pytest.param(partial(CurationConfig, frame_seconds=1), "frame_seconds", id="frame_seconds-int"),
+    pytest.param(partial(CurationConfig, min_bandwidth_hz=-0.0), "min_bandwidth_hz",
+                 id="min_bandwidth_hz-minus-0"),
+    pytest.param(partial(VadSpec, absolute_floor_db=np.float64(-0.0)), "absolute_floor_db",
+                 id="vad.absolute_floor_db-float64-minus-0"),
+    pytest.param(partial(EnhancerSpec, "spectral_gate", {"attenuation_db": 20}), "attenuation_db",
+                 id="enhancer.attenuation_db-int"),
 ]
 
 
@@ -114,9 +126,6 @@ def test_construction_probe_is_a_config_error(build, field):
 @pytest.mark.parametrize("overrides, config_hash", [
     # a float subclass, which JSON writes as the float
     pytest.param({"snr_threshold_db": np.float64(20.0)}, DEFAULT_HASH, id="snr_threshold_db-float64"),
-    # an integer is a number, and hashes as the integer it is written as
-    pytest.param({"frame_seconds": 1}, "ebb130c3cb4aca72cd598df09ec4cf8c8372e82dd0ee0768796a8e32adb499a7",
-                 id="frame_seconds-int"),
 ])
 def test_accepted_construction_hashes_as_its_json(overrides, config_hash):
     cfg = CurationConfig(**overrides)
@@ -415,6 +424,53 @@ def test_config_built_from_any_scalars_round_trips_or_names_a_field(over):
     again = CurationConfig.from_dict(json.loads(json.dumps(cfg.to_dict(), allow_nan=False)))
     assert again == cfg
     assert again.config_hash() == cfg.config_hash()
+
+
+def _spellings(v):
+    """v, then the values of other types or signs that equal it."""
+    if type(v) not in (int, float):
+        return [v]
+    f = float(v)
+    others = [f, np.float64(f), -f]  # -f equals v only at zero
+    if f.is_integer():
+        others.append(int(f))
+    return [v, *(w for w in others if w == v)]
+
+
+@st.composite
+def respelled_overrides(draw):
+    """Scalar overrides with spectral-gate parameters, and the same overrides
+    with each value replaced by one that equals it."""
+    over = draw(scalar_overrides())
+    over["gate"] = draw(st.dictionaries(st.sampled_from(["gate_threshold_db", "attenuation_db"]), SCALARS,
+                                        max_size=2))
+    again = {part: {name: draw(st.sampled_from(_spellings(v))) for name, v in values.items()}
+             for part, values in over.items()}
+    return over, again
+
+
+def _built(over):
+    return CurationConfig(**over["config"], stft=StftConfig(**over["stft"]), vad=VadSpec(**over["vad"]),
+                          enhancer=EnhancerSpec(**{"kind": "spectral_gate", **over["enhancer"]},
+                                                params=over["gate"]))
+
+
+def _respelled(**config):
+    return tuple({"config": c, "stft": {}, "vad": {}, "enhancer": {}, "gate": {}} for c in (config, {
+        name: {1.0: 1, 0.0: -0.0}[v] for name, v in config.items()}))
+
+
+@settings(max_examples=500, deadline=None)
+@example(pair=_respelled(frame_seconds=1.0))
+@example(pair=_respelled(min_bandwidth_hz=0.0))
+@given(pair=respelled_overrides())
+def test_configs_that_build_equal_hash_equally(pair):
+    try:
+        a, b = map(_built, pair)
+    except ValueError:
+        return
+    if a == b:
+        assert a.config_hash() == b.config_hash()
 
 
 RECORDS = _mutated(json.loads(_record()), {

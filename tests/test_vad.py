@@ -25,7 +25,7 @@ class TestSpec:
 
     def test_nonpositive_window_rejected(self):
         with pytest.raises(ValueError, match="window"):
-            VadSpec(window_seconds=0)
+            VadSpec(window_seconds=0.0)
 
     def test_external_requires_placeholders(self):
         with pytest.raises(ValueError, match="{input}"):
@@ -52,6 +52,15 @@ class TestDetect:
         x = np.full(2 * FS, 10 ** (-20 / 20))
         decisions = energy_vad_windows(AudioBuffer(x, FS), VadSpec())
         assert not decisions.any()
+
+    @pytest.mark.parametrize("window_seconds, warnings", [(1e20, 1), (0.02, 0)])
+    def test_one_window_over_the_whole_buffer_is_logged(self, caplog, window_seconds, warnings):
+        # its floor is its own level, so no window is speech
+        buf = AudioBuffer(np.concatenate([tone(-6, 1.0), tone(-80, 1.0)]), FS, source="talk.wav")
+        with caplog.at_level("WARNING", logger="speechmine.vad"):
+            decisions = energy_vad_windows(buf, VadSpec(window_seconds=window_seconds))
+        assert sum("talk.wav: one VAD window" in m for m in caplog.messages) == warnings
+        assert decisions.any() != bool(warnings)
 
     def test_alternating_loud_quiet(self):
         parts = []
